@@ -59,6 +59,7 @@ import sys
 
 from repro import MACHINE_NAMES, PRESETS, compile_minic
 from repro.ir import format_module
+from repro.pipeline import stage_names
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -215,13 +216,14 @@ def cmd_lint(args) -> int:
     try:
         if args.file.endswith(".rtl"):
             # Hand-written RTL: verify structurally (into the sink), then
-            # lint; --differential runs the cleanup bundle under the
-            # differential pass-sanitizer.
+            # lint; --differential runs the cleanup bundle on every
+            # function as a guarded stage under the differential
+            # pass-sanitizer.
             from repro.ir.parser import parse_module
             from repro.ir.verifier import verify_module
-            from repro.opt.pass_manager import (
-                PassContext, PassManager, cleanup,
-            )
+            from repro.opt.pass_manager import PassContext, cleanup
+            from repro.resilience.transaction import PassGuard
+            from repro.sanitize.differential import DifferentialSanitizer
 
             with open(args.file) as handle:
                 module = parse_module(handle.read(), name=args.file)
@@ -229,11 +231,18 @@ def cmd_lint(args) -> int:
             if not sink.has_errors:
                 lint_module(module, machine, checks=checks, sink=sink)
                 if args.differential:
-                    ctx = PassContext(
-                        machine, sink=sink, differential=True
+                    ctx = PassContext(machine, sink=sink)
+                    guard = PassGuard(
+                        module, machine, sink=sink,
+                        sanitizer=DifferentialSanitizer(
+                            module, machine, sink
+                        ),
                     )
-                    manager = PassManager(ctx).add("cleanup", cleanup)
-                    manager.run(module)
+                    for func in module:
+                        guard.stage(
+                            ctx, "cleanup",
+                            lambda: cleanup(func, ctx), func=func,
+                        )
                     stats = ctx.stats
         else:
             program = _compile_from_args(
@@ -693,11 +702,9 @@ def cmd_bisect(args) -> int:
     return 0 if result.culprit else 1
 
 
-#: Stages the chaos sweep plants one fault into, in pipeline order.
-CHAOS_SITES = (
-    "cleanup", "licm", "strength_reduce", "unroll",
-    "coalesce", "lower", "schedule",
-)
+#: Stages the chaos sweep plants one fault into: every stage its
+#: ``coalesce-all`` compilations run, in pipeline order.
+CHAOS_SITES = stage_names(PRESETS["coalesce-all"])
 
 
 def cmd_chaos(args) -> int:

@@ -9,7 +9,7 @@ Two consumption modes:
 * the classic raising mode (:func:`verify_function` /
   :func:`verify_module` with no sink) raises :class:`IRError` — on the
   *first* problem for a function, on the joined set for a module — which
-  is what the pass manager wants;
+  is what the pass drivers want;
 * sanitizer mode: pass a :class:`repro.sanitize.diagnostics.DiagnosticSink`
   and every problem is reported as one :class:`Diagnostic` with a
   structured location, nothing is raised, and the caller decides.

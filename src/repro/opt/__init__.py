@@ -8,7 +8,7 @@ unrolling — everything needed to shape naive front-end output into the
 canonical pointer-increment loops of Figure 1b.
 """
 
-from repro.opt.pass_manager import PassContext, PassManager, STANDARD_PASSES
+from repro.opt.pass_manager import PassContext
 from repro.opt.simplify_cfg import simplify_cfg
 from repro.opt.constant_fold import constant_fold
 from repro.opt.copy_prop import copy_propagate
@@ -20,8 +20,6 @@ from repro.opt.unroll import UnrollDecision, unroll_counted_loop, unroll_functio
 
 __all__ = [
     "PassContext",
-    "PassManager",
-    "STANDARD_PASSES",
     "UnrollDecision",
     "constant_fold",
     "copy_propagate",

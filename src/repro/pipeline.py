@@ -6,6 +6,9 @@
               -> memory access coalescing -> machine lowering
               -> cleanup -> list scheduling
 
+The stage order is declared once, in :data:`STAGES`, and every stage
+runs through :meth:`repro.resilience.transaction.PassGuard.stage`.
+
 Four preset configurations reproduce the paper's measurement columns:
 
 =================  ==========================================================
@@ -21,8 +24,10 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 from typing import Dict, List, Optional, Tuple, Union
 
+from repro.analysis.alias import annotate_memory_roots
 from repro.coalesce import CoalesceReport, coalesce_function
 from repro.errors import ReproError
 from repro.frontend import compile_source
@@ -31,6 +36,7 @@ from repro.ir.verifier import verify_module
 from repro.machine import MachineDescription, get_machine, lower_module
 from repro.opt import loop_invariant_code_motion, strength_reduce, unroll_function
 from repro.opt.pass_manager import PassContext, cleanup
+from repro.opt.regalloc import allocate_registers
 from repro.resilience.transaction import (
     PASS_FAILURE_POLICIES,
     PassFailure,
@@ -38,6 +44,48 @@ from repro.resilience.transaction import (
 )
 from repro.sched.block_cost import schedule_module
 from repro.sim import Simulator
+
+
+#: Every step of ``compile_minic`` in run order, with the config test
+#: that turns it on.  A step runs on each function unless it is one of
+#: ``MODULE_STAGES``; consecutive function steps run as a group, all of
+#: them on one function before the next function starts.  A named step
+#: is a stage: it runs through :meth:`PassGuard.stage` under its name,
+#: which is also its ``pass_stats`` key, fault-injection site and
+#: bisect candidate.  The unnamed step tags memory references for the
+#: alias-consistency checker; it runs outside the guard, unrecorded,
+#: and no fault is injected into it.
+STAGES = (
+    ("cleanup", lambda c: c.optimize),
+    ("licm", lambda c: c.optimize),
+    ("cleanup", lambda c: c.optimize),
+    ("strength_reduce", lambda c: c.optimize),
+    ("cleanup", lambda c: c.optimize),
+    ("unroll", lambda c: c.unroll),
+    ("cleanup", lambda c: c.unroll),
+    (None, lambda c: c.sanitize or c.differential),
+    ("coalesce", lambda c: c.coalesce != "none"),
+    ("cleanup", lambda c: c.coalesce != "none" and c.optimize),
+    ("lower", lambda c: True),
+    ("cleanup", lambda c: c.optimize),
+    ("schedule", lambda c: c.schedule),
+    ("regalloc", lambda c: c.regalloc),
+)
+
+#: Stages that run once over the whole module.
+MODULE_STAGES = ("lower", "schedule")
+
+
+def stage_names(config: Optional["PipelineConfig"] = None) -> Tuple[str, ...]:
+    """The stages ``config`` runs (every stage when ``None``), each named
+    once, in first-run order."""
+    return tuple(dict.fromkeys(
+        name for name, when in STAGES
+        if name is not None and (config is None or when(config))
+    ))
+
+
+STAGE_NAMES = stage_names()
 
 
 @dataclass
@@ -97,6 +145,13 @@ class PipelineConfig:
         if not isinstance(self.disabled_passes, tuple):
             object.__setattr__(  # tolerate lists from JSON manifests
                 self, "disabled_passes", tuple(self.disabled_passes)
+            )
+        unknown = [p for p in self.disabled_passes if p not in STAGE_NAMES]
+        if unknown:
+            raise ReproError(
+                f"unknown stage(s) in disabled_passes: "
+                f"{', '.join(map(repr, unknown))}; known: "
+                f"{', '.join(STAGE_NAMES)}"
             )
 
 
@@ -248,11 +303,7 @@ def compile_minic(
 
         sanitizer = DifferentialSanitizer(module, machine, sink)
 
-    ctx = PassContext(
-        machine, verify=config.verify,
-        sink=sink, differential=config.differential,
-        on_pass_failure=config.on_pass_failure, faults=faults,
-    )
+    ctx = PassContext(machine, verify=config.verify, sink=sink)
     ctx.record_pass("frontend", True, frontend_seconds)
     reports: List[CoalesceReport] = []
 
@@ -270,82 +321,66 @@ def compile_minic(
         max_bundles=max_bundles,
     )
 
-    def stage(func: Function, name: str, thunk) -> object:
-        """Run one per-function stage as a guarded transaction.
+    # Each stage's body.  The callees are looked up in this module when a
+    # stage runs, so a wrapper installed on ``repro.pipeline.<callee>``
+    # sees every call.
+    def coalesce(func: Function):
+        divisibility = None
+        if config.versioned_divisibility:
+            divisibility = config.unroll_factor or machine.word_bytes
+        return coalesce_function(
+            func,
+            ctx,
+            include_stores=config.coalesce == "all",
+            force=config.force_coalesce,
+            divisibility_factor=divisibility,
+            unaligned_loads=config.unaligned_loads,
+            elide_checks=config.elide_checks and not faults,
+        )
 
-        The ``cancel`` probe runs *outside* the guard: a deadline abort
-        must propagate, never be rolled back as a pass failure.
-        """
+    def lower(_) -> None:
+        lower_module(module, machine)
+        if config.verify:
+            verify_module(module)
+
+    bodies = {
+        "cleanup": lambda func: cleanup(func, ctx),
+        "licm": lambda func: loop_invariant_code_motion(func, ctx),
+        "strength_reduce": lambda func: strength_reduce(func, ctx),
+        "unroll": lambda func: unroll_function(
+            func, ctx, factor=config.unroll_factor),
+        "coalesce": coalesce,
+        "lower": lower,
+        "schedule": lambda _: schedule_module(module, machine),
+        "regalloc": lambda func: allocate_registers(func, ctx),
+    }
+
+    def run(name: str, func: Optional[Function] = None):
+        # The cancel probe runs *outside* the guard: a deadline abort
+        # must propagate, never be rolled back as a pass failure.
         if cancel is not None:
             cancel()
-        result = guard.stage(ctx, name, thunk, func=func)
-        # A stage that touched the function (or whose outcome is unknown
-        # after a rollback) retires its cached dataflow; the passes inside
-        # run_to_fixpoint already invalidate at pass granularity.
-        if result is not False:
-            ctx.analyses.invalidate(func)
-        return result
+        return guard.stage(ctx, name, lambda: bodies[name](func), func=func)
 
-    def module_stage(name: str, thunk) -> None:
-        if cancel is not None:
-            cancel()
-        guard.stage(ctx, name, thunk)
-        ctx.analyses.clear()
-
-    for func in module:
-        if config.optimize:
-            stage(func, "cleanup", lambda: cleanup(func, ctx))
-            stage(func, "licm",
-                  lambda: loop_invariant_code_motion(func, ctx))
-            stage(func, "cleanup", lambda: cleanup(func, ctx))
-            stage(func, "strength_reduce",
-                  lambda: strength_reduce(func, ctx))
-            stage(func, "cleanup", lambda: cleanup(func, ctx))
-        if config.unroll:
-            stage(func, "unroll", lambda: unroll_function(
-                func, ctx, factor=config.unroll_factor))
-            stage(func, "cleanup", lambda: cleanup(func, ctx))
-        if config.sanitize or config.differential:
-            # Tag loads/stores with their resolved root objects while the
-            # IR is still analyzable (pre-lowering); the differential
-            # alias-consistency checker validates the claims later.
-            from repro.analysis.alias import annotate_memory_roots
-
-            annotate_memory_roots(func, ctx.analyses.memdep(func))
-        if config.coalesce != "none":
-            divisibility = None
-            if config.versioned_divisibility:
-                divisibility = config.unroll_factor or machine.word_bytes
-            reports.extend(
-                stage(func, "coalesce", lambda: coalesce_function(
-                    func,
-                    ctx,
-                    include_stores=config.coalesce == "all",
-                    force=config.force_coalesce,
-                    divisibility_factor=divisibility,
-                    unaligned_loads=config.unaligned_loads,
-                    elide_checks=config.elide_checks and not faults,
-                )) or []
-            )
-            if config.optimize:
-                stage(func, "cleanup", lambda: cleanup(func, ctx))
-
-    module_stage("lower", lambda: lower_module(module, machine))
-    if config.verify:
-        verify_module(module)
-
-    if config.optimize:
+    steps = [name for name, when in STAGES if when(config)]
+    for per_module, group in groupby(
+        steps, key=lambda name: name in MODULE_STAGES
+    ):
+        if per_module:
+            for name in group:
+                run(name)
+            continue
+        group = list(group)
         for func in module:
-            stage(func, "cleanup", lambda: cleanup(func, ctx))
-    if config.schedule:
-        module_stage("schedule",
-                     lambda: schedule_module(module, machine))
-    if config.regalloc:
-        from repro.opt.regalloc import allocate_registers
-
-        for func in module:
-            stage(func, "regalloc",
-                  lambda: allocate_registers(func, ctx))
+            for name in group:
+                if name is None:
+                    # Pre-lowering, while the IR is still analyzable; the
+                    # alias-consistency checker validates the claims.
+                    annotate_memory_roots(func, ctx.analyses.memdep(func))
+                elif name == "coalesce":
+                    reports.extend(run(name, func) or [])
+                else:
+                    run(name, func)
     if config.verify:
         verify_module(module)
 

@@ -24,21 +24,15 @@ from dataclasses import dataclass, field as _field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
+from repro.pipeline import STAGE_NAMES
 from repro.resilience.bundle import Bundle, config_from_bundle
 from repro.resilience.faults import FaultPlan
 
-#: Stages a failing compilation can do without (layout order).  ``lower``
-#: is mandatory — when a failure survives with every optional stage
-#: disabled, the bundle's own pass is reported as the irreducible culprit.
-OPTIONAL_STAGES = (
-    "cleanup",
-    "licm",
-    "strength_reduce",
-    "unroll",
-    "coalesce",
-    "schedule",
-    "regalloc",
-)
+#: Stages a failing compilation can do without (pipeline order).
+#: ``lower`` is mandatory — when a failure survives with every optional
+#: stage disabled, the bundle's own pass is reported as the irreducible
+#: culprit.
+OPTIONAL_STAGES = tuple(name for name in STAGE_NAMES if name != "lower")
 
 
 @dataclass

@@ -110,11 +110,12 @@ def _changed(result) -> bool:
 class PassGuard:
     """Runs pipeline stages as transactions against a module snapshot.
 
-    One guard serves one compilation.  It is *armed* (snapshots, per-pass
-    verification, rollback) whenever the policy is not ``raise`` or a
-    fault plan is present; otherwise every stage runs on the legacy fast
-    path — no snapshot, failures propagate — so default compilations are
-    byte-for-byte unchanged.
+    The one driver for passes: every pipeline stage and every standalone
+    pass runs through :meth:`stage`.  One guard serves one compilation.
+    It is *armed* (snapshots, per-pass verification, rollback) whenever
+    the policy is not ``raise`` or a fault plan is present; otherwise
+    every stage runs on the legacy fast path — no snapshot, failures
+    propagate — so default compilations are byte-for-byte unchanged.
     """
 
     def __init__(
@@ -156,25 +157,30 @@ class PassGuard:
         self._arrivals: Dict[str, int] = {}
 
     # -- the transaction ----------------------------------------------------
-    def stage(
-        self,
-        ctx,
-        name: str,
-        thunk,
-        func: Optional[Function] = None,
-        verify_after: Optional[bool] = None,
-    ):
+    def stage(self, ctx, name: str, thunk, func: Optional[Function] = None):
         """Run one stage; returns its result, or ``None`` when skipped or
         rolled back.  ``func`` names the function for per-function stages
-        (``None`` for module-level ones like lowering/scheduling)."""
+        (``None`` for module-level ones like lowering/scheduling).
+
+        Afterwards the stage's cached dataflow is retired: a function
+        stage that touched its function (or whose outcome is unknown
+        after a rollback) invalidates that function's analyses, and a
+        module stage clears them all.  The passes inside
+        ``run_to_fixpoint`` already invalidate at pass granularity.
+        """
+        result = self._transact(ctx, name, thunk, func)
+        if func is None:
+            ctx.analyses.clear()
+        elif result is not False:
+            ctx.analyses.invalidate(func)
+        return result
+
+    def _transact(self, ctx, name: str, thunk, func: Optional[Function]):
         if name in self.disabled:
             ctx.record_pass(name, False, 0.0)
             return None
         invocation = self._arrivals[name] = self._arrivals.get(name, 0) + 1
-        do_verify = (
-            verify_after if verify_after is not None
-            else (self.armed and self.verify)
-        )
+        do_verify = self.armed and self.verify
         aliases = (f"{name}:{func.name}",) if func is not None else ()
         spec = self.faults.draw(name, aliases) if self.faults else None
 

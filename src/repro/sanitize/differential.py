@@ -1,8 +1,8 @@
 """The differential pass-sanitizer.
 
 Static checks prove properties; this module *observes* them.  In
-differential mode the pass manager (and the pipeline's stage driver)
-snapshots a function before each pass, runs both versions through the
+differential mode the stage driver (``PassGuard.stage``) snapshots a
+function before each stage, runs both versions through the
 reference interpreter on auto-generated argument/memory fixtures, and
 emits an error diagnostic **naming the offending pass** the moment
 observable behaviour diverges — return value, memory written through
@@ -223,7 +223,7 @@ def _module_with(module: Module, func: Function) -> Module:
 
 
 class DifferentialSanitizer:
-    """Snapshot/compare driver used by the pass manager and pipeline."""
+    """Snapshot/compare driver used by ``PassGuard.stage``."""
 
     def __init__(
         self,

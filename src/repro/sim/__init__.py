@@ -2,11 +2,11 @@
 
 The paper measured wall-clock time on real DEC Alpha, Motorola 88100 and
 Motorola 68030 machines.  We have none of those, so this package provides
-the substitute: RTL programs run in a byte-accurate interpreter — or one
-of two translating engines, including the block-compiling ``compiled``
-backend — that counts block executions and memory traffic, and a
-trace-driven cost model converts those counts into cycles using each
-machine's latencies, issue width and caches.
+the substitute: RTL programs run on one of two engines — the
+byte-accurate reference interpreter (``interp``) or the block-compiling
+``compiled`` backend — that count block executions and memory traffic,
+and a trace-driven cost model converts those counts into cycles using
+each machine's latencies, issue width and caches.
 """
 
 from repro.sim.memory import SimMemory
@@ -18,7 +18,7 @@ from repro.sim.runner import (
     Simulator,
     default_sim_backend,
 )
-from repro.sim.translate import CompiledEngine, TranslatedEngine
+from repro.sim.translate import CompiledEngine
 
 __all__ = [
     "BlockCache",
@@ -30,7 +30,6 @@ __all__ = [
     "SIM_BACKENDS",
     "SimMemory",
     "Simulator",
-    "TranslatedEngine",
     "cycle_report",
     "default_sim_backend",
     "instructions_per_second",

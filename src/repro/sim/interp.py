@@ -7,7 +7,8 @@ model needs: per-block execution counts, memory accesses, and cache hits
 and misses.
 
 It is the *reference* engine: slow, obvious, and heavily cross-checked
-against the faster :mod:`repro.sim.translate` engine by the test suite.
+against the faster ``compiled`` backend (:mod:`repro.sim.translate`) by
+the test suite.
 """
 
 from __future__ import annotations

@@ -24,9 +24,8 @@ from repro.sim.interp import Interpreter
 from repro.sim.memory import SimMemory
 
 
-#: Backends selectable via ``--sim-backend`` / ``REPRO_SIM_BACKEND``.
-#: ("translate", the per-function engine, stays reachable through the
-#: ``engine=`` parameter but is not part of the public backend matrix.)
+#: Backends selectable via ``backend=`` / ``--sim-backend`` /
+#: ``REPRO_SIM_BACKEND``.
 SIM_BACKENDS = ("interp", "compiled")
 
 
@@ -59,12 +58,10 @@ def default_sim_backend() -> str:
 class Simulator:
     """One module loaded on one machine, ready to run.
 
-    ``backend`` picks the execution engine: ``interp`` (the reference
-    interpreter) or ``compiled`` (the block-compiling direct-threaded
-    engine, bit-identical on all accounted quantities).  ``engine`` is
-    the older spelling of the same knob and additionally accepts
-    ``translate``; giving both and disagreeing is an error.  When
-    neither is given the ``REPRO_SIM_BACKEND`` environment default
+    ``backend`` picks one of the two execution engines: ``interp`` (the
+    reference interpreter) or ``compiled`` (the block-compiling
+    direct-threaded engine, bit-identical on all accounted quantities).
+    When it is not given the ``REPRO_SIM_BACKEND`` environment default
     applies.
 
     The compiled backend silently degrades to the interpreter whenever
@@ -72,8 +69,7 @@ class Simulator:
     fault injection is active via ``REPRO_FAULTS`` — mirroring how
     alias-check elision auto-disables under chaos.  The decision is
     recorded in ``backend_requested`` / ``backend`` /
-    ``fallback_reason``.  The ``translate`` engine keeps its historical
-    strict behavior and raises instead.
+    ``fallback_reason``.
     """
 
     def __init__(
@@ -82,7 +78,6 @@ class Simulator:
         machine: MachineDescription,
         simulate_caches: bool = True,
         max_steps: Optional[int] = None,
-        engine: Optional[str] = None,
         fault_hook=None,
         trace_hook=None,
         backend: Optional[str] = None,
@@ -95,12 +90,7 @@ class Simulator:
         if max_steps is None:
             max_steps = default_max_steps()
         self.max_steps = max_steps
-        if engine is not None and backend is not None and engine != backend:
-            raise SimulationError(
-                f"conflicting engine selection: engine={engine!r} "
-                f"backend={backend!r}"
-            )
-        requested = backend or engine or default_sim_backend()
+        requested = backend or default_sim_backend()
         self.backend_requested = requested
         self.fallback_reason: Optional[str] = None
         resolved = requested
@@ -130,28 +120,6 @@ class Simulator:
                 trace_hook=trace_hook,
                 cancel=cancel,
             )
-        elif resolved == "translate":
-            if fault_hook is not None:
-                raise SimulationError(
-                    "fault_hook requires the 'interp' engine"
-                )
-            if trace_hook is not None:
-                raise SimulationError(
-                    "trace_hook requires the 'interp' engine"
-                )
-            if cancel is not None:
-                raise SimulationError(
-                    "cancel= requires the 'interp' or 'compiled' engine"
-                )
-            from repro.sim.translate import TranslatedEngine
-
-            self.engine = TranslatedEngine(
-                module,
-                machine,
-                memory=self.memory,
-                simulate_caches=simulate_caches,
-                max_steps=max_steps,
-            )
         elif resolved == "compiled":
             from repro.sim.translate import CompiledEngine
 
@@ -165,7 +133,10 @@ class Simulator:
                 block_cache=block_cache,
             )
         else:
-            raise SimulationError(f"unknown engine {resolved!r}")
+            raise SimulationError(
+                f"unknown simulator backend {resolved!r} "
+                f"(want {'|'.join(SIM_BACKENDS)})"
+            )
         self._arrays: Dict[str, int] = {}
         self._stagger_counter = 0
         # Host wall-clock spent inside call(), accumulated across calls;

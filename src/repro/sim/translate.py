@@ -1,25 +1,20 @@
-"""RTL-to-Python translation: the simulator's fast engines.
+"""RTL-to-Python translation: the simulator's ``compiled`` backend.
 
-The reference interpreter dispatches instruction objects; the engines
-here instead *compile* RTL into specialized Python and let CPython
-execute it.  Semantics are identical by construction of the generated
-expressions — and by the differential tests (and the CI
-``sim-differential`` matrix) that run the engines over the same
-programs.
+The simulator has two engines: the reference interpreter
+(:class:`repro.sim.interp.Interpreter`, the ``interp`` backend), which
+dispatches instruction objects, and :class:`CompiledEngine` here (the
+``compiled`` backend), which instead *compiles* RTL into specialized
+Python and lets CPython execute it.  Semantics are identical by
+construction of the generated expressions — and by the differential
+tests (and the CI ``sim-differential`` matrix) that run both engines
+over the same programs.
 
-Two compilation granularities:
-
-* :class:`TranslatedEngine` lowers each RTL *function* into one Python
-  function: registers become locals, blocks become branches of a
-  dispatch loop.  Fastest, but monolithic — nothing is shared between
-  modules and a function is retranslated for every engine instance.
-* :class:`CompiledEngine` — the ``compiled`` simulator backend — lowers
-  each *basic block* once into a straight-line closure with operand
-  accessors resolved and memory/cache accounting inlined at translate
-  time, caches the compiled block by fingerprint in
-  :class:`repro.sim.cache.BlockCache`, and dispatches block-to-block
-  with a direct-threaded loop: each closure returns its successor's
-  closure, so the driver never consults a label table.
+:class:`CompiledEngine` lowers each *basic block* once into a
+straight-line closure with operand accessors resolved and memory/cache
+accounting inlined at translate time, caches the compiled block by
+fingerprint in :class:`repro.sim.cache.BlockCache`, and dispatches
+block-to-block with a direct-threaded loop: each closure returns its
+successor's closure, so the driver never consults a label table.
 
 Dynamic counts: the generated code only increments a per-block execution
 counter (plus cache probes when cache simulation is on); instruction,
@@ -57,12 +52,7 @@ from repro.ir.rtl import (
     UnOp,
 )
 from repro.machine.machine import MachineDescription
-from repro.sim.cache import (
-    BlockCache,
-    CellCountedCache,
-    DirectMappedCache,
-    shared_block_cache,
-)
+from repro.sim.cache import BlockCache, CellCountedCache, shared_block_cache
 from repro.sim.interp import RunStats, field_parameters, layout_code
 from repro.sim.memory import GUARD_BYTES, SimMemory
 
@@ -97,9 +87,6 @@ def _runtime_helpers(machine: MachineDescription) -> Dict[str, object]:
             raise SimulationError("integer division by zero")
         return (a % b if want_rem else a // b) & mask
 
-    def _trap(addr: int, width: int):
-        raise AlignmentTrap(addr, width)
-
     def _fault(addr: int):
         raise SimulationError(f"bad address {addr:#x}")
 
@@ -126,11 +113,9 @@ def _runtime_helpers(machine: MachineDescription) -> Dict[str, object]:
         "_rem": lambda a, b: _sdiv_base(a, b, True),
         "_divu": lambda a, b: _udiv_base(a, b, False),
         "_remu": lambda a, b: _udiv_base(a, b, True),
-        "_trap": _trap,
         "_fault": _fault,
         "_fieldshift": _fieldshift,
         "_fell": _fell,
-        "_SimulationError": SimulationError,
         "_Timeout": SimulationTimeout,
     }
 
@@ -162,10 +147,29 @@ def _derive_stats(keys, counts, mixes) -> RunStats:
     return stats
 
 
-class _FunctionTranslator:
-    """Emits the Python source for one RTL function."""
+class _BlockTranslator:
+    """Emits one basic block as a specialized straight-line closure.
 
-    def __init__(self, func: Function, engine: "TranslatedEngine"):
+    The closure's signature is ``_blk(_r, _slots)``: ``_r`` is the
+    activation's register file (a list), ``_slots`` the tuple of frame
+    slot addresses.  Registers the block reads before writing are pulled
+    into Python locals once on entry; registers it defines are written
+    back to ``_r`` once before handing off to a successor (a mid-block
+    ``Ret`` skips the write-back — the activation is dead).  The closure
+    returns either the successor block's closure (direct threading) or a
+    1-tuple carrying the function's return value, which the driver
+    distinguishes with a single ``type(x) is tuple`` check.
+
+    Everything that varies between instantiations of the same source —
+    the execution-counter cell ``_n``, I-cache line addresses ``_lN``,
+    global addresses ``_gN``, successor closures ``_sN``, the
+    function/label strings ``_FN``/``_BL`` — is bound through the exec
+    namespace, so the emitted source (and therefore the
+    :class:`~repro.sim.cache.BlockCache` fingerprint) is shared by every
+    structurally identical block.
+    """
+
+    def __init__(self, block, func: Function, engine: "CompiledEngine"):
         self.func = func
         self.engine = engine
         self.machine = engine.machine
@@ -173,6 +177,17 @@ class _FunctionTranslator:
         self.bits = self.machine.word_bits
         self.mask = self.machine.word_mask
         self.sign = 1 << (self.bits - 1)
+        self.block = block
+        self.slot_index = {
+            slot: i for i, slot in enumerate(func.frame_slots)
+        }
+        #: namespace var -> successor label, for post-compile patching
+        self.successors: Dict[str, str] = {}
+        self._succ_vars: Dict[str, str] = {}
+        #: namespace var -> global name, resolved to addresses at bind time
+        self.globals_used: Dict[str, str] = {}
+        self._global_vars: Dict[str, str] = {}
+        self._defined: List[int] = []
 
     # -- small emit helpers ---------------------------------------------------
     def emit(self, depth: int, text: str) -> None:
@@ -236,58 +251,6 @@ class _FunctionTranslator:
         if disp:
             return f"(({self._reg(base)} + {disp}) & {self.mask})"
         return self._reg(base)
-
-    def _memory_guard(self, depth: int, addr_var: str, width: int,
-                      unaligned: bool) -> None:
-        if unaligned:
-            self.emit(depth, f"{addr_var} &= {~(width - 1) & self.mask}")
-        else:
-            self.emit(
-                depth,
-                f"if {addr_var} % {width}: _trap({addr_var}, {width})",
-            )
-        self.emit(
-            depth,
-            f"if {addr_var} < {GUARD_BYTES} or "
-            f"{addr_var} + {width} > _MEMSIZE: _fault({addr_var})",
-        )
-        if self.engine.dcache is not None:
-            self.emit(depth, f"_dc({addr_var} & {~(width - 1) & self.mask})")
-
-    def _load(self, depth: int, instr: Load) -> None:
-        addr_var = "_a"
-        self.emit(depth, f"{addr_var} = {self._address(instr.base, instr.disp)}")
-        self._memory_guard(depth, addr_var, instr.width, instr.unaligned)
-        endian = repr(self.machine.endian)
-        raw = (
-            f"int.from_bytes(_mem[{addr_var}:{addr_var} + {instr.width}], "
-            f"{endian})"
-        )
-        dst = self._reg(instr.dst)
-        if instr.signed and instr.width < self.machine.word_bytes:
-            field_sign = 1 << (8 * instr.width - 1)
-            self.emit(
-                depth,
-                f"{dst} = (({raw} ^ {field_sign}) - {field_sign}) & "
-                f"{self.mask}",
-            )
-        elif instr.signed and instr.width == self.machine.word_bytes:
-            self.emit(depth, f"{dst} = {raw}")
-        else:
-            self.emit(depth, f"{dst} = {raw}")
-
-    def _store(self, depth: int, instr: Store) -> None:
-        addr_var = "_a"
-        self.emit(depth, f"{addr_var} = {self._address(instr.base, instr.disp)}")
-        self._memory_guard(depth, addr_var, instr.width, instr.unaligned)
-        endian = repr(self.machine.endian)
-        width_mask = (1 << (8 * instr.width)) - 1
-        self.emit(
-            depth,
-            f"_mem[{addr_var}:{addr_var} + {instr.width}] = "
-            f"(({self._value(instr.src)}) & {width_mask})"
-            f".to_bytes({instr.width}, {endian})",
-        )
 
     def _extract(self, depth: int, instr: Extract) -> None:
         dst = self._reg(instr.dst)
@@ -358,164 +321,6 @@ class _FunctionTranslator:
             f"{self._signed(a)} {_SIGNED_RELS[instr.rel]} "
             f"{self._signed(b)}"
         )
-
-    # -- function assembly ------------------------------------------------------
-    def translate(self) -> str:
-        func = self.func
-        params = ", ".join(f"r{p.index}" for p in func.params)
-        self.emit(0, f"def _fn({params}):")
-        used = self._used_registers()
-        param_indices = {p.index for p in func.params}
-        init = [f"r{i} = 0" for i in sorted(used - param_indices)]
-        for chunk_start in range(0, len(init), 8):
-            self.emit(1, "; ".join(init[chunk_start:chunk_start + 8]))
-        self.emit(1, "_a = 0")
-        self.emit(1, "_mark = _MEM.brk")
-        slot_vars: Dict[str, str] = {}
-        for number, (slot, (size, align)) in enumerate(
-            func.frame_slots.items()
-        ):
-            var = f"_slot{number}"
-            slot_vars[slot] = var
-            self.emit(1, f"{var} = _MEM.alloc({size}, {align})")
-        self.emit(1, "try:")
-        self.emit(2, "_bb = 0")
-        self.emit(2, "while True:")
-
-        index_of = {b.label: i for i, b in enumerate(func.blocks)}
-        for number, block in enumerate(func.blocks):
-            keyword = "if" if number == 0 else "elif"
-            self.emit(3, f"{keyword} _bb == {number}:")
-            counter = self.engine.register_block(func.name, block)
-            self.emit(4, f"_bc[{counter}] += 1")
-            if self.engine.icache is not None:
-                for line in self.engine.block_lines(func.name, block.label):
-                    self.emit(4, f"_ic({line})")
-            self._emit_step_guard(4, len(block.instrs), block.label)
-            for instr in block.instrs:
-                self._emit_instr(4, instr, index_of, slot_vars)
-        self.emit(3, "else:")
-        self.emit(4, "raise _SimulationError('bad block index')")
-        self.emit(1, "finally:")
-        self.emit(2, "_MEM.reset_brk(_mark)")
-        return "\n".join(self.lines)
-
-    def _emit_step_guard(self, depth: int, count: int, label: str) -> None:
-        self.emit(depth, f"_steps[0] += {count}")
-        self.emit(
-            depth,
-            "if _steps[0] > _MAXSTEPS: "
-            f"raise _Timeout(_steps[0], _MAXSTEPS, "
-            f"{self.func.name!r}, {label!r})",
-        )
-
-    def _emit_instr(
-        self,
-        depth: int,
-        instr,
-        index_of: Dict[str, int],
-        slot_vars: Dict[str, str],
-    ) -> None:
-        if isinstance(instr, Mov):
-            self.emit(
-                depth, f"{self._reg(instr.dst)} = {self._value(instr.src)}"
-            )
-        elif isinstance(instr, BinOp):
-            self.emit(depth, self._binop(instr))
-        elif isinstance(instr, UnOp):
-            self.emit(depth, self._unop(instr))
-        elif isinstance(instr, Load):
-            self._load(depth, instr)
-        elif isinstance(instr, Store):
-            self._store(depth, instr)
-        elif isinstance(instr, Extract):
-            self._extract(depth, instr)
-        elif isinstance(instr, Insert):
-            self._insert(depth, instr)
-        elif isinstance(instr, FrameAddr):
-            self.emit(
-                depth,
-                f"{self._reg(instr.dst)} = {slot_vars[instr.slot]}",
-            )
-        elif isinstance(instr, GlobalAddr):
-            addr = self.engine.global_addrs[instr.name]
-            self.emit(depth, f"{self._reg(instr.dst)} = {addr}")
-        elif isinstance(instr, Call):
-            args = ", ".join(self._value(a) for a in instr.args)
-            call = f"_F[{instr.func!r}]({args})"
-            if instr.dst is None:
-                self.emit(depth, call)
-            else:
-                self.emit(depth, f"_rv = {call}")
-                self.emit(
-                    depth,
-                    f"{self._reg(instr.dst)} = 0 if _rv is None else "
-                    f"_rv & {self.mask}",
-                )
-        elif isinstance(instr, Jump):
-            self.emit(depth, f"_bb = {index_of[instr.target]}")
-            self.emit(depth, "continue")
-        elif isinstance(instr, CondJump):
-            self.emit(
-                depth,
-                f"_bb = {index_of[instr.iftrue]} if "
-                f"({self._condition(instr)}) else "
-                f"{index_of[instr.iffalse]}",
-            )
-            self.emit(depth, "continue")
-        elif isinstance(instr, Ret):
-            if instr.value is None:
-                self.emit(depth, "return None")
-            else:
-                self.emit(depth, f"return {self._value(instr.value)}")
-        else:
-            raise SimulationError(
-                f"cannot translate {type(instr).__name__}"
-            )
-
-    def _used_registers(self) -> set:
-        used = set()
-        for instr in self.func.iter_instrs():
-            for reg in instr.uses() + instr.defs():
-                used.add(reg.index)
-        return used
-
-
-class _BlockTranslator(_FunctionTranslator):
-    """Emits one basic block as a specialized straight-line closure.
-
-    The closure's signature is ``_blk(_r, _slots)``: ``_r`` is the
-    activation's register file (a list), ``_slots`` the tuple of frame
-    slot addresses.  Registers the block reads before writing are pulled
-    into Python locals once on entry; registers it defines are written
-    back to ``_r`` once before handing off to a successor (a mid-block
-    ``Ret`` skips the write-back — the activation is dead).  The closure
-    returns either the successor block's closure (direct threading) or a
-    1-tuple carrying the function's return value, which the driver
-    distinguishes with a single ``type(x) is tuple`` check.
-
-    Everything that varies between instantiations of the same source —
-    the execution-counter cell ``_n``, I-cache line addresses ``_lN``,
-    global addresses ``_gN``, successor closures ``_sN``, the
-    function/label strings ``_FN``/``_BL`` — is bound through the exec
-    namespace, so the emitted source (and therefore the
-    :class:`~repro.sim.cache.BlockCache` fingerprint) is shared by every
-    structurally identical block.
-    """
-
-    def __init__(self, block, func: Function, engine: "CompiledEngine"):
-        super().__init__(func, engine)
-        self.block = block
-        self.slot_index = {
-            slot: i for i, slot in enumerate(func.frame_slots)
-        }
-        #: namespace var -> successor label, for post-compile patching
-        self.successors: Dict[str, str] = {}
-        self._succ_vars: Dict[str, str] = {}
-        #: namespace var -> global name, resolved to addresses at bind time
-        self.globals_used: Dict[str, str] = {}
-        self._global_vars: Dict[str, str] = {}
-        self._defined: List[int] = []
 
     def _succ(self, label: str) -> str:
         var = self._succ_vars.get(label)
@@ -865,100 +670,6 @@ class _BlockTranslator(_FunctionTranslator):
                 f"cannot translate {type(instr).__name__}"
             )
         return False
-
-
-class TranslatedEngine:
-    """Drop-in alternative to :class:`repro.sim.interp.Interpreter`."""
-
-    def __init__(
-        self,
-        module: Module,
-        machine: MachineDescription,
-        memory: Optional[SimMemory] = None,
-        simulate_caches: bool = True,
-        max_steps: int = 200_000_000,
-    ):
-        self.module = module
-        self.machine = machine
-        self.memory = memory or SimMemory(endian=machine.endian)
-        if self.memory.endian != machine.endian:
-            raise SimulationError(
-                "memory endianness does not match the machine"
-            )
-        self.max_steps = max_steps
-        self.icache: Optional[DirectMappedCache] = None
-        self.dcache: Optional[DirectMappedCache] = None
-        if simulate_caches:
-            self.icache = DirectMappedCache(machine.icache)
-            self.dcache = DirectMappedCache(machine.dcache)
-
-        self.global_addrs: Dict[str, int] = {}
-        for var in module.globals.values():
-            addr = self.memory.alloc(var.size, var.align)
-            if var.init:
-                self.memory.write_bytes(addr, var.init)
-            self.global_addrs[var.name] = addr
-
-        self._block_keys: List[Tuple[str, str]] = []
-        self._block_mix: List[Tuple[int, int, int]] = []
-        self._block_counts: List[int] = []
-        self._lines = self._layout_code()
-        self._steps = [0]
-        self._functions: Dict[str, object] = {}
-        self._compile_all()
-
-    # -- layout & registration ----------------------------------------------
-    def _layout_code(self) -> Dict[Tuple[str, str], List[int]]:
-        return layout_code(self.module, self.machine)
-
-    def block_lines(self, func_name: str, label: str) -> List[int]:
-        return self._lines[(func_name, label)]
-
-    def register_block(self, func_name: str, block) -> int:
-        """Assign a counter slot to a block; returns its index."""
-        self._block_keys.append((func_name, block.label))
-        self._block_mix.append(_static_block_mix(block))
-        self._block_counts.append(0)
-        return len(self._block_counts) - 1
-
-    # -- compilation -------------------------------------------------------------
-    def _compile_all(self) -> None:
-        environment = dict(_runtime_helpers(self.machine))
-        environment.update({
-            "_MEM": self.memory,
-            "_mem": self.memory.data,
-            "_MEMSIZE": self.memory.size,
-            "_MAXSTEPS": self.max_steps,
-            "_steps": self._steps,
-            "_bc": self._block_counts,
-            "_F": self._functions,
-            "_ic": self.icache.access if self.icache else None,
-            "_dc": self.dcache.access if self.dcache else None,
-        })
-        for func in self.module:
-            source = _FunctionTranslator(func, self).translate()
-            namespace = dict(environment)
-            code = compile(source, f"<rtl:{func.name}>", "exec")
-            exec(code, namespace)  # noqa: S102 - our own generated code
-            self._functions[func.name] = namespace["_fn"]
-
-    # -- public API ---------------------------------------------------------------
-    @property
-    def stats(self) -> RunStats:
-        return _derive_stats(
-            self._block_keys, self._block_counts, self._block_mix
-        )
-
-    def call(self, name: str, *args: int):
-        if name not in self._functions:
-            raise SimulationError(f"no function {name!r}")
-        func = self.module.function(name)
-        if len(args) != len(func.params):
-            raise SimulationError(
-                f"{name} expects {len(func.params)} args, got {len(args)}"
-            )
-        mask = self.machine.word_mask
-        return self._functions[name](*[a & mask for a in args])
 
 
 class CompiledEngine:

@@ -29,7 +29,6 @@ from repro.analysis.manager import AnalysisManager, invalidate_after
 from repro.bench import workloads
 from repro.bench.programs import BENCHMARKS
 from repro.coalesce import check_hazards, classify_partitions, find_runs
-from repro.errors import SimulationError
 from repro.ir import parse_module
 from repro.pipeline import compile_minic
 from repro.sanitize import ERROR, WARNING, run_checkers
@@ -359,6 +358,26 @@ class TestAnalysisManager:
         assert manager.memdep(func) is summary
         assert manager.defuse(func) is not chains
 
+    def test_guard_stage_retires_analyses(self):
+        from repro.machine import get_machine
+        from repro.opt.pass_manager import PassContext
+        from repro.resilience.transaction import PassGuard
+
+        module = parse_module(TWO_SLOTS)
+        func = next(iter(module))
+        machine = get_machine("alpha")
+        ctx = PassContext(machine)
+        guard = PassGuard(module, machine)
+        summary = ctx.analyses.memdep(func)
+        guard.stage(ctx, "untouched", lambda: False, func=func)
+        assert ctx.analyses.memdep(func) is summary
+        guard.stage(ctx, "rewriting", lambda: True, func=func)
+        summary = ctx.analyses.memdep(func)
+        assert summary is not None and ctx.analyses.misses == 2
+        guard.stage(ctx, "module-wide", lambda: None)
+        ctx.analyses.memdep(func)
+        assert ctx.analyses.misses == 3
+
 
 class TestHazardOracle:
     def _load_run(self, func, loop, block):
@@ -554,13 +573,6 @@ class TestTraceHook:
         assert events
         assert len(events) == sim.engine.stats.memory_accesses
         assert all(name == "blockstage" for name, _ in events)
-
-    def test_hook_requires_interp_engine(self):
-        program = compile_minic(BLOCKSTAGE_SOURCE, "alpha", "vpo")
-        with pytest.raises(SimulationError, match="interp"):
-            program.simulator(
-                engine="translate", trace_hook=lambda *a: None
-            )
 
 
 class TestElisionCaching:

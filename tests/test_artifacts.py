@@ -10,6 +10,7 @@ multi-process races live in ``test_cache_concurrency.py`` and the
 import errno
 import json
 import os
+import sys
 import threading
 import time
 
@@ -246,6 +247,39 @@ class TestFetchOrCompute:
         counters = store.counters()
         assert counters["compiles"] == 1
         assert counters["dedup_hits"] == 1
+
+    def test_threads_racing_one_cold_key_compile_once(self, tmp_path):
+        # flock locks belong to the open file description, and every
+        # acquire opens the lock file afresh, so threads of one process
+        # contend for the lease exactly like separate processes do.
+        store = make_store(tmp_path)
+        barrier = threading.Barrier(8)
+        produced = []
+        roles = []
+
+        def produce():
+            produced.append(threading.get_ident())
+            time.sleep(0.3)  # hold the lease while every rival arrives
+            return b"value", b"value"
+
+        def racer():
+            barrier.wait(timeout=10)
+            roles.append(store.fetch_or_compute(KEY, produce)[1])
+
+        threads = [threading.Thread(target=racer) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the racers finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(produced) == 1
+        assert sorted(roles) == sorted([ROLE_COMPILE] + [ROLE_DEDUP] * 7)
+        assert store.counters()["compiles"] == 1
 
     def test_wait_deadline_degrades_to_local_compile(self, tmp_path):
         store = make_store(tmp_path)

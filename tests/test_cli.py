@@ -1,5 +1,7 @@
 """CLI tests (``python -m repro``)."""
 
+import json
+
 import pytest
 
 from repro.__main__ import main
@@ -97,7 +99,7 @@ def test_lint_examples_are_clean(example, capsys):
 
 
 @pytest.mark.lint
-def test_lint_differential_smoke(kernel_file, capsys):
+def test_lint_differential_smoke(kernel_file, tmp_path, capsys):
     assert main([
         "lint", kernel_file, "--machine", "alpha",
         "--config", "coalesce-all", "--differential", "--stats",
@@ -105,6 +107,23 @@ def test_lint_differential_smoke(kernel_file, capsys):
     out = capsys.readouterr().out
     assert "pass statistics:" in out
     assert "coalesce" in out
+
+    # An RTL input runs the cleanup bundle as one guarded stage per
+    # function under the differential sanitizer.
+    dot = str(pathlib.Path(__file__).parent.parent / "examples" / "dot.c")
+    assert main(["compile", dot, "--config", "naive"]) == 0
+    rtl = tmp_path / "dot.rtl"
+    rtl.write_text(capsys.readouterr().out)
+    assert main([
+        "lint", str(rtl), "--differential", "--stats", "--json",
+    ]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"] is True
+    assert sorted(payload["pass_stats"]) == sorted([
+        "cleanup", "simplify_cfg", "constant_fold", "copy_propagate",
+        "global_const_prop", "local_cse", "peephole",
+        "dead_code_elimination",
+    ])
 
 
 def test_lint_rejects_hazardous_rtl(tmp_path, capsys):

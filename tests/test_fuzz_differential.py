@@ -4,8 +4,8 @@ the full pipeline must match a Python evaluation of the same program.
 The generator builds straight-line integer expression functions and
 small array loops from a seed; the oracle evaluates the same AST-free
 formula in Python with word-size semantics.  Any divergence between
-`naive`, `cc`, `vpo` and `coalesce-all` (or between either engine) is a
-compiler bug.
+`naive`, `cc`, `vpo` and `coalesce-all` (or between the `interp` and
+`compiled` simulator backends) is a compiler bug.
 """
 
 import random
@@ -87,15 +87,15 @@ def test_random_expression_programs(seed):
     results = {}
     for config in ("naive", "vpo"):
         program = compile_minic(source, "alpha", config)
-        for engine in ("interp", "translate"):
-            sim = Simulator(program.module, program.machine, engine=engine)
+        for backend in ("interp", "compiled"):
+            sim = Simulator(program.module, program.machine, backend=backend)
             for a, b in inputs:
                 got = sim.call("f", a, b)
                 expected = oracle(a, b)
                 key = (a, b)
                 results.setdefault(key, got)
                 assert got == expected, (
-                    f"seed={seed} config={config} engine={engine} "
+                    f"seed={seed} config={config} backend={backend} "
                     f"inputs={key}:\n{source}"
                 )
                 assert got == results[key]

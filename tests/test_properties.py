@@ -10,7 +10,7 @@ from repro.pipeline import compile_minic
 from repro.sched import build_dag, list_schedule
 from repro.sim import SimMemory
 from repro.sim.interp import Interpreter
-from repro.sim.translate import TranslatedEngine
+from repro.sim.translate import CompiledEngine
 from tests.conftest import signed
 
 words64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
@@ -32,12 +32,12 @@ class TestFoldingMatchesExecution:
         machine = get_machine("alpha")
         interp = Interpreter(parse_module(text), machine,
                              simulate_caches=False)
-        translated = TranslatedEngine(parse_module(text), machine,
-                                      simulate_caches=False)
+        compiled = CompiledEngine(parse_module(text), machine,
+                                  simulate_caches=False)
         if folded is None:  # division by zero
             return
         assert interp.call("f", a, b) == folded
-        assert translated.call("f", a, b) == folded
+        assert compiled.call("f", a, b) == folded
 
     @given(
         op=st.sampled_from(["neg", "not", "sext1", "sext2", "sext4",

@@ -19,9 +19,18 @@ import json
 import pytest
 
 from repro.errors import FaultInjected, ReproError, SimulationTimeout
-from repro.pipeline import PipelineConfig, compile_minic
+from repro.pipeline import (
+    STAGE_NAMES,
+    PipelineConfig,
+    compile_minic,
+    get_config,
+)
 from repro.resilience import FaultPlan, FaultSpec
-from repro.resilience.bisect import bisect_bundle, reduce_source
+from repro.resilience.bisect import (
+    OPTIONAL_STAGES,
+    bisect_bundle,
+    reduce_source,
+)
 from repro.resilience.bundle import load_bundle, replay_bundle
 
 DOT = """
@@ -117,6 +126,21 @@ class TestRecovery:
     def test_config_rejects_bad_policy(self):
         with pytest.raises(ReproError):
             PipelineConfig(on_pass_failure="retry")
+
+    def test_config_rejects_unknown_disabled_stage(self):
+        # A typo must not quietly run every pass (and skip the cache).
+        with pytest.raises(ReproError, match="'clenaup'"):
+            get_config("vpo", disabled_passes=("clenaup",))
+        config = get_config("vpo", disabled_passes=["cleanup"])
+        assert config.disabled_passes == ("cleanup",)
+
+    def test_chaos_sites_are_the_stages_coalesce_all_runs(self):
+        from repro.__main__ import CHAOS_SITES
+
+        program = compile_minic(DOT, "alpha", "coalesce-all")
+        ran = set(STAGE_NAMES) & set(program.pass_stats)
+        assert set(CHAOS_SITES) == ran
+        assert set(OPTIONAL_STAGES) == set(STAGE_NAMES) - {"lower"}
 
     def test_raise_policy_propagates(self):
         with pytest.raises(FaultInjected):
@@ -346,10 +370,10 @@ int spin(int n) {
 
 
 class TestWatchdog:
-    @pytest.mark.parametrize("engine", ["interp", "translate"])
-    def test_timeout_carries_context(self, engine):
+    @pytest.mark.parametrize("backend", ["interp", "compiled"])
+    def test_timeout_carries_context(self, backend):
         program = compile_minic(LOOP_FOREVER, "alpha", "vpo")
-        sim = program.simulator(max_steps=5_000, engine=engine)
+        sim = program.simulator(max_steps=5_000, backend=backend)
         with pytest.raises(SimulationTimeout) as excinfo:
             sim.call("spin", 1)
         timeout = excinfo.value

@@ -4,10 +4,11 @@ from repro.frontend import compile_source
 from repro.ir.rtl import BinOp, Const, Load, Mov, Reg, Ret
 from repro.ir.function import Function
 from repro.machine import get_machine
-from repro.opt.pass_manager import PassContext, PassManager, cleanup
+from repro.opt.pass_manager import PassContext, cleanup
 from repro.pipeline import compile_minic
+from repro.resilience.transaction import PassGuard
 from repro.sanitize import DiagnosticSink, clone_function
-from repro.sanitize.differential import param_kinds
+from repro.sanitize.differential import DifferentialSanitizer, param_kinds
 
 
 DOT = """
@@ -59,22 +60,33 @@ def test_param_kinds_inferred_for_hand_built_ir():
     assert param_kinds(func) == ["ptr", "int"]
 
 
+def _run_guarded(module, ctx, passes):
+    """Run ``passes`` on every function as stages of one PassGuard, under
+    the differential sanitizer when ``ctx`` has a sink."""
+    sanitizer = None
+    if ctx.sink is not None:
+        sanitizer = DifferentialSanitizer(module, ALPHA, ctx.sink)
+    guard = PassGuard(module, ALPHA, sink=ctx.sink, sanitizer=sanitizer)
+    for func in module:
+        for name, pass_fn in passes:
+            guard.stage(ctx, name, lambda: pass_fn(func, ctx), func=func)
+
+
 def test_differential_clean_on_correct_passes():
     module = compile_source(DOT, word_bytes=8)
     sink = DiagnosticSink()
-    ctx = PassContext(ALPHA, sink=sink, differential=True)
-    PassManager(ctx).add("cleanup", cleanup).run(module)
+    _run_guarded(module, PassContext(ALPHA, sink=sink),
+                 [("cleanup", cleanup)])
     assert not sink.has_errors
 
 
 def test_differential_names_the_offending_pass():
     module = compile_source(DOT, word_bytes=8)
     sink = DiagnosticSink()
-    ctx = PassContext(ALPHA, sink=sink, differential=True)
-    manager = PassManager(ctx)
-    manager.add("cleanup", cleanup)
-    manager.add("bad-peephole", _bad_mul_to_add)
-    manager.run(module)
+    _run_guarded(module, PassContext(ALPHA, sink=sink), [
+        ("cleanup", cleanup),
+        ("bad-peephole", _bad_mul_to_add),
+    ])
     assert sink.has_errors
     offender = sink.errors[0]
     assert offender.check == "differential"
@@ -88,18 +100,18 @@ def test_differential_silent_when_bad_pass_changes_nothing():
     source = "int id(int x) { return x; }"
     module = compile_source(source, word_bytes=8)
     sink = DiagnosticSink()
-    ctx = PassContext(ALPHA, sink=sink, differential=True)
-    PassManager(ctx).add("bad-peephole", _bad_mul_to_add).run(module)
+    _run_guarded(module, PassContext(ALPHA, sink=sink),
+                 [("bad-peephole", _bad_mul_to_add)])
     assert len(sink) == 0
 
 
 def test_pass_manager_records_stats():
     module = compile_source(DOT, word_bytes=8)
     ctx = PassContext(ALPHA)
-    manager = PassManager(ctx)
-    manager.add("cleanup", cleanup)
-    manager.add("bad-peephole", _bad_mul_to_add)
-    manager.run(module)
+    _run_guarded(module, ctx, [
+        ("cleanup", cleanup),
+        ("bad-peephole", _bad_mul_to_add),
+    ])
     assert ctx.stats["bad-peephole"]["runs"] == 1
     assert ctx.stats["bad-peephole"]["changed"] == 1
     assert ctx.stats["bad-peephole"]["seconds"] >= 0.0

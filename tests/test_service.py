@@ -376,6 +376,17 @@ class TestServerBasics:
         assert response["retryable"] is False
         assert client.attempts_made == 1  # no pointless retries
 
+    def test_unknown_disabled_pass_is_an_error(self, service):
+        server = service()
+        client = client_for(server)
+        response = client.compile(
+            ADD_SRC, overrides={"disabled_passes": ["clenaup"]}
+        )
+        assert response["status"] == "error"
+        assert response["error_type"] == "ReproError"
+        assert "clenaup" in response["error"]
+        assert response["retryable"] is False
+
     def test_unknown_op_rejected(self, service):
         server = service()
         client = client_for(server)

@@ -187,20 +187,6 @@ class TestBackendFallback:
         assert sim.backend == sim.backend_requested == "interp"
         assert sim.fallback_reason is None
 
-    def test_conflicting_engine_and_backend_is_an_error(self):
-        with pytest.raises(SimulationError, match="conflicting"):
-            Simulator(
-                parse_module(FIB_TEXT), get_machine("alpha"),
-                engine="interp", backend="compiled",
-            )
-
-    def test_translate_engine_keeps_strict_hook_behavior(self):
-        with pytest.raises(SimulationError, match="interp"):
-            Simulator(
-                parse_module(FIB_TEXT), get_machine("alpha"),
-                engine="translate", trace_hook=lambda *a, **k: None,
-            )
-
     def test_env_default_backend(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_BACKEND", "compiled")
         assert default_sim_backend() == "compiled"

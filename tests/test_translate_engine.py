@@ -1,4 +1,4 @@
-"""Differential tests: the translated engine must match the interpreter
+"""Differential tests: the compiled engine must match the interpreter
 bit-for-bit, including dynamic counts."""
 
 import pytest
@@ -9,7 +9,7 @@ from repro.ir import parse_module
 from repro.machine import get_machine, lower_module
 from repro.pipeline import compile_minic
 from repro.sim import Simulator
-from repro.sim.translate import TranslatedEngine
+from repro.sim.translate import CompiledEngine
 from repro.sim.interp import Interpreter
 
 
@@ -17,7 +17,7 @@ def both_engines(text, machine_name="alpha"):
     machine = get_machine(machine_name)
     return (
         Interpreter(parse_module(text), machine),
-        TranslatedEngine(parse_module(text), machine),
+        CompiledEngine(parse_module(text), machine),
     )
 
 
@@ -40,16 +40,16 @@ class TestBasicEquivalence:
     )
     def test_binops_agree(self, expr, args):
         text = f"func f(r0, r1) {{\nentry:\n    r2 = {expr}\n    ret r2\n}}"
-        interp, translated = both_engines(text)
-        assert interp.call("f", *args) == translated.call("f", *args)
+        interp, compiled = both_engines(text)
+        assert interp.call("f", *args) == compiled.call("f", *args)
 
     @pytest.mark.parametrize("op", ["neg", "not", "sext1", "sext2",
                                     "zext1", "zext4"])
     @pytest.mark.parametrize("value", [0, 1, 0xFF, 0x8000, (1 << 64) - 1])
     def test_unops_agree(self, op, value):
         text = f"func f(r0) {{\nentry:\n    r1 = {op} r0\n    ret r1\n}}"
-        interp, translated = both_engines(text)
-        assert interp.call("f", value) == translated.call("f", value)
+        interp, compiled = both_engines(text)
+        assert interp.call("f", value) == compiled.call("f", value)
 
     @pytest.mark.parametrize("machine", ["alpha", "m88100"])
     @pytest.mark.parametrize("pos", [0, 1, 2, 3])
@@ -60,32 +60,32 @@ class TestBasicEquivalence:
             f"    r3 = ins.1 r0, r1, pos={pos}\n"
             "    r4 = add r2, r3\n    ret r4\n}"
         )
-        interp, translated = both_engines(text, machine)
+        interp, compiled = both_engines(text, machine)
         for word in (0x11223344, 0xF1E2D3C4):
             assert interp.call("f", word, 0xAB) == (
-                translated.call("f", word, 0xAB)
+                compiled.call("f", word, 0xAB)
             )
 
     def test_division_by_zero_raises_in_both(self):
         text = "func f(r0) {\nentry:\n    r1 = div r0, 0\n    ret r1\n}"
-        interp, translated = both_engines(text)
+        interp, compiled = both_engines(text)
         with pytest.raises(SimulationError):
             interp.call("f", 1)
         with pytest.raises(SimulationError):
-            translated.call("f", 1)
+            compiled.call("f", 1)
 
     def test_alignment_trap_in_both(self):
         text = "func f(r0) {\nentry:\n    r1 = load.4s [r0]\n    ret r1\n}"
-        interp, translated = both_engines(text)
+        interp, compiled = both_engines(text)
         with pytest.raises(AlignmentTrap):
             interp.call("f", 4099)
         with pytest.raises(AlignmentTrap):
-            translated.call("f", 4099)
+            compiled.call("f", 4099)
 
     def test_step_limit_in_translated_engine(self):
         machine = get_machine("alpha")
         module = parse_module("func f() {\nentry:\n    jump entry\n}")
-        engine = TranslatedEngine(module, machine, max_steps=500)
+        engine = CompiledEngine(module, machine, max_steps=500)
         with pytest.raises(SimulationError, match="step limit"):
             engine.call("f")
 
@@ -101,9 +101,9 @@ class TestProgramEquivalence:
         values_b = [(i * 5) % 32 - 16 for i in range(n)]
 
         results = []
-        for engine in ("interp", "translate"):
+        for backend in ("interp", "compiled"):
             sim = Simulator(compiled.module, compiled.machine,
-                            engine=engine)
+                            backend=backend)
             a = sim.alloc_array("a", size=2 * n)
             b = sim.alloc_array("b", size=2 * n)
             sim.write_words(a, values_a, 2)
@@ -125,9 +125,9 @@ class TestProgramEquivalence:
         a_vals = [(i * 37) % 256 for i in range(n)]
         b_vals = [(i * 11) % 256 for i in range(n)]
         outputs = []
-        for engine in ("interp", "translate"):
+        for backend in ("interp", "compiled"):
             sim = Simulator(compiled.module, compiled.machine,
-                            engine=engine)
+                            backend=backend)
             d = sim.alloc_array("d", size=n)
             a = sim.alloc_array("a", bytes(a_vals))
             b = sim.alloc_array("b", bytes(b_vals))
@@ -144,8 +144,8 @@ class TestProgramEquivalence:
             "    r3 = sub r0, 2\n    r4 = call fib(r3)\n"
             "    r5 = add r2, r4\n    ret r5\n}"
         )
-        interp, translated = both_engines(text)
-        assert interp.call("fib", 15) == translated.call("fib", 15) == 610
+        interp, compiled = both_engines(text)
+        assert interp.call("fib", 15) == compiled.call("fib", 15) == 610
 
     def test_frame_slots_in_translated_engine(self):
         text = (
@@ -153,8 +153,8 @@ class TestProgramEquivalence:
             "    r1 = frameaddr buf\n    store.8 [r1], r0\n"
             "    r2 = load.8u [r1]\n    ret r2\n}"
         )
-        interp, translated = both_engines(text)
-        assert interp.call("f", 99) == translated.call("f", 99) == 99
+        interp, compiled = both_engines(text)
+        assert interp.call("f", 99) == compiled.call("f", 99) == 99
 
     def test_globals_in_translated_engine(self):
         text = (
@@ -162,5 +162,5 @@ class TestProgramEquivalence:
             "func f(r0) {\nentry:\n    r1 = globaladdr g\n"
             "    store.8 [r1], r0\n    r2 = load.8u [r1]\n    ret r2\n}"
         )
-        interp, translated = both_engines(text)
-        assert interp.call("f", 7) == translated.call("f", 7) == 7
+        interp, compiled = both_engines(text)
+        assert interp.call("f", 7) == compiled.call("f", 7) == 7
