@@ -726,10 +726,8 @@ def cmd_chaos(args) -> int:
     from repro.resilience.faults import FaultPlan
     from repro.sanitize.differential import make_fixtures, run_fixture
 
-    if args.fleet:
-        return _fleet_chaos(args)
-    if args.disk:
-        return _disk_chaos(args)
+    if args.fleet or args.disk:
+        return _service_chaos(args)
     if not args.files:
         print(
             "error: chaos needs FILES (or --fleet / --disk for the "
@@ -862,86 +860,53 @@ def cmd_chaos(args) -> int:
     return 1 if problems else 0
 
 
-def _fleet_chaos(args) -> int:
-    """``chaos --fleet``: SIGKILL/SIGSTOP fleet workers under a live
-    mixed workload and fail on any lost, hung, or untyped request."""
+def _service_chaos(args) -> int:
+    """``chaos --fleet`` / ``chaos --disk``: SIGKILL/SIGSTOP fleet
+    workers under a live mixed workload (``--disk``: with seeded disk
+    faults against a shared artifact cache) and fail on any lost, late,
+    untyped or wrong answer, unrestarted kill, or, for ``--disk``, any
+    duplicate compile, link-once violation or unmatched lease steal."""
     from repro.errors import ReproError
-    from repro.service.fleet import run_fleet_chaos
+    from repro.service.chaos import run_disk_chaos, run_fleet_chaos
 
+    name = "fleet" if args.fleet else "disk"
+    common = dict(
+        requests=args.requests,
+        workers=args.workers,
+        seed=args.seed,
+        deadline=args.deadline,
+        kills=args.kills,
+        socket_path=args.socket,
+        run_dir=args.run_dir,
+        crash_dir=args.crash_dir,
+        echo=(
+            (lambda m: print(f"  {m}", file=sys.stderr))
+            if args.verbose else None
+        ),
+    )
     try:
-        summary, problems = run_fleet_chaos(
-            requests=args.requests,
-            workers=args.workers,
-            seed=args.seed,
-            deadline=args.deadline,
-            kills=args.kills,
-            hangs=args.hangs,
-            socket_path=args.socket,
-            run_dir=args.run_dir,
-            crash_dir=args.crash_dir,
-            echo=(
-                (lambda m: print(f"  {m}", file=sys.stderr))
-                if args.verbose else None
-            ),
-        )
+        if args.fleet:
+            summary, problems = run_fleet_chaos(hangs=args.hangs, **common)
+        else:
+            summary, problems = run_disk_chaos(
+                rate=args.rate, lease_ttl=args.lease_ttl, **common
+            )
     except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:
         _emit_json({**summary, "problems": problems})
-    else:
-        print(
-            f"fleet chaos: {summary['answered']}/{summary['requests']} "
-            f"requests answered, {summary['worker_restarts']} worker "
-            f"restart(s), {summary['requeued']} requeue(s), "
-            f"{summary['quarantined']} quarantine(s) "
-            f"({len(problems)} problem(s)); "
-            f"logs in {summary['run_dir']}"
-        )
-        for status, count in summary["by_status"].items():
-            print(f"  {status}: {count}")
-        for problem in problems:
-            print(f"  PROBLEM: {problem}")
-    return 1 if problems else 0
-
-
-def _disk_chaos(args) -> int:
-    """``chaos --disk``: seeded disk faults against a shared artifact
-    cache under a live fleet; fail on any duplicate compile, corrupt
-    artifact served, lost request, or unmatched lease steal."""
-    from repro.errors import ReproError
-    from repro.service.fleet import run_disk_chaos
-
-    try:
-        summary, problems = run_disk_chaos(
-            requests=args.requests,
-            workers=args.workers,
-            seed=args.seed,
-            deadline=args.deadline,
-            kills=args.kills,
-            rate=args.rate,
-            socket_path=args.socket,
-            run_dir=args.run_dir,
-            crash_dir=args.crash_dir,
-            lease_ttl=args.lease_ttl,
-            echo=(
-                (lambda m: print(f"  {m}", file=sys.stderr))
-                if args.verbose else None
-            ),
-        )
-    except (ReproError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        _emit_json({**summary, "problems": problems})
-    else:
-        cache = summary["cache"]
-        print(
-            f"disk chaos: {summary['answered']}/{summary['requests']} "
-            f"requests answered, {summary['worker_restarts']} worker "
-            f"restart(s) ({len(problems)} problem(s)); "
-            f"logs in {summary['run_dir']}"
-        )
+        return 1 if problems else 0
+    print(
+        f"{name} chaos: {summary['answered']}/{summary['requests']} "
+        f"requests answered, {summary['worker_restarts']} worker "
+        f"restart(s), {summary['requeued']} requeue(s), "
+        f"{summary['quarantined']} quarantine(s) "
+        f"({len(problems)} problem(s)); "
+        f"logs in {summary['run_dir']}"
+    )
+    cache = summary.get("cache")
+    if cache:
         print(
             f"  cache: {cache['publishes']} publish(es), "
             f"{cache['dedup_hits']} dedup hit(s), "
@@ -953,10 +918,10 @@ def _disk_chaos(args) -> int:
             f"{cache['fallbacks']} fallback(s), "
             f"{cache['faults_injected']} fault(s) injected"
         )
-        for status, count in summary["by_status"].items():
-            print(f"  {status}: {count}")
-        for problem in problems:
-            print(f"  PROBLEM: {problem}")
+    for status, count in summary["by_status"].items():
+        print(f"  {status}: {count}")
+    for problem in problems:
+        print(f"  PROBLEM: {problem}")
     return 1 if problems else 0
 
 
@@ -982,7 +947,6 @@ def cmd_serve(args) -> int:
             run_dir=args.run_dir,
             heartbeat_interval=args.heartbeat_interval,
             heartbeat_timeout=args.heartbeat_timeout,
-            requeue_limit=args.requeue_limit,
             cache_dir=args.cache_dir,
             lease_ttl=args.lease_ttl,
         )
@@ -1209,7 +1173,7 @@ def cmd_status(args) -> int:
             f"cache: {cache['entries']} entries, {cache['bytes']} bytes "
             f"in {cache['directory']}"
         )
-    print(f"single-flight shared compiles: "
+    print(f"deduped compiles (waited on a lease): "
           f"{response.get('single_flight_shared', 0)}")
     latency = _format_latency(response.get("latency"))
     if latency:
@@ -1644,11 +1608,6 @@ def main(argv=None) -> int:
         "--heartbeat-timeout", type=float, default=2.0,
         help="fleet only: unanswered-heartbeat window before a wedged "
              "worker is SIGKILLed and restarted",
-    )
-    p_serve.add_argument(
-        "--requeue-limit", type=int, default=1,
-        help="fleet only: crashes one request may cause before it is "
-             "quarantined (default 1: requeued exactly once)",
     )
     p_serve.add_argument(
         "--worker-id", type=int, default=None,

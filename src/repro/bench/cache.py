@@ -35,17 +35,16 @@ oldest-mtime-first on every store; a hit refreshes the entry's mtime, so
 eviction is LRU rather than FIFO.  ``python -m repro cache --stats``
 inspects the store, ``--clear`` empties it.
 
-:class:`SingleFlight` collapses *in-flight* duplicates: when several
-threads (the compile service's worker pool) request the same cache key
-at once, one thread compiles and the rest wait and share its result
-instead of compiling the same source N times in parallel.  Across
-*processes* (the fleet's workers, CI shards, a human running ``bench``)
-the same guarantee comes from the artifact store's lease protocol:
-``cached_compile_minic`` runs the whole miss path through
-``ArtifactStore.fetch_or_compute``, so the first process to reach a
-cold key compiles it while the rest block-with-deadline on its lease
-and read the published artifact — or, if the holder dies, steal the
-lease (fencing-token rule, DESIGN.md §8b) and compile in its place.
+Concurrent requests for one cold key compile it once, whether they come
+from threads of one process (the compile service's worker pool) or from
+separate processes (the fleet's workers, CI shards, a human running
+``bench``): ``cached_compile_minic`` runs the whole miss path through
+``ArtifactStore.fetch_or_compute``, so the first caller to reach a cold
+key takes its lease and compiles while the rest block-with-deadline on
+the lease and read the published artifact — or, if the holder dies,
+steal the lease (fencing-token rule, DESIGN.md §8b) and compile in its
+place.  Waiters in the holder's process are woken when it releases the
+lease; waiters elsewhere poll.
 """
 
 from __future__ import annotations
@@ -172,6 +171,12 @@ class CompileCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        # Hits that waited on another caller's lease first (role
+        # 'dedup'); the compile server reports it in its status.
+        self.dedups = 0
+        # Guards the counters cached_compile_minic bumps from the
+        # compile server's worker threads.
+        self.counts_lock = threading.Lock()
         if sink is None:
             from repro.sanitize import DiagnosticSink
 
@@ -326,60 +331,6 @@ class CompileCache:
         return sum(1 for _ in self.directory.glob("*.json"))
 
 
-class _Flight:
-    """One in-flight computation other threads can wait on."""
-
-    __slots__ = ("event", "value", "error")
-
-    def __init__(self):
-        self.event = threading.Event()
-        self.value = None
-        self.error: Optional[BaseException] = None
-
-
-class SingleFlight:
-    """Per-key deduplication of concurrent identical computations.
-
-    ``do(key, fn)`` runs ``fn`` in exactly one of the threads that ask
-    for ``key`` while it is in flight; the others block and receive the
-    leader's result (or its exception).  Once the flight lands the key
-    is forgotten, so a later call computes afresh — the disk cache, not
-    this class, provides cross-call reuse.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._flights: Dict[str, _Flight] = {}
-        self.shared = 0  # how many calls piggybacked on a leader
-
-    def do(self, key: str, fn):
-        """Returns ``(result, was_shared)``."""
-        with self._lock:
-            flight = self._flights.get(key)
-            if flight is None:
-                flight = _Flight()
-                self._flights[key] = flight
-                leader = True
-            else:
-                leader = False
-                self.shared += 1
-        if leader:
-            try:
-                flight.value = fn()
-            except BaseException as exc:
-                flight.error = exc
-                raise
-            finally:
-                flight.event.set()
-                with self._lock:
-                    self._flights.pop(key, None)
-            return flight.value, False
-        flight.event.wait()
-        if flight.error is not None:
-            raise flight.error
-        return flight.value, True
-
-
 def cache_enabled() -> bool:
     return os.environ.get("REPRO_CACHE", "on").lower() not in (
         "off", "0", "false", "no",
@@ -454,7 +405,6 @@ def cached_compile_minic(
     machine: Union[str, MachineDescription] = "alpha",
     config: Union[str, PipelineConfig, None] = None,
     cache: Optional[CompileCache] = None,
-    flight: Optional[SingleFlight] = None,
     cancel=None,
     faults=None,
     lease_wait: Optional[float] = None,
@@ -473,12 +423,11 @@ def cached_compile_minic(
     the artifact store itself, so the cache stays ON and the plan is
     armed *inside* the store instead.
 
-    ``flight`` (a :class:`SingleFlight`) dedups concurrent identical
-    keys within this process; across processes the same dedup comes
-    from the store's lease protocol — the miss path runs through
-    ``ArtifactStore.fetch_or_compute``, so the first process compiles
+    Concurrent identical keys, from threads or processes, are deduped
+    by the store's lease protocol: the miss path runs through
+    ``ArtifactStore.fetch_or_compute``, so the first caller compiles
     while the rest wait on its lease (stealing it if the holder dies)
-    and share the published artifact.  ``lease_wait`` bounds that wait;
+    and revive the published artifact.  ``lease_wait`` bounds that wait;
     on exhaustion the compile happens locally — degraded to duplicate
     work, never to an error.  ``cancel`` is the pipeline's cancellation
     probe (checked at stage boundaries and at every lease poll); the
@@ -525,24 +474,23 @@ def cached_compile_minic(
             raise ValueError("payload does not revive to a program")
         return revived
 
-    def compile_through_cache() -> CompiledProgram:
-        try:
-            program, role = cache.artifacts.fetch_or_compute(
-                key, produce, decode=decode,
-                wait_timeout=lease_wait, cancel=cancel,
-            )
-        except OSError:
-            # Anything the store could not degrade internally (a dying
-            # filesystem, a yanked cache directory): compile uncached.
-            return compile_minic(source, machine, config, cancel=cancel)
-        if role in ("hit", "dedup"):
+    try:
+        program, role = cache.artifacts.fetch_or_compute(
+            key, produce, decode=decode,
+            wait_timeout=lease_wait, cancel=cancel,
+        )
+    except OSError:
+        # Anything the store could not degrade internally (a dying
+        # filesystem, a yanked cache directory): compile uncached.
+        return compile_minic(source, machine, config, cancel=cancel)
+    hit = role in ("hit", "dedup")
+    with cache.counts_lock:
+        if hit:
             cache.hits += 1
         else:
             cache.misses += 1
-            cache.prune()
-        return program
-
-    if flight is None:
-        return compile_through_cache()
-    program, _ = flight.do(key, compile_through_cache)
+        if role == "dedup":
+            cache.dedups += 1
+    if not hit:
+        cache.prune()
     return program

@@ -10,12 +10,13 @@ service:
 
 * :mod:`repro.service.protocol` — the JSON-lines request/response
   protocol spoken over a local Unix socket;
-* :mod:`repro.service.server` — ``python -m repro serve``: a bounded
-  request queue with load shedding, a worker pool sharing the disk
-  compile cache (with single-flight dedup), per-request deadlines
-  enforced at the pipeline's cancellation points, and per-(machine,
-  config) circuit breakers that serve *degraded* compiles (offending
-  passes disabled) while open;
+* :mod:`repro.service.server` — ``python -m repro serve``: the socket
+  front end (shared with the fleet), a bounded request queue with load
+  shedding, a worker pool sharing the disk compile cache (concurrent
+  identical compiles deduped by the artifact store's lease),
+  per-request deadlines enforced at the pipeline's cancellation points,
+  and per-(machine, config) circuit breakers that serve *degraded*
+  compiles (offending passes disabled) while open;
 * :mod:`repro.service.client` — ``python -m repro submit``: a client
   with exponential-backoff-plus-jitter retries for retryable failures
   (connection refused, load-shed rejections, deadline timeouts);
@@ -30,11 +31,15 @@ service:
   compile + crash bundle) for requests that kill workers repeatedly;
 * :mod:`repro.service.artifacts` — the crash-safe content-addressed
   artifact store under the compile cache: integrity-framed entries
-  published by fsync + link-once, a lease-based cross-process
-  single-flight protocol (heartbeats, staleness detection, fenced
-  steals), a durable event journal behind the ``dedup``/``steal``/
-  ``corruption`` counters, and the seeded disk-fault hooks that
-  ``python -m repro chaos --disk`` drives.
+  published by fsync + link-once, a lease-based single-flight protocol
+  for threads and processes alike (heartbeats, staleness detection,
+  fenced steals, in-process wake-up on release), a durable event
+  journal behind the ``dedup``/``steal``/``corruption`` counters, and
+  the seeded disk-fault hooks that ``python -m repro chaos --disk``
+  drives;
+* :mod:`repro.service.chaos` — the ``chaos --fleet`` and ``chaos
+  --disk`` harnesses: one client loop and shared audits of the
+  answers, the fleet, and the artifact journal.
 """
 
 from repro.service.artifacts import ArtifactStore, Lease
@@ -43,12 +48,9 @@ from repro.service.breaker import (
     BreakerBoard,
     CircuitBreaker,
 )
+from repro.service.chaos import run_disk_chaos, run_fleet_chaos
 from repro.service.client import ServiceClient, ServiceUnavailable
-from repro.service.fleet import (
-    FleetSupervisor,
-    run_disk_chaos,
-    run_fleet_chaos,
-)
+from repro.service.fleet import FleetSupervisor
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     RETRYABLE_STATUSES,

@@ -21,19 +21,22 @@ entry under the final name.  Every read re-verifies length and
 checksum; a mismatch (torn write, bit flip, hand truncation) is logged,
 the wreck unlinked, and the read reported as a miss — never served.
 
-**Lease-based cross-process single-flight.**  A cold key is guarded by
+**Lease-based single-flight.**  A cold key is guarded by
 ``<key>.lease``, created ``O_CREAT|O_EXCL`` and holding
 ``{pid, nonce, token, ttl, created}``.  The holder heartbeats the lease
-mtime from a daemon thread; waiters poll, and block-with-deadline until
-the artifact appears.  If the holder dies (``os.kill(pid, 0)`` fails —
-a same-host check; the fleet shares one machine) or its heartbeat goes
-stale past the TTL, a waiter **steals** the lease: re-verify the
-observed nonce under a per-key ``flock``, unlink, re-create with
-``token = old + 1`` (the fencing token).  A revived holder cannot harm
-the winner: its publish re-checks that the lease still carries *its*
-nonce under the same flock that serializes steals — and even a publish
-that skipped fencing (the plain ``store`` API) is physically unable to
-replace an existing artifact, because link-once never overwrites.
+mtime from a daemon thread; waiters block-with-deadline until the
+artifact appears.  A waiter in the holder's own process (another
+worker thread of the same server) is woken the moment the lease is
+released; a waiter in another process polls.  If the holder dies
+(``os.kill(pid, 0)`` fails — a same-host check; the fleet shares one
+machine) or its heartbeat goes stale past the TTL, a waiter **steals**
+the lease: re-verify the observed nonce under a per-key ``flock``,
+unlink, re-create with ``token = old + 1`` (the fencing token).  A
+revived holder cannot harm the winner: its publish re-checks that the
+lease still carries *its* nonce under the same flock that serializes
+steals — and even a publish that skipped fencing (the plain ``store``
+API) is physically unable to replace an existing artifact, because
+link-once never overwrites.
 Waiters that exhaust their deadline fall back to a local compile —
 degraded to duplicate work, never to an error.
 
@@ -176,7 +179,8 @@ class Lease:
             self._thread.join(timeout=1.0)
 
     def release(self) -> None:
-        """Stop heartbeating and remove the lease if it is still ours."""
+        """Stop heartbeating, remove the lease if it is still ours, and
+        wake the store's waiters in this process."""
         self.stop()
         try:
             with self.store._key_lock(self.key):
@@ -184,6 +188,9 @@ class Lease:
                     os.unlink(self.path)
         except OSError:
             pass
+        with self.store._released:
+            self.store._releases += 1
+            self.store._released.notify_all()
 
 
 class ArtifactStore:
@@ -193,22 +200,34 @@ class ArtifactStore:
         self,
         directory: Union[str, Path],
         ttl: Optional[float] = None,
-        wait_timeout: Optional[float] = None,
         sink=None,
         faults=None,
     ):
         self.directory = Path(directory)
-        self.ttl = default_lease_ttl() if ttl is None else float(ttl)
+        self.ttl = default_lease_ttl() if ttl is None else ttl
+        self.sink = sink
+        self.faults = faults
+        # Lease releases in this process: a waiter sleeps on the
+        # condition and skips the sleep if the count moved since its
+        # last read, so a release between read and wait is not missed.
+        self._released = threading.Condition()
+        self._releases = 0
+
+    @property
+    def ttl(self) -> float:
+        return self._ttl
+
+    @ttl.setter
+    def ttl(self, value: float) -> None:
+        """Set the lease TTL and the two waits derived from it."""
+        self._ttl = float(value)
         # How long a waiter blocks on somebody else's lease before
         # degrading to a local compile.  Long enough to ride out one
         # full steal cycle (TTL staleness + the thief's own compile).
-        self.wait_timeout = (
-            max(4.0 * self.ttl, 10.0)
-            if wait_timeout is None else float(wait_timeout)
-        )
-        self.poll_interval = min(max(self.ttl / 20.0, 0.01), 0.05)
-        self.sink = sink
-        self.faults = faults
+        self.wait_timeout = max(4.0 * self._ttl, 10.0)
+        # How often a waiter re-reads when no release in this process
+        # wakes it (the holder is another process).
+        self.poll_interval = min(max(self._ttl / 20.0, 0.01), 0.05)
 
     # -- paths ---------------------------------------------------------------
     def artifact_path(self, key: str) -> Path:
@@ -617,6 +636,7 @@ class ArtifactStore:
         while True:
             if cancel is not None:
                 cancel()
+            releases = self._releases
             value = self._read_decoded(key, decode)
             if value is not None:
                 self.note_hit(key, waited=waited)
@@ -632,7 +652,9 @@ class ArtifactStore:
                         value, _blob = produce()
                         return value, ROLE_FALLBACK
                     waited = True
-                    time.sleep(self.poll_interval)
+                    with self._released:
+                        if self._releases == releases:
+                            self._released.wait(self.poll_interval)
                     continue
             try:
                 # Re-check under the lease: the previous holder may

@@ -35,37 +35,36 @@ discipline at the process boundary:
   it; the forwarding side observes the severed connection and takes the
   requeue path above.
 
+The socket side (accept, connection threads, ``ping``/``status``/
+``shutdown``) is :class:`~repro.service.server.FrontEnd`, the same code
+the single-process server runs; the supervisor adds only what differs:
+an in-flight cap, and forwarding instead of a queue.
+
 Fleet-level chaos (``python -m repro chaos --fleet``) drives a mixed
 workload while ``kill``/``hang``/``slowstart`` faults
 (:data:`~repro.resilience.faults.FLEET_FAULT_KINDS`) SIGKILL and wedge
 workers mid-compile, asserting the zero-lost-requests contract end to
-end; :func:`run_fleet_chaos` is that harness, shared by the CLI and the
-acceptance test.
+end; the harness lives in :mod:`repro.service.chaos`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import random
 import signal
 import socket
 import tempfile
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import QuarantinedRequest
-from repro.resilience.faults import FaultPlan, FaultSpec
+from repro.resilience.faults import FaultPlan
 from repro.service import protocol
-from repro.service.server import CompileServer, _Connection, _Stats
+from repro.service.server import CompileServer, FrontEnd, _Connection, _Stats
 from repro.service.supervisor import (
     DEFAULT_HEARTBEAT_INTERVAL,
     DEFAULT_HEARTBEAT_TIMEOUT,
-    DEFAULT_RESTART_BACKOFF_BASE,
-    DEFAULT_RESTART_BACKOFF_CAP,
-    DEFAULT_SPAWN_GRACE,
-    DEFAULT_STABLE_AFTER,
     WORKER_BACKOFF,
     WORKER_STOPPED,
     WORKER_UP,
@@ -76,9 +75,11 @@ from repro.service.supervisor import (
 DEFAULT_FLEET_WORKERS = 4
 #: A request that crashes its worker may be requeued this many times
 #: before quarantine ("exactly once" is the whole point).
-DEFAULT_REQUEUE_LIMIT = 1
+REQUEUE_LIMIT = 1
 #: Recv budget for unbudgeted requests; budgeted ones use 2x remaining.
-DEFAULT_FORWARD_TIMEOUT = 120.0
+FORWARD_TIMEOUT = 120.0
+#: Connect budget for one forward attempt to a worker socket.
+CONNECT_TIMEOUT = 1.0
 #: Deadline the quarantine fallback compile runs under when the
 #: original request carried none.
 QUARANTINE_DEADLINE = 30.0
@@ -116,14 +117,20 @@ class _FleetStats(_Stats):
     )
 
 
-class FleetSupervisor:
+class FleetSupervisor(FrontEnd):
     """The fleet front end: accept, shard, forward, recover.
 
     Parameters mirror :class:`CompileServer` where they exist there;
     the worker-facing ones (``worker_threads``, ``queue_limit``,
     breaker knobs, ``crash_dir``, ``worker_inject``) are passed through
-    to each spawned worker's command line.
+    to each spawned worker's command line.  At most ``workers x
+    queue_limit`` requests are in flight; more are answered
+    ``rejected``.
     """
+
+    THREAD_PREFIX = "fleet"
+    DRAINING = "fleet is draining"
+    PONG = {"fleet": True}
 
     def __init__(
         self,
@@ -140,18 +147,10 @@ class FleetSupervisor:
         run_dir: Optional[str] = None,
         heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
         heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
-        restart_backoff_base: float = DEFAULT_RESTART_BACKOFF_BASE,
-        restart_backoff_cap: float = DEFAULT_RESTART_BACKOFF_CAP,
-        stable_after: float = DEFAULT_STABLE_AFTER,
-        spawn_grace: float = DEFAULT_SPAWN_GRACE,
-        requeue_limit: int = DEFAULT_REQUEUE_LIMIT,
-        forward_timeout: float = DEFAULT_FORWARD_TIMEOUT,
-        connect_timeout: float = 1.0,
-        max_in_flight: Optional[int] = None,
         cache_dir: Optional[str] = None,
         lease_ttl: Optional[float] = None,
     ):
-        self.socket_path = socket_path or protocol.default_socket_path()
+        super().__init__(socket_path, _FleetStats())
         self.run_dir = run_dir or tempfile.mkdtemp(prefix="repro-fleet-")
         os.makedirs(self.run_dir, exist_ok=True)
         self.default_deadline = default_deadline
@@ -165,14 +164,7 @@ class FleetSupervisor:
         self.fleet_faults = fleet_faults
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
-        self.requeue_limit = max(0, requeue_limit)
-        self.forward_timeout = forward_timeout
-        self.connect_timeout = connect_timeout
-        self.max_in_flight = (
-            max_in_flight if max_in_flight is not None
-            else max(1, workers) * max(1, queue_limit)
-        )
-        self.stats = _FleetStats()
+        self.max_in_flight = max(1, workers) * max(1, queue_limit)
         self.supervisor_log = os.path.join(self.run_dir, "supervisor.log")
         self._log_lock = threading.Lock()
         self._workers: List[Worker] = []
@@ -194,19 +186,7 @@ class FleetSupervisor:
                     cache_dir=self.cache_dir,
                     lease_ttl=self.lease_ttl,
                 ),
-                spawn_grace=spawn_grace,
-                stable_after=stable_after,
-                backoff_base=restart_backoff_base,
-                backoff_cap=restart_backoff_cap,
             ))
-        self._listener = None
-        self._threads: List[threading.Thread] = []
-        self._connections: set = set()
-        self._conn_lock = threading.Lock()
-        self._stopping = threading.Event()
-        self._stopped = threading.Event()
-        self._shutdown_lock = threading.Lock()
-        self._started_at: Optional[float] = None
         self._local: Optional[CompileServer] = None
         self._local_lock = threading.Lock()
 
@@ -222,77 +202,27 @@ class FleetSupervisor:
 
     # -- lifecycle ----------------------------------------------------------
     def start(self) -> None:
-        self._listener = protocol.bind(self.socket_path)
-        self._started_at = time.monotonic()
+        super().start()
         self._log(
             f"fleet up on {self.socket_path}: {len(self._workers)} "
             f"workers, run dir {self.run_dir}"
         )
         for worker in self._workers:
             self._spawn(worker)
-        for target, name in (
-            (self._accept_loop, "fleet-accept"),
-            (self._monitor_loop, "fleet-monitor"),
+        self._start_thread(self._monitor_loop, "fleet-monitor")
+
+    def _drain(self) -> None:
+        """Wait out in-flight forwards, then stop the workers."""
+        self._log("fleet shutting down")
+        drain_until = time.monotonic() + 30.0
+        while (
+            self.stats.snapshot()["in_flight"] > 0
+            and time.monotonic() < drain_until
         ):
-            thread = threading.Thread(target=target, name=name, daemon=True)
-            thread.start()
-            self._threads.append(thread)
-
-    def serve_forever(self) -> None:
-        self.start()
-        try:
-            self._stopped.wait()
-        except KeyboardInterrupt:
-            self.shutdown()
-
-    def shutdown(self) -> None:
-        """Stop accepting, drain in-flight forwards, stop the workers."""
-        with self._shutdown_lock:
-            if self._stopped.is_set():
-                return
-            self._stopping.set()
-            self._log("fleet shutting down")
-            if self._listener is not None:
-                try:
-                    self._listener.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
-                try:
-                    nudge = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-                    nudge.settimeout(0.25)
-                    nudge.connect(self.socket_path)
-                    nudge.close()
-                except OSError:
-                    pass
-                try:
-                    self._listener.close()
-                except OSError:
-                    pass
-            drain_until = time.monotonic() + 30.0
-            while (
-                self.stats.snapshot()["in_flight"] > 0
-                and time.monotonic() < drain_until
-            ):
-                time.sleep(0.05)
-            for worker in self._workers:
-                worker.stop()
-            for thread in self._threads:
-                if thread is not threading.current_thread():
-                    thread.join(timeout=10.0)
-            with self._conn_lock:
-                connections = list(self._connections)
-            for conn in connections:
-                conn.close()
-            try:
-                os.unlink(self.socket_path)
-            except OSError:
-                pass
-            self._log("fleet stopped")
-            self._stopped.set()
-
-    @property
-    def running(self) -> bool:
-        return self._started_at is not None and not self._stopped.is_set()
+            time.sleep(0.05)
+        for worker in self._workers:
+            worker.stop()
+        self._log("fleet stopped")
 
     # -- worker management --------------------------------------------------
     def _spawn(self, worker: Worker) -> None:
@@ -346,80 +276,11 @@ class FleetSupervisor:
         """Worker index serving this request's (machine, config) key."""
         return shard_index(request, len(self._workers))
 
-    # -- accept / connection handling ---------------------------------------
-    def _accept_loop(self) -> None:
-        while not self._stopping.is_set():
-            try:
-                sock, _ = self._listener.accept()
-            except OSError:
-                break
-            conn = _Connection(sock)
-            with self._conn_lock:
-                self._connections.add(conn)
-            thread = threading.Thread(
-                target=self._connection_loop,
-                args=(conn,),
-                name="fleet-conn",
-                daemon=True,
-            )
-            thread.start()
-
-    def _connection_loop(self, conn: _Connection) -> None:
-        try:
-            while True:
-                try:
-                    request = protocol.recv_message(conn.rfile)
-                except protocol.ProtocolError as exc:
-                    self.stats.bump("protocol_errors")
-                    conn.send(protocol.make_response(
-                        None, protocol.STATUS_ERROR,
-                        error=str(exc), retryable=False,
-                    ))
-                    return
-                except OSError:
-                    return
-                if request is None:
-                    return
-                self._dispatch(conn, request)
-        finally:
-            with self._conn_lock:
-                self._connections.discard(conn)
-            conn.close()
-
-    def _dispatch(self, conn: _Connection, request: dict) -> None:
-        received_at = time.monotonic()
+    # -- work ops -------------------------------------------------------------
+    def _accept_work(
+        self, conn: _Connection, request: dict, received_at: float
+    ) -> None:
         request_id = request.get("id")
-        complaint = protocol.validate_request(request)
-        if complaint is not None:
-            self.stats.bump("protocol_errors")
-            conn.send(protocol.make_response(
-                request_id, protocol.STATUS_ERROR,
-                error=complaint, retryable=False,
-            ))
-            return
-        op = request["op"]
-        if op == "ping":
-            conn.send(protocol.make_response(
-                request_id, protocol.STATUS_OK, pong=True, fleet=True,
-            ))
-            return
-        if op == "status":
-            conn.send(protocol.make_response(
-                request_id, protocol.STATUS_OK, **self._status_payload()
-            ))
-            return
-        if op == "shutdown":
-            conn.send(protocol.make_response(
-                request_id, protocol.STATUS_OK, stopping=True,
-            ))
-            threading.Thread(target=self.shutdown, daemon=True).start()
-            return
-        if self._stopping.is_set():
-            conn.send(protocol.make_response(
-                request_id, protocol.STATUS_SHUTTING_DOWN,
-                error="fleet is draining",
-            ))
-            return
         if self.stats.snapshot()["in_flight"] >= self.max_in_flight:
             self.stats.bump("rejected")
             conn.send(protocol.make_response(
@@ -463,8 +324,8 @@ class FleetSupervisor:
         The recovery contract: a connection refused *before* the
         request was sent is the worker restarting (wait, no strike); a
         connection severed *after* the send, or a response timeout, is
-        a crash strike against this request.  ``requeue_limit`` strikes
-        are forgiven; one more and the request is quarantined.
+        a crash strike against this request.  :data:`REQUEUE_LIMIT`
+        strikes are forgiven; one more and the request is quarantined.
         """
         request_id = request.get("id")
         shard = self.shard_of(request)
@@ -504,7 +365,7 @@ class FleetSupervisor:
                 forwarded["deadline"] = remaining
             recv_timeout = (
                 remaining * 2 + 0.5 if remaining is not None
-                else self.forward_timeout
+                else FORWARD_TIMEOUT
             )
             outcome, payload = self._attempt(
                 worker, forwarded, recv_timeout,
@@ -530,7 +391,7 @@ class FleetSupervisor:
                 waited = time.monotonic() - wait_started
                 if (
                     remaining is None
-                    and waited > min(30.0, self.forward_timeout)
+                    and waited > min(30.0, FORWARD_TIMEOUT)
                 ):
                     return protocol.make_response(
                         request_id, protocol.STATUS_REJECTED,
@@ -557,7 +418,7 @@ class FleetSupervisor:
                 f"worker {shard}: {outcome} holding request "
                 f"{request_id!r} (strike {strikes}: {payload})"
             )
-            if strikes > self.requeue_limit:
+            if strikes > REQUEUE_LIMIT:
                 return self._quarantine(
                     request, received_at, shard, strikes, payload
                 )
@@ -587,7 +448,7 @@ class FleetSupervisor:
         """
         try:
             sock = protocol.connect(
-                worker.socket_path, timeout=self.connect_timeout
+                worker.socket_path, timeout=CONNECT_TIMEOUT
             )
         except OSError as exc:
             return "unreachable", f"{type(exc).__name__}: {exc}"
@@ -817,7 +678,7 @@ class FleetSupervisor:
                     w.restarts for w in self._workers
                 ),
                 "max_in_flight": self.max_in_flight,
-                "requeue_limit": self.requeue_limit,
+                "requeue_limit": REQUEUE_LIMIT,
                 "default_deadline": self.default_deadline,
                 "faults": (
                     str(self.fleet_faults) if self.fleet_faults else ""
@@ -829,833 +690,3 @@ class FleetSupervisor:
             "cache": cache,
             "workers": workers,
         }
-
-
-# -- the fleet chaos harness --------------------------------------------------
-
-_CHAOS_DOT = """
-int dot(short *a, short *b, int n) {
-    int i, s;
-    s = 0;
-    for (i = 0; i < n; i++)
-        s += a[i] * b[i];
-    return s;
-}
-"""
-
-_CHAOS_COPY = """
-void copy(char *dst, char *src, int n) {
-    int i;
-    for (i = 0; i < n; i++)
-        dst[i] = src[i];
-}
-"""
-
-_CHAOS_ADD = "int add(int a, int b) { return a + b; }"
-
-#: (machine, config) pairs the mixed workload cycles through — enough
-#: keys that a 4-worker fleet has populated *and* untouched shards.
-_CHAOS_KEYS = (
-    ("alpha", "coalesce-all"),
-    ("alpha", "vpo"),
-    ("m88100", "coalesce-all"),
-    ("m68030", "cc"),
-    ("alpha", "cc"),
-    ("m88100", "vpo"),
-)
-
-
-def build_chaos_plan(
-    rng: random.Random,
-    workers: int,
-    workload: List[dict],
-    kills: int,
-    hangs: int,
-) -> FaultPlan:
-    """A seeded fleet fault plan: ``kills`` SIGKILLs and ``hangs``
-    SIGSTOPs spread over worker dispatch arrivals.
-
-    Sites and hit counts are drawn against the *actual* dispatch
-    distribution of ``workload`` (sharding is deterministic), so every
-    planted fault lands on a worker that really receives requests, at
-    an arrival it will really reach.
-    """
-    arrivals: Dict[int, int] = {}
-    for request in workload:
-        shard = shard_index(request, workers)
-        arrivals[shard] = arrivals.get(shard, 0) + 1
-    busy = sorted(
-        shard for shard, count in arrivals.items() if count >= 4
-    ) or sorted(arrivals)
-    specs: List[FaultSpec] = []
-    seen = set()
-    for kind, count in (("kill", kills), ("hang", hangs)):
-        for _ in range(count):
-            for _ in range(64):  # resample collisions
-                shard = busy[rng.randrange(len(busy))]
-                site = f"worker:{shard}"
-                # Leave headroom below the arrival ceiling: requeues
-                # shift later arrivals, and the last dispatches must
-                # find a live worker to drain through.
-                hit = rng.randint(
-                    2, max(2, (arrivals[shard] * 2) // 3)
-                )
-                if (site, hit) not in seen:
-                    seen.add((site, hit))
-                    break
-            else:
-                continue
-            specs.append(FaultSpec(
-                site, kind, hit=hit,
-                seconds=round(rng.uniform(0.02, 0.25), 3),
-            ))
-    return FaultPlan(specs)
-
-
-def build_chaos_workload(
-    rng: random.Random, requests: int, deadline: float
-) -> List[dict]:
-    """``requests`` mixed compile/simulate requests over several
-    (machine, config) shards; a slice carry ``sleep`` faults to hold
-    workers mid-compile (widening the kill window), a slice carry
-    deliberately tight deadlines."""
-    workload: List[dict] = []
-    for index in range(requests):
-        machine, config = _CHAOS_KEYS[index % len(_CHAOS_KEYS)]
-        roll = rng.random()
-        if roll < 0.15:
-            request = {
-                "op": "simulate",
-                "source": _CHAOS_DOT,
-                "entry": "dot",
-                "machine": machine,
-                "config": config,
-                "arrays": [
-                    ["a", 2, [3, 1, 4, 1, 5, 9, 2, 6]],
-                    ["b", 2, [1, 1, 1, 1, 1, 1, 1, 1]],
-                ],
-                "args": ["a", "b", 8],
-            }
-        else:
-            source = (
-                _CHAOS_DOT, _CHAOS_COPY, _CHAOS_ADD
-            )[index % 3]
-            request = {
-                "op": "compile",
-                "source": source,
-                "machine": machine,
-                "config": config,
-            }
-        if roll > 0.7:
-            # Hold the worker in the pipeline so armed kills land
-            # mid-compile, not between requests.
-            request["faults"] = (
-                f"cleanup=sleep:{round(rng.uniform(0.1, 0.3), 2)}"
-            )
-        if roll > 0.95:
-            request["deadline"] = 0.4  # must come back 'timeout'
-        else:
-            request["deadline"] = deadline
-        workload.append(request)
-    return workload
-
-
-def run_fleet_chaos(
-    requests: int = 100,
-    workers: int = DEFAULT_FLEET_WORKERS,
-    seed: int = 0,
-    deadline: float = 10.0,
-    kills: int = 3,
-    hangs: int = 1,
-    socket_path: Optional[str] = None,
-    run_dir: Optional[str] = None,
-    crash_dir: Optional[str] = None,
-    client_threads: int = 8,
-    echo=None,
-) -> Tuple[dict, List[str]]:
-    """SIGKILL/SIGSTOP workers under a live mixed workload and audit
-    the zero-lost-requests contract.
-
-    Returns ``(summary, problems)``; an empty ``problems`` list is a
-    pass.  The audit: every request gets a terminal answer (ok,
-    degraded, timeout, or a typed quarantine/deadline error), nothing
-    runs past 2x its deadline (plus scheduling slack), and every fired
-    kill is matched by a worker restart.
-    """
-    from repro.service.client import (
-        ServiceClient,
-        ServiceUnavailable,
-        wait_until_ready,
-    )
-
-    def say(message: str) -> None:
-        if echo is not None:
-            echo(message)
-
-    rng = random.Random(seed)
-    workload = build_chaos_workload(rng, requests, deadline)
-    plan = build_chaos_plan(rng, workers, workload, kills, hangs)
-    say(f"fleet chaos: plan {plan}")
-
-    if run_dir is None:
-        run_dir = tempfile.mkdtemp(prefix="repro-fleet-chaos-")
-    if socket_path is None:
-        # Never the default service socket: a chaos sweep must not
-        # hijack (or probe-steal) a production server's address.
-        socket_path = os.path.join(run_dir, "fleet.sock")
-
-    fleet = FleetSupervisor(
-        socket_path=socket_path,
-        workers=workers,
-        run_dir=run_dir,
-        crash_dir=crash_dir,
-        fleet_faults=plan,
-        heartbeat_interval=0.1,
-        heartbeat_timeout=1.0,
-    )
-    problems: List[str] = []
-    outcomes: List[Optional[dict]] = [None] * len(workload)
-    elapsed: List[float] = [0.0] * len(workload)
-    try:
-        fleet.start()
-        if not wait_until_ready(fleet.socket_path, timeout=10.0):
-            raise OSError(
-                f"fleet never became ready on {fleet.socket_path}"
-            )
-        cursor = {"next": 0}
-        cursor_lock = threading.Lock()
-
-        def drive() -> None:
-            client = ServiceClient(
-                fleet.socket_path, retries=8,
-                backoff_base=0.02, backoff_cap=0.2,
-            )
-            while True:
-                with cursor_lock:
-                    index = cursor["next"]
-                    if index >= len(workload):
-                        return
-                    cursor["next"] = index + 1
-                request = workload[index]
-                began = time.monotonic()
-                try:
-                    response = client.request(
-                        request["op"],
-                        **{
-                            k: v for k, v in request.items()
-                            if k != "op"
-                        },
-                    )
-                except ServiceUnavailable as exc:
-                    response = {
-                        "status": "client-deadline"
-                        if "deadline" in str(exc) else "unavailable",
-                        "error": str(exc),
-                    }
-                except Exception as exc:  # noqa: BLE001 — audit, don't die
-                    response = {
-                        "status": "client-error",
-                        "error": f"{type(exc).__name__}: {exc}",
-                    }
-                outcomes[index] = response
-                elapsed[index] = time.monotonic() - began
-
-        threads = [
-            threading.Thread(target=drive, name=f"chaos-client-{i}")
-            for i in range(max(1, client_threads))
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=requests * 10.0)
-        status = fleet._status_payload(scrape=True)
-    finally:
-        fleet.shutdown()
-
-    # -- audit ---------------------------------------------------------------
-    by_status: Dict[str, int] = {}
-    max_elapsed = 0.0
-    for index, response in enumerate(outcomes):
-        request = workload[index]
-        if response is None:
-            problems.append(f"request {index}: LOST (no answer)")
-            continue
-        got = response.get("status")
-        by_status[got] = by_status.get(got, 0) + 1
-        max_elapsed = max(max_elapsed, elapsed[index])
-        budget = request.get("deadline")
-        if budget is not None and elapsed[index] > 2 * budget + 5.0:
-            problems.append(
-                f"request {index}: answered but only after "
-                f"{elapsed[index]:.1f}s against a {budget:g}s deadline"
-            )
-        if got in ("ok", "degraded", "timeout", "client-deadline"):
-            continue
-        if (
-            got == "error"
-            and response.get("error_type") == "QuarantinedRequest"
-        ):
-            continue
-        problems.append(
-            f"request {index}: untyped outcome {got!r} "
-            f"({response.get('error', '')})"
-        )
-
-    fired = [str(spec) for spec in plan.fired]
-    fired_fatal = [
-        spec for spec in plan.fired if spec.kind in ("kill", "hang")
-    ]
-    restarts = status["fleet"]["worker_restarts"]
-    if fired_fatal and restarts == 0:
-        problems.append(
-            f"{len(fired_fatal)} kill/hang fault(s) fired but no "
-            "worker was ever restarted"
-        )
-    live = [
-        w for w in status["workers"]
-        if w["state"] == WORKER_UP and not w.get("unreachable")
-    ]
-    if not live:
-        problems.append("no worker was alive at the end of the run")
-
-    summary = {
-        "requests": len(workload),
-        "answered": sum(1 for r in outcomes if r is not None),
-        "by_status": dict(sorted(by_status.items())),
-        "faults_planned": [str(s) for s in plan.specs],
-        "faults_fired": fired,
-        "worker_restarts": restarts,
-        "requeued": status["fleet"]["requeued"],
-        "quarantined": status["fleet"]["quarantined"],
-        "hang_kills": status["fleet"]["hang_kills"],
-        "max_elapsed": round(max_elapsed, 3),
-        "run_dir": fleet.run_dir,
-        "supervisor_log": fleet.supervisor_log,
-        "problems": len(problems),
-    }
-    say(
-        f"fleet chaos: {summary['answered']}/{summary['requests']} "
-        f"answered {summary['by_status']}; "
-        f"{restarts} restart(s), {summary['requeued']} requeue(s), "
-        f"{summary['quarantined']} quarantine(s), "
-        f"{len(problems)} problem(s)"
-    )
-    return summary, problems
-
-
-# -- the disk chaos harness ---------------------------------------------------
-
-#: A dot-product the mixed workload never compiles: the contention
-#: squad races it cold across every worker's private socket, so the
-#: front-end sharding (which would route identical requests to one
-#: worker) cannot hide a broken cross-process dedup.
-_DISK_SQUAD = """
-int dotsq(short *a, short *b, int n) {
-    int i, s;
-    s = 0;
-    for (i = 0; i < n; i++)
-        s += a[i] * b[i];
-    return s;
-}
-"""
-
-#: A key requested exactly once, after the harness has planted a dead
-#: holder's lease for it — the canonical SIGKILLed-mid-compile wreck.
-_DISK_ORPHAN = """
-int orphan(int a, int b) {
-    return a * b + 7;
-}
-"""
-
-_DISK_SWEEP_KINDS = (
-    "torn-write|corrupt-artifact|stale-lease|lease-steal-race|enospc"
-)
-
-
-def build_disk_chaos_inject(seed: int, rate: float = 0.08) -> str:
-    """The per-worker disk-fault sweep (a seeded, disk-only plan).
-
-    Every worker gets the same plan string; each process rolls its own
-    deterministic dice per (site, arrival), so faults land where that
-    worker's actual artifact traffic goes.  All candidate kinds are
-    disk kinds, so ``FaultPlan.disk_only()`` holds and the workers keep
-    their cache ON — the whole point is to batter the artifact store.
-    """
-    return f"seed={seed},rate={rate:g},kinds={_DISK_SWEEP_KINDS}"
-
-
-def _disk_key(source: str, machine: str, config: str) -> str:
-    """The exact artifact key a worker will compute for this request
-    (same source tree, same pass fingerprint)."""
-    from repro.bench.cache import cache_key
-    from repro.machine import get_machine
-    from repro.pipeline import get_config
-
-    return cache_key(source, get_machine(machine).name, get_config(config))
-
-
-def _plant_dead_lease(cache_dir: str, key: str, ttl: float) -> int:
-    """Leave the wreckage of a SIGKILLed holder: a lease file whose pid
-    is already reaped and whose heartbeat stopped long ago.  Returns
-    the dead pid."""
-    import json as _json
-    import subprocess
-    import sys as _sys
-
-    proc = subprocess.Popen(
-        [_sys.executable, "-c", "pass"],
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-    )
-    proc.wait()
-    os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, f"{key}.lease")
-    body = _json.dumps({
-        "pid": proc.pid,
-        "nonce": "deadc0de" * 2,
-        "token": 1,
-        "ttl": ttl,
-        "created": round(time.time(), 4),
-    })
-    with open(path, "w") as handle:
-        handle.write(body)
-    past = time.time() - (ttl * 2.0 + 5.0)
-    os.utime(path, (past, past))
-    return proc.pid
-
-
-def _disk_event_tally(events) -> Dict[str, Dict[str, int]]:
-    """Per-key event counts from an :class:`ArtifactStore` journal."""
-    tally: Dict[str, Dict[str, int]] = {}
-    for event in events:
-        key = event.get("key")
-        if not key:
-            continue
-        per = tally.setdefault(str(key), {})
-        name = str(event.get("ev"))
-        if name == "disk-error" and event.get("op") == "publish":
-            name = "disk-error-publish"
-        per[name] = per.get(name, 0) + 1
-    return tally
-
-
-def _excused_compiles(per: Dict[str, int]) -> int:
-    """How many *extra* compiles of one key the journal can explain.
-
-    Each term is a recorded fault or crash consequence: a stolen lease
-    (the thief recompiles), a dropped corrupt artifact, a publish that
-    tore or hit a disk error (the artifact never became readable), or
-    a fenced publish (the loser's bytes were discarded).
-    """
-    return (
-        per.get("steal", 0)
-        + per.get("corrupt-drop", 0)
-        + per.get("publish-torn", 0)
-        + per.get("disk-error-publish", 0)
-        + per.get("publish-fenced", 0)
-    )
-
-
-def run_disk_chaos(
-    requests: int = 100,
-    workers: int = DEFAULT_FLEET_WORKERS,
-    seed: int = 0,
-    deadline: float = 20.0,
-    kills: int = 2,
-    rate: float = 0.08,
-    socket_path: Optional[str] = None,
-    run_dir: Optional[str] = None,
-    crash_dir: Optional[str] = None,
-    client_threads: int = 8,
-    lease_ttl: float = 1.0,
-    echo=None,
-) -> Tuple[dict, List[str]]:
-    """Batter a shared artifact cache under a live fleet and audit the
-    exactly-once dedup contract.
-
-    Four stages, one shared on-disk store:
-
-    1. a *contention squad* races one cold key straight at every
-       worker's private socket (bypassing the sharded front end);
-    2. the same key is re-raced warm — it must not compile again;
-    3. an *orphan* key is requested once over a planted dead-holder
-       lease — the worker must steal it and publish under the next
-       fencing token;
-    4. the standard mixed workload runs through the front socket while
-       seeded worker SIGKILLs and per-worker disk-fault sweeps
-       (torn writes, corrupt artifacts, silent leases, steal races,
-       ENOSPC) fire underneath.
-
-    The audit reads the store's durable event journal: every compile
-    beyond the first must be excused by a recorded steal / corruption
-    drop / failed publish; link-once must hold (never two surviving
-    publishes without a corruption drop between); the planted wreck
-    must be stolen exactly once and published at most once; known
-    -answer simulations must return the right number (a corrupt
-    artifact can never be served); no request may be lost.
-    """
-    from repro.service.artifacts import ArtifactStore
-    from repro.service.client import (
-        ServiceClient,
-        ServiceUnavailable,
-        wait_until_ready,
-    )
-
-    def say(message: str) -> None:
-        if echo is not None:
-            echo(message)
-
-    rng = random.Random(seed)
-    workload = build_chaos_workload(rng, requests, deadline)
-    plan = build_chaos_plan(rng, workers, workload, kills, 0)
-    inject = build_disk_chaos_inject(seed, rate)
-    say(f"disk chaos: fleet plan {plan}; worker sweep {inject}")
-
-    if run_dir is None:
-        run_dir = tempfile.mkdtemp(prefix="repro-disk-chaos-")
-    if socket_path is None:
-        socket_path = os.path.join(run_dir, "fleet.sock")
-    cache_dir = os.path.join(run_dir, "artifact-cache")
-
-    squad_key = _disk_key(_DISK_SQUAD, "alpha", "coalesce-all")
-    orphan_key = _disk_key(_DISK_ORPHAN, "alpha", "coalesce-all")
-    dead_pid = _plant_dead_lease(cache_dir, orphan_key, lease_ttl)
-    say(
-        f"disk chaos: planted dead lease pid={dead_pid} "
-        f"for {orphan_key[:12]}"
-    )
-
-    fleet = FleetSupervisor(
-        socket_path=socket_path,
-        workers=workers,
-        run_dir=run_dir,
-        crash_dir=crash_dir,
-        fleet_faults=plan,
-        worker_inject=inject,
-        heartbeat_interval=0.1,
-        heartbeat_timeout=1.0,
-        cache_dir=cache_dir,
-        lease_ttl=lease_ttl,
-    )
-    store = ArtifactStore(cache_dir, ttl=lease_ttl)
-    problems: List[str] = []
-    outcomes: List[Optional[dict]] = [None] * len(workload)
-    elapsed: List[float] = [0.0] * len(workload)
-    squad_cold: List[Optional[dict]] = [None] * workers
-    squad_warm: List[Optional[dict]] = [None] * workers
-    orphan_response: Optional[dict] = None
-    try:
-        fleet.start()
-        if not wait_until_ready(fleet.socket_path, timeout=10.0):
-            raise OSError(
-                f"fleet never became ready on {fleet.socket_path}"
-            )
-        for worker in fleet._workers:
-            if not wait_until_ready(worker.socket_path, timeout=15.0):
-                raise OSError(
-                    f"worker {worker.index} never became ready"
-                )
-
-        # -- stage 1 + 2: the contention squad, cold then warm ------------
-        def race(round_results: List[Optional[dict]]) -> None:
-            def hit_worker(index: int, wsock: str) -> None:
-                client = ServiceClient(
-                    wsock, retries=10,
-                    backoff_base=0.02, backoff_cap=0.3,
-                )
-                try:
-                    round_results[index] = client.request(
-                        "compile",
-                        source=_DISK_SQUAD,
-                        machine="alpha",
-                        config="coalesce-all",
-                        deadline=deadline,
-                    )
-                except Exception as exc:  # noqa: BLE001 — audit, don't die
-                    round_results[index] = {
-                        "status": "client-error",
-                        "error": f"{type(exc).__name__}: {exc}",
-                    }
-
-            threads = [
-                threading.Thread(
-                    target=hit_worker, args=(w.index, w.socket_path),
-                    name=f"disk-squad-{w.index}",
-                )
-                for w in fleet._workers
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=deadline * 2 + 30.0)
-
-        race(squad_cold)
-        tally_after_cold = _disk_event_tally(store.events())
-        race(squad_warm)
-        tally_after_warm = _disk_event_tally(store.events())
-
-        # -- stage 3: steal the planted wreck -----------------------------
-        front = ServiceClient(
-            fleet.socket_path, retries=8,
-            backoff_base=0.02, backoff_cap=0.2,
-        )
-        try:
-            orphan_response = front.request(
-                "compile",
-                source=_DISK_ORPHAN,
-                machine="alpha",
-                config="coalesce-all",
-                deadline=deadline,
-            )
-        except Exception as exc:  # noqa: BLE001 — audit, don't die
-            orphan_response = {
-                "status": "client-error",
-                "error": f"{type(exc).__name__}: {exc}",
-            }
-
-        # -- stage 4: the mixed workload under fire -----------------------
-        cursor = {"next": 0}
-        cursor_lock = threading.Lock()
-
-        def drive() -> None:
-            client = ServiceClient(
-                fleet.socket_path, retries=8,
-                backoff_base=0.02, backoff_cap=0.2,
-            )
-            while True:
-                with cursor_lock:
-                    index = cursor["next"]
-                    if index >= len(workload):
-                        return
-                    cursor["next"] = index + 1
-                request = workload[index]
-                began = time.monotonic()
-                try:
-                    response = client.request(
-                        request["op"],
-                        **{
-                            k: v for k, v in request.items()
-                            if k != "op"
-                        },
-                    )
-                except ServiceUnavailable as exc:
-                    response = {
-                        "status": "client-deadline"
-                        if "deadline" in str(exc) else "unavailable",
-                        "error": str(exc),
-                    }
-                except Exception as exc:  # noqa: BLE001 — audit, don't die
-                    response = {
-                        "status": "client-error",
-                        "error": f"{type(exc).__name__}: {exc}",
-                    }
-                outcomes[index] = response
-                elapsed[index] = time.monotonic() - began
-
-        threads = [
-            threading.Thread(target=drive, name=f"disk-client-{i}")
-            for i in range(max(1, client_threads))
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=requests * 10.0)
-        status = fleet._status_payload(scrape=True)
-    finally:
-        fleet.shutdown()
-
-    # -- audit ---------------------------------------------------------------
-    events = store.events()
-    tally = _disk_event_tally(events)
-    counters = store.counters()
-    squad12 = squad_key[:12]
-    orphan12 = orphan_key[:12]
-
-    # Stage 1: every racer answered, and the squad key compiled at most
-    # once per excuse — with the floor that dedup saved at least one of
-    # the `workers` simultaneous cold requesters.
-    for index, response in enumerate(squad_cold + squad_warm):
-        which = "cold" if index < workers else "warm"
-        worker_index = index % workers
-        got = (response or {}).get("status")
-        if got not in ("ok", "degraded"):
-            problems.append(
-                f"squad {which} racer at worker {worker_index}: "
-                f"outcome {got!r} "
-                f"({(response or {}).get('error', 'no answer')})"
-            )
-    squad_cold_tally = tally_after_cold.get(squad12, {})
-    cold_compiles = squad_cold_tally.get("compile", 0)
-    cold_fallbacks = squad_cold_tally.get("fallback", 0)
-    if cold_compiles + cold_fallbacks >= workers:
-        problems.append(
-            f"squad key {squad12}: all {workers} cold racers compiled "
-            f"({cold_compiles} compiles, {cold_fallbacks} fallbacks) — "
-            "cross-process dedup saved nothing"
-        )
-
-    # Stage 2: a warm key must not compile again without a recorded
-    # corruption drop / steal / failed publish in between.
-    warm_tally = tally_after_warm.get(squad12, {})
-    warm_compiles = (
-        warm_tally.get("compile", 0) - squad_cold_tally.get("compile", 0)
-    )
-    warm_excuse = (
-        _excused_compiles(warm_tally)
-        - _excused_compiles(squad_cold_tally)
-    )
-    if warm_compiles > warm_excuse:
-        problems.append(
-            f"squad key {squad12}: {warm_compiles} warm-round "
-            f"compile(s) with only {warm_excuse} excusing event(s) — "
-            "duplicate compile of a warm key"
-        )
-
-    # Stage 3: the planted wreck was stolen (fencing token advanced)
-    # and at most one publish survived.
-    orphan_tally = tally.get(orphan12, {})
-    orphan_status = (orphan_response or {}).get("status")
-    if orphan_status not in ("ok", "degraded"):
-        problems.append(
-            f"orphan request: outcome {orphan_status!r} "
-            f"({(orphan_response or {}).get('error', 'no answer')})"
-        )
-    if orphan_tally.get("steal", 0) < 1:
-        problems.append(
-            f"orphan key {orphan12}: planted dead-holder lease was "
-            "never stolen"
-        )
-    if orphan_tally.get("publish", 0) > 1:
-        problems.append(
-            f"orphan key {orphan12}: "
-            f"{orphan_tally['publish']} surviving publishes after a "
-            "steal — the fencing rule failed"
-        )
-
-    # Global per-key invariants: link-once, and no unexcused compile.
-    for key, per in sorted(tally.items()):
-        if per.get("publish", 0) > 1 + per.get("corrupt-drop", 0):
-            problems.append(
-                f"key {key}: {per['publish']} publishes with only "
-                f"{per.get('corrupt-drop', 0)} corruption drop(s) — "
-                "link-once violated"
-            )
-        extra = per.get("compile", 0) - 1
-        if extra > _excused_compiles(per):
-            problems.append(
-                f"key {key}: {per['compile']} compiles but only "
-                f"{_excused_compiles(per)} excusing event(s) — "
-                "redundant compile of a warm key"
-            )
-        for event in events:
-            if event.get("key") == key and event.get("ev") == "steal":
-                if per.get("publish", 0) + per.get(
-                    "publish-fenced", 0
-                ) + per.get("publish-torn", 0) + per.get(
-                    "disk-error-publish", 0
-                ) < 1:
-                    problems.append(
-                        f"key {key}: a lease was stolen but no writer "
-                        "(surviving, fenced, torn, or errored) ever "
-                        "followed"
-                    )
-                break
-
-    # Mixed workload: the same zero-lost / typed-outcome contract as
-    # the fleet harness, plus the known-answer check — a simulate that
-    # answered 'ok' off a corrupt artifact would answer wrongly.
-    by_status: Dict[str, int] = {}
-    max_elapsed = 0.0
-    expected_dot = 31  # [3,1,4,1,5,9,2,6] . [1]*8
-    for index, response in enumerate(outcomes):
-        request = workload[index]
-        if response is None:
-            problems.append(f"request {index}: LOST (no answer)")
-            continue
-        got = response.get("status")
-        by_status[got] = by_status.get(got, 0) + 1
-        max_elapsed = max(max_elapsed, elapsed[index])
-        budget = request.get("deadline")
-        if budget is not None and elapsed[index] > 2 * budget + 5.0:
-            problems.append(
-                f"request {index}: answered but only after "
-                f"{elapsed[index]:.1f}s against a {budget:g}s deadline"
-            )
-        if (
-            request["op"] == "simulate"
-            and got in ("ok", "degraded")
-            and response.get("result") != expected_dot
-        ):
-            problems.append(
-                f"request {index}: simulate answered "
-                f"{response.get('result')!r}, wanted {expected_dot} — "
-                "a corrupt artifact was served"
-            )
-        if got in ("ok", "degraded", "timeout", "client-deadline"):
-            continue
-        if (
-            got == "error"
-            and response.get("error_type") == "QuarantinedRequest"
-        ):
-            continue
-        problems.append(
-            f"request {index}: untyped outcome {got!r} "
-            f"({response.get('error', '')})"
-        )
-
-    if counters.get("dedup_hits", 0) < 1:
-        problems.append(
-            "no dedup hit was ever journalled — the shared store "
-            "deduplicated nothing"
-        )
-
-    fired = [str(spec) for spec in plan.fired]
-    fired_fatal = [
-        spec for spec in plan.fired if spec.kind in ("kill", "hang")
-    ]
-    restarts = status["fleet"]["worker_restarts"]
-    if fired_fatal and restarts == 0:
-        problems.append(
-            f"{len(fired_fatal)} kill fault(s) fired but no worker "
-            "was ever restarted"
-        )
-    live = [
-        w for w in status["workers"]
-        if w["state"] == WORKER_UP and not w.get("unreachable")
-    ]
-    if not live:
-        problems.append("no worker was alive at the end of the run")
-
-    summary = {
-        "requests": len(workload),
-        "answered": sum(1 for r in outcomes if r is not None),
-        "by_status": dict(sorted(by_status.items())),
-        "squad_key": squad12,
-        "orphan_key": orphan12,
-        "cache_dir": cache_dir,
-        "cache": counters,
-        "faults_planned": [str(s) for s in plan.specs],
-        "faults_fired": fired,
-        "worker_inject": inject,
-        "worker_restarts": restarts,
-        "requeued": status["fleet"]["requeued"],
-        "quarantined": status["fleet"]["quarantined"],
-        "latency": {
-            str(w["index"]): w.get("latency")
-            for w in status["workers"]
-        },
-        "max_elapsed": round(max_elapsed, 3),
-        "run_dir": fleet.run_dir,
-        "supervisor_log": fleet.supervisor_log,
-        "problems": len(problems),
-    }
-    say(
-        f"disk chaos: {summary['answered']}/{summary['requests']} "
-        f"answered {summary['by_status']}; cache "
-        f"{counters.get('publishes', 0)} publish(es), "
-        f"{counters.get('dedup_hits', 0)} dedup hit(s), "
-        f"{counters.get('steals', 0)} steal(s), "
-        f"{counters.get('corruption_drops', 0)} corruption drop(s), "
-        f"{counters.get('fallbacks', 0)} fallback(s); "
-        f"{restarts} restart(s), {len(problems)} problem(s)"
-    )
-    return summary, problems

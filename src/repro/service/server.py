@@ -31,9 +31,16 @@ Robustness properties, in the order a request meets them:
   recompiles under ``on_pass_failure='fallback'`` and returns a correct,
   less-optimized program with ``status='degraded'``.
 
-Workers share the disk compile cache across requests, with
-single-flight dedup of identical in-flight keys (two concurrent
-requests for the same (source, machine, config) compile once).
+Workers share the disk compile cache across requests.  Two concurrent
+requests for the same (source, machine, config) compile once: the
+artifact store's lease lets one worker compile while the other waits,
+is woken when the lease is released, and revives the published
+artifact (``single_flight_shared`` in the status counts those waits).
+
+:class:`FrontEnd` is the socket half both this server and the fleet
+supervisor (:mod:`repro.service.fleet`) run: bind, accept, one thread
+per connection, and the ops every front end answers inline (``ping``,
+``status``, ``shutdown``, and the draining refusal).
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ import socket
 import threading
 import time
 from dataclasses import replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import DeadlineExceeded, ReproError
 from repro.machine import get_machine
@@ -163,73 +170,25 @@ class LatencyRing:
         }
 
 
-class CompileServer:
-    """The long-running compile/simulate/bench service."""
+class FrontEnd:
+    """The socket front end: accept, one thread per connection, and the
+    ops answered inline.
 
-    def __init__(
-        self,
-        socket_path: Optional[str] = None,
-        workers: int = DEFAULT_WORKERS,
-        queue_limit: int = DEFAULT_QUEUE_LIMIT,
-        breaker_threshold: int = DEFAULT_THRESHOLD,
-        breaker_cooldown: float = DEFAULT_COOLDOWN,
-        default_deadline: Optional[float] = None,
-        cache=None,
-        faults: Optional[FaultPlan] = None,
-        crash_dir: Optional[str] = None,
-        start_delay: float = 0.0,
-        worker_id: Optional[int] = None,
-        exit_with_parent: bool = False,
-        cache_dir: Optional[str] = None,
-        lease_ttl: Optional[float] = None,
-    ):
-        from repro.bench.cache import (
-            CompileCache,
-            SingleFlight,
-            cache_enabled,
-            default_cache,
-        )
+    A subclass answers work ops in :meth:`_accept_work` (the server
+    enqueues or sheds, the fleet forwards), reports :meth:`_status_payload`,
+    and drains its own work in :meth:`_drain` during shutdown.
+    """
 
+    #: Thread-name prefix (``<prefix>-accept``, ``<prefix>-conn``).
+    THREAD_PREFIX = "repro"
+    #: The answer to a work op that arrives while shutting down.
+    DRAINING = "server is draining"
+    #: Extra fields of the ``ping`` answer.
+    PONG: Dict[str, object] = {}
+
+    def __init__(self, socket_path: Optional[str], stats: _Stats):
         self.socket_path = socket_path or protocol.default_socket_path()
-        self.workers = max(1, workers)
-        # Fleet-worker knobs: 'start_delay' delays the socket bind (the
-        # 'slowstart' fleet fault), 'worker_id' tags status payloads so
-        # the supervisor can tell shards apart, and 'exit_with_parent'
-        # makes the process die when its supervisor does (orphan
-        # watchdog polling the original parent pid).
-        self.start_delay = max(0.0, start_delay)
-        self.worker_id = worker_id
-        self.exit_with_parent = exit_with_parent
-        self._parent_pid = os.getppid() if exit_with_parent else None
-        self.queue_limit = max(1, queue_limit)
-        self.default_deadline = default_deadline
-        if cache is not None:
-            self.cache = cache
-        elif cache_dir is not None:
-            # An explicit shared directory (the fleet's): honoured even
-            # when it differs from $REPRO_CACHE_DIR, still subject to
-            # the REPRO_CACHE=off kill switch.
-            self.cache = (
-                CompileCache(cache_dir, lease_ttl=lease_ttl)
-                if cache_enabled() else None
-            )
-        else:
-            self.cache = default_cache()
-        if self.cache is not None and lease_ttl is not None:
-            self.cache.artifacts.ttl = float(lease_ttl)
-        self.flight = SingleFlight()
-        self.latency = LatencyRing()
-        self.breakers = BreakerBoard(breaker_threshold, breaker_cooldown)
-        # One long-lived plan shared by every compile, so arrival counts
-        # span requests: 'coalesce=raise@3' means "the third coalesce
-        # the *server* runs", which is how tests stage transient faults
-        # that the breaker then recovers from.
-        self.faults = (
-            faults if faults is not None else FaultPlan.from_env()
-        )
-        self.crash_dir = crash_dir or os.environ.get("REPRO_CRASH_DIR")
-        self.stats = _Stats()
-        self._queue: "queue.Queue" = queue.Queue(maxsize=self.queue_limit)
+        self.stats = stats
         self._listener = None
         self._threads: List[threading.Thread] = []
         self._connections: set = set()
@@ -238,49 +197,18 @@ class CompileServer:
         self._stopped = threading.Event()
         self._shutdown_lock = threading.Lock()
         self._started_at: Optional[float] = None
-        self._tls = threading.local()
-        if self.faults is not None:
-            # One shared, thread-aware cancellation probe: each worker
-            # parks its own deadline in thread-local state, so a 'sleep'
-            # fault in one request can never be cut by another's clock.
-            self.faults.cancel_check = self._cancel
-        if (
-            self.faults is not None and self.cache is not None
-            and self.faults.disk_only()
-        ):
-            # Disk-fault plans target the artifact store itself, so the
-            # store draws from the same long-lived plan the server owns
-            # (arrival counts span requests, as with pass sites).
-            self.cache.artifacts.faults = self.faults
 
     # -- lifecycle ----------------------------------------------------------
     def start(self) -> None:
-        """Bind the socket and spawn the accept + worker threads."""
-        if self.start_delay:
-            time.sleep(self.start_delay)
+        """Bind the socket and start accepting."""
         self._listener = protocol.bind(self.socket_path)
         self._started_at = time.monotonic()
-        if self.exit_with_parent:
-            watchdog = threading.Thread(
-                target=self._orphan_watch,
-                name="repro-orphan-watch",
-                daemon=True,
-            )
-            watchdog.start()
-            self._threads.append(watchdog)
-        accept = threading.Thread(
-            target=self._accept_loop, name="repro-accept", daemon=True
-        )
-        accept.start()
-        self._threads.append(accept)
-        for index in range(self.workers):
-            worker = threading.Thread(
-                target=self._worker_loop,
-                name=f"repro-worker-{index}",
-                daemon=True,
-            )
-            worker.start()
-            self._threads.append(worker)
+        self._start_thread(self._accept_loop, f"{self.THREAD_PREFIX}-accept")
+
+    def _start_thread(self, target, name: str) -> None:
+        thread = threading.Thread(target=target, name=name, daemon=True)
+        thread.start()
+        self._threads.append(thread)
 
     def serve_forever(self) -> None:
         """start() and block until a shutdown request (or Ctrl-C)."""
@@ -291,7 +219,7 @@ class CompileServer:
             self.shutdown()
 
     def shutdown(self) -> None:
-        """Graceful stop: refuse new work, drain the queue, then exit.
+        """Graceful stop: refuse new work, drain, then exit.
 
         Idempotent and thread-safe; callable from a connection thread
         (the ``shutdown`` op spawns it on a side thread to avoid
@@ -320,10 +248,7 @@ class CompileServer:
                     self._listener.close()
                 except OSError:
                     pass
-            # Sentinels queue *behind* already-accepted work: FIFO order
-            # means every accepted request is answered before exit.
-            for _ in range(self.workers):
-                self._queue.put(_SHUTDOWN)
+            self._drain()
             for thread in self._threads:
                 if thread is not threading.current_thread():
                     thread.join(timeout=30.0)
@@ -337,24 +262,12 @@ class CompileServer:
                 pass
             self._stopped.set()
 
+    def _drain(self) -> None:
+        """Let accepted work finish before the threads are joined."""
+
     @property
     def running(self) -> bool:
         return self._started_at is not None and not self._stopped.is_set()
-
-    def _orphan_watch(self) -> None:
-        """Exit hard if the supervisor that spawned us disappears.
-
-        A fleet worker with no supervisor has no one to restart it, no
-        one heartbeating it, and a socket nobody routes to; lingering
-        would leak a process per supervisor crash.  Reparenting (getppid
-        changes, typically to 1) is the portable death signal.
-        """
-        while not self._stopping.is_set():
-            if os.getppid() != self._parent_pid:
-                os._exit(0)
-            self._stopped.wait(0.5)
-            if self._stopped.is_set():
-                return
 
     # -- accept / connection handling ---------------------------------------
     def _accept_loop(self) -> None:
@@ -369,7 +282,7 @@ class CompileServer:
             thread = threading.Thread(
                 target=self._connection_loop,
                 args=(conn,),
-                name="repro-conn",
+                name=f"{self.THREAD_PREFIX}-conn",
                 daemon=True,
             )
             thread.start()
@@ -386,7 +299,9 @@ class CompileServer:
                         error=str(exc), retryable=False,
                     ))
                     return
-                except OSError:
+                except (OSError, ValueError):
+                    # ValueError: shutdown() closed the reader between
+                    # two reads ("readline of closed file") — an EOF.
                     return
                 if request is None:
                     return  # clean EOF
@@ -397,6 +312,7 @@ class CompileServer:
             conn.close()
 
     def _dispatch(self, conn: _Connection, request: dict) -> None:
+        received_at = time.monotonic()
         request_id = request.get("id")
         complaint = protocol.validate_request(request)
         if complaint is not None:
@@ -409,7 +325,7 @@ class CompileServer:
         op = request["op"]
         if op == "ping":
             conn.send(protocol.make_response(
-                request_id, protocol.STATUS_OK, pong=True,
+                request_id, protocol.STATUS_OK, pong=True, **self.PONG
             ))
             return
         if op == "status":
@@ -426,18 +342,142 @@ class CompileServer:
         if self._stopping.is_set():
             conn.send(protocol.make_response(
                 request_id, protocol.STATUS_SHUTTING_DOWN,
-                error="server is draining",
+                error=self.DRAINING,
             ))
             return
-        item = (request, conn, time.monotonic())
+        self._accept_work(conn, request, received_at)
+
+    def _accept_work(
+        self, conn: _Connection, request: dict, received_at: float
+    ) -> None:
+        raise NotImplementedError
+
+    def _status_payload(self) -> dict:
+        raise NotImplementedError
+
+
+class CompileServer(FrontEnd):
+    """The long-running compile/simulate/bench service."""
+
+    def __init__(
+        self,
+        socket_path: Optional[str] = None,
+        workers: int = DEFAULT_WORKERS,
+        queue_limit: int = DEFAULT_QUEUE_LIMIT,
+        breaker_threshold: int = DEFAULT_THRESHOLD,
+        breaker_cooldown: float = DEFAULT_COOLDOWN,
+        default_deadline: Optional[float] = None,
+        cache=None,
+        faults: Optional[FaultPlan] = None,
+        crash_dir: Optional[str] = None,
+        start_delay: float = 0.0,
+        worker_id: Optional[int] = None,
+        exit_with_parent: bool = False,
+        cache_dir: Optional[str] = None,
+        lease_ttl: Optional[float] = None,
+    ):
+        from repro.bench.cache import (
+            CompileCache,
+            cache_enabled,
+            default_cache,
+        )
+
+        super().__init__(socket_path, _Stats())
+        self.workers = max(1, workers)
+        # Fleet-worker knobs: 'start_delay' delays the socket bind (the
+        # 'slowstart' fleet fault), 'worker_id' tags status payloads so
+        # the supervisor can tell shards apart, and 'exit_with_parent'
+        # makes the process die when its supervisor does (orphan
+        # watchdog polling the original parent pid).
+        self.start_delay = max(0.0, start_delay)
+        self.worker_id = worker_id
+        self.exit_with_parent = exit_with_parent
+        self._parent_pid = os.getppid() if exit_with_parent else None
+        self.queue_limit = max(1, queue_limit)
+        self.default_deadline = default_deadline
+        if cache is not None:
+            self.cache = cache
+        elif cache_dir is not None:
+            # An explicit shared directory (the fleet's): honoured even
+            # when it differs from $REPRO_CACHE_DIR, still subject to
+            # the REPRO_CACHE=off kill switch.
+            self.cache = (
+                CompileCache(cache_dir, lease_ttl=lease_ttl)
+                if cache_enabled() else None
+            )
+        else:
+            self.cache = default_cache()
+        if self.cache is not None and lease_ttl is not None:
+            self.cache.artifacts.ttl = lease_ttl
+        self.latency = LatencyRing()
+        self.breakers = BreakerBoard(breaker_threshold, breaker_cooldown)
+        # One long-lived plan shared by every compile, so arrival counts
+        # span requests: 'coalesce=raise@3' means "the third coalesce
+        # the *server* runs", which is how tests stage transient faults
+        # that the breaker then recovers from.
+        self.faults = (
+            faults if faults is not None else FaultPlan.from_env()
+        )
+        self.crash_dir = crash_dir or os.environ.get("REPRO_CRASH_DIR")
+        self._queue: "queue.Queue" = queue.Queue(maxsize=self.queue_limit)
+        self._tls = threading.local()
+        if self.faults is not None:
+            # One shared, thread-aware cancellation probe: each worker
+            # parks its own deadline in thread-local state, so a 'sleep'
+            # fault in one request can never be cut by another's clock.
+            self.faults.cancel_check = self._cancel
+        if (
+            self.faults is not None and self.cache is not None
+            and self.faults.disk_only()
+        ):
+            # Disk-fault plans target the artifact store itself, so the
+            # store draws from the same long-lived plan the server owns
+            # (arrival counts span requests, as with pass sites).
+            self.cache.artifacts.faults = self.faults
+
+    # -- lifecycle ----------------------------------------------------------
+    def start(self) -> None:
+        """Bind the socket and spawn the accept + worker threads."""
+        if self.start_delay:
+            time.sleep(self.start_delay)
+        super().start()
+        if self.exit_with_parent:
+            self._start_thread(self._orphan_watch, "repro-orphan-watch")
+        for index in range(self.workers):
+            self._start_thread(self._worker_loop, f"repro-worker-{index}")
+
+    def _drain(self) -> None:
+        # Sentinels queue *behind* already-accepted work: FIFO order
+        # means every accepted request is answered before exit.
+        for _ in range(self.workers):
+            self._queue.put(_SHUTDOWN)
+
+    def _orphan_watch(self) -> None:
+        """Exit hard if the supervisor that spawned us disappears.
+
+        A fleet worker with no supervisor has no one to restart it, no
+        one heartbeating it, and a socket nobody routes to; lingering
+        would leak a process per supervisor crash.  Reparenting (getppid
+        changes, typically to 1) is the portable death signal.
+        """
+        while not self._stopping.is_set():
+            if os.getppid() != self._parent_pid:
+                os._exit(0)
+            self._stopped.wait(0.5)
+            if self._stopped.is_set():
+                return
+
+    def _accept_work(
+        self, conn: _Connection, request: dict, received_at: float
+    ) -> None:
         try:
-            self._queue.put_nowait(item)
+            self._queue.put_nowait((request, conn, received_at))
             self.stats.bump("accepted")
         except queue.Full:
             # Load shedding: answer now, let the client back off.
             self.stats.bump("rejected")
             conn.send(protocol.make_response(
-                request_id, protocol.STATUS_REJECTED,
+                request.get("id"), protocol.STATUS_REJECTED,
                 error=(
                     f"request queue is full "
                     f"({self.queue_limit} outstanding); retry with backoff"
@@ -593,8 +633,7 @@ class CompileServer:
 
                 program = cached_compile_minic(
                     request["source"], machine, config,
-                    cache=self.cache, flight=self.flight,
-                    cancel=self._cancel, faults=plan,
+                    cache=self.cache, cancel=self._cancel, faults=plan,
                 )
             else:
                 program = compile_minic(
@@ -776,6 +815,10 @@ class CompileServer:
             },
             "breakers": self.breakers.snapshot(),
             "cache": self.cache.stats() if self.cache is not None else None,
-            "single_flight_shared": self.flight.shared,
+            # Requests that waited on another worker's lease and then
+            # read its artifact instead of compiling (role 'dedup').
+            "single_flight_shared": (
+                self.cache.dedups if self.cache is not None else 0
+            ),
             "latency": self.latency.snapshot(),
         }

@@ -15,7 +15,7 @@ alive:
   uncatchable;
 * restart with exponential backoff, where the backoff exponent counts
   *consecutive short-lived* lives only: a worker that stayed up past
-  ``stable_after`` seconds has proven the binary sound, so its next
+  :data:`STABLE_AFTER` seconds has proven the binary sound, so its next
   crash restarts fast again.
 
 Routing, request requeue, and quarantine live one layer up in
@@ -48,21 +48,21 @@ WORKER_STATES = (
 
 DEFAULT_HEARTBEAT_INTERVAL = 0.25
 DEFAULT_HEARTBEAT_TIMEOUT = 2.0
-DEFAULT_RESTART_BACKOFF_BASE = 0.05
-DEFAULT_RESTART_BACKOFF_CAP = 2.0
+RESTART_BACKOFF_BASE = 0.05
+RESTART_BACKOFF_CAP = 2.0
 #: Uptime after which a worker is considered proven and its crash
 #: streak resets (a long-lived worker's eventual death is news, not a
 #: crash loop).
-DEFAULT_STABLE_AFTER = 5.0
+STABLE_AFTER = 5.0
 #: How long a freshly spawned worker may take to answer its first ping
 #: before the supervisor gives up on this life and respawns.
-DEFAULT_SPAWN_GRACE = 15.0
+SPAWN_GRACE = 15.0
 
 
 def restart_backoff(
     streak: int,
-    base: float = DEFAULT_RESTART_BACKOFF_BASE,
-    cap: float = DEFAULT_RESTART_BACKOFF_CAP,
+    base: float = RESTART_BACKOFF_BASE,
+    cap: float = RESTART_BACKOFF_CAP,
 ) -> float:
     """Seconds to wait before the next respawn after ``streak``
     consecutive short-lived lives (0 → ``base``)."""
@@ -153,21 +153,12 @@ class Worker:
         socket_path: str,
         log_path: str,
         command: Sequence[str],
-        env: Optional[Dict[str, str]] = None,
-        spawn_grace: float = DEFAULT_SPAWN_GRACE,
-        stable_after: float = DEFAULT_STABLE_AFTER,
-        backoff_base: float = DEFAULT_RESTART_BACKOFF_BASE,
-        backoff_cap: float = DEFAULT_RESTART_BACKOFF_CAP,
     ):
         self.index = index
         self.socket_path = socket_path
         self.log_path = log_path
         self.command = list(command)
-        self.env = worker_environment(env)
-        self.spawn_grace = spawn_grace
-        self.stable_after = stable_after
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
+        self.env = worker_environment()
 
         self.proc: Optional[subprocess.Popen] = None
         self.state = WORKER_STOPPED
@@ -224,13 +215,11 @@ class Worker:
         """Record the current process's death; returns the backoff to
         wait before respawning (and arms :attr:`restart_at`)."""
         self.last_exit = self.proc.poll() if self.proc is not None else None
-        if self.uptime() >= self.stable_after:
+        if self.uptime() >= STABLE_AFTER:
             self.streak = 0
         else:
             self.streak += 1
-        pause = restart_backoff(
-            self.streak, self.backoff_base, self.backoff_cap
-        )
+        pause = restart_backoff(self.streak)
         self.state = WORKER_BACKOFF
         self.restart_at = time.monotonic() + pause
         self.restarts += 1
@@ -258,14 +247,14 @@ class Worker:
     def heartbeat_stale(self, heartbeat_timeout: float) -> bool:
         """True when the hang detector should SIGKILL this process.
 
-        A *starting* worker gets ``spawn_grace`` instead — it may be
+        A *starting* worker gets :data:`SPAWN_GRACE` instead — it may be
         legitimately slow to bind (the ``slowstart`` fault exists to
         exercise exactly this).
         """
         if self.proc is None or self.exited():
             return False
         allowance = (
-            self.spawn_grace if self.state == WORKER_STARTING
+            SPAWN_GRACE if self.state == WORKER_STARTING
             else heartbeat_timeout
         )
         return time.monotonic() - self.last_ok > allowance

@@ -253,6 +253,9 @@ class TestFetchOrCompute:
         # acquire opens the lock file afresh, so threads of one process
         # contend for the lease exactly like separate processes do.
         store = make_store(tmp_path)
+        # Waiters in the holder's process are woken by its release, not
+        # by the poll: with a 60 s poll they must still finish in time.
+        store.poll_interval = 60
         barrier = threading.Barrier(8)
         produced = []
         roles = []
@@ -272,8 +275,9 @@ class TestFetchOrCompute:
         try:
             for thread in threads:
                 thread.start()
+            joined_by = time.monotonic() + 30  # one budget for all eight
             for thread in threads:
-                thread.join(timeout=30)
+                thread.join(timeout=max(0.0, joined_by - time.monotonic()))
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)

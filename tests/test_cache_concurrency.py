@@ -14,14 +14,10 @@ import json
 import os
 import subprocess
 import sys
-import threading
-
-import pytest
 
 from repro.bench.cache import (
     CACHE_SCHEMA,
     CompileCache,
-    SingleFlight,
     cache_key,
     cached_compile_minic,
     default_max_bytes,
@@ -335,80 +331,6 @@ class TestSizeCap:
         assert stats["hits"] == 1
         assert stats["misses"] == 1
         assert stats["max_bytes"] is None
-
-
-# -- single-flight dedup -----------------------------------------------------
-class TestSingleFlight:
-    def test_identical_keys_run_once(self):
-        flight = SingleFlight()
-        barrier = threading.Barrier(5)
-        calls = []
-        results = []
-        lock = threading.Lock()
-
-        def compute():
-            calls.append(1)
-            # Give the followers time to pile onto the same flight.
-            import time
-            time.sleep(0.1)
-            return "value"
-
-        def run():
-            barrier.wait()
-            result, shared = flight.do("key", compute)
-            with lock:
-                results.append((result, shared))
-
-        threads = [threading.Thread(target=run) for _ in range(5)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-        assert [r for r, _ in results] == ["value"] * 5
-        # The computation ran at most... exactly once for the whole pack
-        # when they all joined one flight; a scheduling straggler that
-        # missed the flight recomputes, but never more than the threads.
-        assert 1 <= len(calls) <= 2
-        assert any(shared for _, shared in results)
-        assert flight.shared >= 3
-
-    def test_different_keys_do_not_share(self):
-        flight = SingleFlight()
-        first, shared_first = flight.do("a", lambda: 1)
-        second, shared_second = flight.do("b", lambda: 2)
-        assert (first, second) == (1, 2)
-        assert not shared_first and not shared_second
-
-    def test_leader_error_propagates_to_followers(self):
-        flight = SingleFlight()
-        barrier = threading.Barrier(3)
-        outcomes = []
-        lock = threading.Lock()
-
-        def explode():
-            import time
-            time.sleep(0.1)
-            raise ValueError("boom")
-
-        def run():
-            barrier.wait()
-            try:
-                flight.do("key", explode)
-            except ValueError as exc:
-                with lock:
-                    outcomes.append(str(exc))
-
-        threads = [threading.Thread(target=run) for _ in range(3)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-        assert outcomes == ["boom"] * 3
-
-    def test_key_is_reusable_after_completion(self):
-        flight = SingleFlight()
-        assert flight.do("key", lambda: 1) == (1, False)
-        assert flight.do("key", lambda: 2) == (2, False)  # fresh flight
 
 
 # -- the cache CLI -----------------------------------------------------------

@@ -24,15 +24,17 @@ from repro.resilience.bundle import (
     prune_bundles,
     write_quarantine_bundle,
 )
-from repro.service.client import ServiceClient, wait_until_ready
-from repro.service.fleet import (
-    FleetSupervisor,
+from repro.service.chaos import (
+    EXPECTED_DOT,
+    audit_answers,
+    audit_fleet,
+    audit_journal,
     build_chaos_plan,
     build_chaos_workload,
     run_fleet_chaos,
-    shard_index,
-    shard_key,
 )
+from repro.service.client import ServiceClient, wait_until_ready
+from repro.service.fleet import FleetSupervisor, shard_index, shard_key
 from repro.service.supervisor import (
     WORKER_UP,
     restart_backoff,
@@ -329,6 +331,119 @@ class TestQuarantineFallback:
         assert response["error_type"] == "QuarantinedRequest"
         assert response["retryable"] is False
         assert response["quarantined"] is True
+
+
+# -- chaos audits on synthetic runs ------------------------------------------
+def synthetic_run():
+    """A clean two-request run: a compile and a known-answer simulate,
+    both answered in time, plus the fleet status after it."""
+    workload = [
+        {"op": "compile", "source": ADD_SRC, "deadline": 1.0},
+        {"op": "simulate", "source": DOT_SRC, "entry": "dot",
+         "deadline": 1.0},
+    ]
+    answers = [
+        {"status": "ok"},
+        {"status": "degraded", "result": EXPECTED_DOT},
+    ]
+    elapsed = [0.5, 0.5]
+    status = {
+        "fleet": {"worker_restarts": 1},
+        "workers": [{"state": WORKER_UP}, {"state": "backoff"}],
+    }
+    return workload, answers, elapsed, status
+
+
+KILL = FaultSpec("worker:0", "kill", hit=2)
+
+
+class TestChaosAudits:
+    def test_clean_run_has_no_problem(self):
+        workload, answers, elapsed, status = synthetic_run()
+        answers[0] = {
+            "status": "error", "error_type": "QuarantinedRequest",
+        }
+        assert audit_answers(workload, answers, elapsed) == []
+        assert audit_fleet([KILL], status) == []
+        events = [
+            {"ev": "compile", "key": "k1"},
+            {"ev": "publish", "key": "k1"},
+            {"ev": "hit", "key": "k1"},
+            # A stolen lease excuses the thief's compile, and the
+            # thief's fenced rival is the writer after the steal.
+            {"ev": "compile", "key": "k2"},
+            {"ev": "steal", "key": "k2"},
+            {"ev": "compile", "key": "k2"},
+            {"ev": "publish-fenced", "key": "k2"},
+            {"ev": "publish", "key": "k2"},
+        ]
+        assert audit_journal(events) == []
+
+    def test_lost_request(self):
+        workload, answers, elapsed, _ = synthetic_run()
+        answers[1] = None
+        [problem] = audit_answers(workload, answers, elapsed)
+        assert "request 1: LOST" in problem
+
+    def test_late_answer(self):
+        workload, answers, elapsed, _ = synthetic_run()
+        elapsed[0] = 2 * 1.0 + 5.0 + 0.1
+        [problem] = audit_answers(workload, answers, elapsed)
+        assert "request 0: answered but only after" in problem
+
+    def test_untyped_outcome(self):
+        workload, answers, elapsed, _ = synthetic_run()
+        answers[0] = {"status": "error", "error": "boom"}
+        [problem] = audit_answers(workload, answers, elapsed)
+        assert "request 0: untyped outcome 'error'" in problem
+
+    def test_wrong_simulate_answer(self):
+        workload, answers, elapsed, _ = synthetic_run()
+        answers[1]["result"] = EXPECTED_DOT + 1
+        [problem] = audit_answers(workload, answers, elapsed)
+        assert "request 1: simulate answered" in problem
+
+    def test_unexcused_compile_of_a_warm_key(self):
+        events = [
+            {"ev": "compile", "key": "k1"},
+            {"ev": "publish", "key": "k1"},
+            {"ev": "compile", "key": "k1"},
+        ]
+        [problem] = audit_journal(events)
+        assert "redundant compile of a warm key" in problem
+
+    def test_two_publishes_without_a_drop(self):
+        events = [
+            {"ev": "compile", "key": "k1"},
+            {"ev": "publish", "key": "k1"},
+            {"ev": "corrupt-drop", "key": "k1"},
+            {"ev": "compile", "key": "k1"},
+            {"ev": "publish", "key": "k1"},
+            {"ev": "publish", "key": "k1"},
+        ]
+        [problem] = audit_journal(events)
+        assert "link-once violated" in problem
+
+    def test_steal_with_no_writer(self):
+        events = [
+            {"ev": "steal", "key": "k1"},
+            {"ev": "compile", "key": "k1"},
+        ]
+        [problem] = audit_journal(events)
+        assert "stolen but no writer" in problem
+
+    def test_fired_kill_with_no_restart(self):
+        _, _, _, status = synthetic_run()
+        status["fleet"]["worker_restarts"] = 0
+        [problem] = audit_fleet([KILL], status)
+        assert "no worker was ever restarted" in problem
+        assert audit_fleet([], status) == []  # nothing fired, no debt
+
+    def test_no_live_worker_at_the_end(self):
+        _, _, _, status = synthetic_run()
+        status["workers"][0]["unreachable"] = True
+        [problem] = audit_fleet([KILL], status)
+        assert "no worker was alive" in problem
 
 
 # -- live fleet --------------------------------------------------------------

@@ -444,6 +444,75 @@ class TestServerBasics:
         assert not client_for(server, retries=0).ping()
 
 
+class TestDedupAndFrontEnd:
+    def test_concurrent_cold_compiles_share_one_lease(
+        self, service, monkeypatch
+    ):
+        import repro.bench.cache as cache_module
+
+        compile_for_real = cache_module.compile_minic
+
+        def slow_compile(*args, **kwargs):
+            time.sleep(0.3)  # hold the lease while the rival arrives
+            return compile_for_real(*args, **kwargs)
+
+        monkeypatch.setattr(cache_module, "compile_minic", slow_compile)
+        server = service(workers=2)
+        barrier = threading.Barrier(2)
+        responses = []
+
+        def send():
+            client = client_for(server)
+            barrier.wait(timeout=10)
+            responses.append(client.compile(DOT_SRC, config="coalesce-all"))
+
+        threads = [threading.Thread(target=send) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert [r["status"] for r in responses] == ["ok", "ok"]
+        assert server.cache.artifacts.counters()["compiles"] == 1
+        assert client_for(server).status()["single_flight_shared"] == 1
+
+    def test_closed_reader_ends_the_connection_like_eof(self, tmp_path):
+        import socket
+
+        from repro.service.server import _Connection
+
+        server = CompileServer(
+            socket_path=str(tmp_path / "unused.sock"),
+            cache=CompileCache(tmp_path / "cache"),
+        )
+        ours, theirs = socket.socketpair()
+        try:
+            conn = _Connection(ours)
+            conn.rfile.close()  # shutdown() got there between two reads
+            server._connection_loop(conn)  # returns; never raises
+        finally:
+            theirs.close()
+
+    def test_lease_ttl_without_cache_dir_sets_both_waits(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.service.artifacts import ArtifactStore
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "default"))
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
+        for ttl in (30.0, 0.2):
+            server = CompileServer(
+                socket_path=str(tmp_path / "unused.sock"), lease_ttl=ttl,
+            )
+            store = server.cache.artifacts
+            fresh = ArtifactStore(tmp_path / "fresh", ttl=ttl)
+            assert store.ttl == ttl
+            assert (store.wait_timeout, store.poll_interval) == (
+                fresh.wait_timeout, fresh.poll_interval
+            )
+        assert ArtifactStore(tmp_path / "long", ttl=30.0).wait_timeout \
+            == 120.0
+
+
 class TestLoadShedding:
     def test_full_queue_rejects_and_retry_succeeds(self, service):
         server = service(workers=1, queue_limit=1)
