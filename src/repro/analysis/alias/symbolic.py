@@ -309,12 +309,8 @@ def resolve_loop_base(
     """
     entry_sites = {
         site
-        for site in chains.reaching.reach_in.get(loop.header, ())
+        for site in chains.reaching.incoming(loop.header, reg_index)
         if site[0] not in loop.blocks
-        and any(
-            r.index == reg_index
-            for r in func.block(site[0]).instrs[site[1]].defs()
-        )
     }
     in_loop_defs = any(
         site[0] in loop.blocks

@@ -3,8 +3,9 @@
 Sparse optimizers (the worklist form of global constant propagation, the
 alias engine's symbolic address resolution) want to hop straight from a
 definition to its uses and back, instead of re-scanning blocks.  One
-linear sweep over the function — seeded with each block's incoming
-reaching sets — produces both directions.
+linear sweep over the function produces both directions; a register a
+block reads before defining it takes its incoming definitions from the
+reaching solution.
 
 A *use site* is ``(block_label, instr_index, reg_index)``; a *def site*
 is the usual ``(block_label, instr_index)`` pair of
@@ -39,22 +40,28 @@ class DefUseChains:
 
 
 def def_use_chains(func: Function) -> DefUseChains:
-    """Build def-use and use-def chains in one pass over ``func``."""
+    """Build def-use and use-def chains in one pass over ``func``.
+
+    Only the registers a block reads before defining them are looked up
+    in the reaching solution; every other use is reached by the block's
+    own latest definition.
+    """
     reaching = reaching_definitions(func)
     uses_of: Dict[DefSite, List[UseSite]] = {}
     defs_for: Dict[UseSite, Tuple[DefSite, ...]] = {}
-    for label in reaching.reach_in:
-        block = func.block(label)
-        current: Dict[int, Tuple[DefSite, ...]] = dict(
-            reaching._incoming(label)
-        )
-        for index, instr in enumerate(block.instrs):
+    for label in reaching.reach_in_bits:
+        current: Dict[int, Tuple[DefSite, ...]] = {}
+        for index, instr in enumerate(reaching.blocks[label].instrs):
             seen = set()
             for reg in instr.uses():
                 if reg.index in seen:
                     continue
                 seen.add(reg.index)
-                sites = current.get(reg.index, ())
+                sites = current.get(reg.index)
+                if sites is None:
+                    sites = current[reg.index] = reaching.incoming(
+                        label, reg.index
+                    )
                 use = (label, index, reg.index)
                 defs_for[use] = sites
                 for site in sites:

@@ -4,9 +4,15 @@ Every pass in the cleanup fixpoint used to recompute its dataflow from
 scratch — ROADMAP's profile showed ``cleanup``/``global_const_prop``
 spending ~95% of compile time rebuilding reaching definitions the
 previous pass had already built.  The manager memoizes analyses per
-function; a pass that changes a function reports which analyses it
-*preserves* (via a ``preserves`` attribute on the pass callable, a set of
-analysis names) and the manager drops everything else.
+function.  A pass that changes a function retires them itself: passes
+are declared with :func:`repro.opt.pass_manager.function_pass`, which
+names the analyses the pass *preserves* and, on a change, drops
+everything else.
+
+The manager also records, per function, which passes are *settled*:
+their last run on the function's current IR changed nothing, so the
+cleanup fixpoint skips them.  Any invalidation of the function forgets
+those records, whatever it preserves.
 
 Registered analyses:
 
@@ -30,7 +36,7 @@ manager kept around between compilations leaks nothing.
 from __future__ import annotations
 
 import weakref
-from typing import Callable, Dict, FrozenSet, Iterable, Optional
+from typing import Callable, Dict, FrozenSet, Iterable, Optional, Set
 
 from repro.errors import ReproError
 from repro.ir.function import Function
@@ -73,6 +79,8 @@ class AnalysisManager:
     def __init__(self) -> None:
         self._cache: "weakref.WeakKeyDictionary[Function, Dict[str, object]]"
         self._cache = weakref.WeakKeyDictionary()
+        self._settled: "weakref.WeakKeyDictionary[Function, Set[str]]"
+        self._settled = weakref.WeakKeyDictionary()
         self.hits = 0
         self.misses = 0
 
@@ -105,18 +113,34 @@ class AnalysisManager:
     def memdep(self, func: Function):
         return self.get(func, "memdep")
 
+    # -- settled passes -----------------------------------------------------
+    def is_settled(self, func: Function, pass_name: str) -> bool:
+        """Whether ``pass_name`` last ran on ``func``'s current IR and
+        changed nothing.  Neither a hit nor a miss."""
+        settled = self._settled.get(func)
+        return settled is not None and pass_name in settled
+
+    def settle(self, func: Function, pass_name: str) -> None:
+        """Record that ``pass_name`` just ran on ``func`` unchanged."""
+        settled = self._settled.get(func)
+        if settled is None:
+            settled = self._settled[func] = set()
+        settled.add(pass_name)
+
     # -- invalidation -------------------------------------------------------
     def invalidate(
         self,
         func: Function,
         preserved: Optional[Iterable[str]] = None,
     ) -> None:
-        """Drop ``func``'s cached analyses, keeping only ``preserved``.
+        """Drop ``func``'s cached analyses, keeping only ``preserved``,
+        and forget every pass settled on it.
 
         Called after a pass changed the function; the pass's ``preserves``
         declaration becomes ``preserved``.  An empty/absent declaration
         drops everything — conservatively correct for any mutation.
         """
+        self._settled.pop(func, None)
         entry = self._cache.get(func)
         if not entry:
             return
@@ -126,19 +150,6 @@ class AnalysisManager:
                 del entry[name]
 
     def clear(self) -> None:
-        """Drop every cached analysis for every function."""
+        """Drop every cached analysis and settled pass of every function."""
         self._cache.clear()
-
-
-def invalidate_after(pass_fn, manager: Optional[AnalysisManager],
-                     func: Function, changed) -> None:
-    """Apply ``pass_fn``'s ``preserves`` declaration to ``manager``.
-
-    ``changed`` falsy (and not ``None``) means the pass left the function
-    untouched, which preserves everything; ``None`` means the outcome is
-    unknown (a guarded stage that rolled back or returned no verdict) and
-    is treated as changed.
-    """
-    if manager is None or changed is False:
-        return
-    manager.invalidate(func, getattr(pass_fn, "preserves", None))
+        self._settled.clear()

@@ -6,11 +6,17 @@ IV needs *all* its in-loop definitions to be increments).
 
 The solver numbers every definition site and runs the classic bitvector
 fixpoint over Python ints (``out = (in & ~kill) | gen``), which is orders
-of magnitude cheaper than juggling sets of tuples.  Queries are sparse:
-:meth:`ReachingDefs.reaching_at` binary-searches the per-register list of
-definition positions inside the block instead of walking the block prefix,
-so a full-function sweep of queries is ``O(uses · log defs)`` rather than
-the old ``O(instructions²)``.
+of magnitude cheaper than juggling sets of tuples.  The solution stays in
+that form: the definitions of a register reaching a block's entry are
+``reach_in_bits[label] & reg_mask[reg]``, decoded into sites only when a
+query asks about that (block, register) pair, and memoized.  Queries are
+sparse: :meth:`ReachingDefs.reaching_at` binary-searches the per-register
+list of definition positions inside the block instead of walking the
+block prefix, so a full-function sweep of queries is
+``O(uses · log defs)`` rather than the old ``O(instructions²)``.
+
+Site tuples come out in site-number order (reverse postorder of the
+blocks, then instruction order); callers treat them as sets.
 """
 
 from __future__ import annotations
@@ -20,60 +26,73 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.cfgutil import predecessors, reachable_labels, \
     reverse_postorder
-from repro.ir.function import Function
+from repro.ir.function import BasicBlock, Function
 
 DefSite = Tuple[str, int]
 
 
 class ReachingDefs:
-    """Reaching-definition sets plus convenience queries."""
+    """Reaching-definition bitsets plus convenience queries."""
 
     def __init__(
         self,
         func: Function,
-        reach_in: Dict[str, Set[DefSite]],
+        blocks: Dict[str, BasicBlock],
+        sites: List[DefSite],
+        reach_in_bits: Dict[str, int],
+        reg_mask: Dict[int, int],
         defs_of: Dict[int, Set[DefSite]],
     ):
         self.func = func
-        self.reach_in = reach_in
+        #: label -> block, for every block of ``func``.
+        self.blocks = blocks
+        #: site number -> definition site.
+        self.sites = sites
+        #: reachable label (reverse postorder) -> bits of the sites
+        #: reaching its entry.
+        self.reach_in_bits = reach_in_bits
+        #: register index -> bits of the sites defining it.
+        self.reg_mask = reg_mask
         self.defs_of = defs_of
-        # label -> reg index -> sorted instruction positions defining it.
+        # label -> reg index -> sorted instruction positions defining it
+        # (built per block on its first query).
         self._block_defs: Dict[str, Dict[int, List[int]]] = {}
-        for label in reach_in:
-            per_reg: Dict[int, List[int]] = {}
-            for index, instr in enumerate(func.block(label).instrs):
-                for reg in instr.defs():
-                    per_reg.setdefault(reg.index, []).append(index)
-            self._block_defs[label] = per_reg
-        # label -> reg index -> sites from reach_in defining that reg
-        # (built lazily; most blocks are never queried).
-        self._in_by_reg: Dict[str, Dict[int, Tuple[DefSite, ...]]] = {}
+        # (label, reg index) -> decoded incoming sites.
+        self._incoming: Dict[Tuple[str, int], Tuple[DefSite, ...]] = {}
 
-    def _incoming(self, label: str) -> Dict[int, Tuple[DefSite, ...]]:
-        cached = self._in_by_reg.get(label)
-        if cached is not None:
-            return cached
-        grouped: Dict[int, List[DefSite]] = {}
-        for site in self.reach_in.get(label, ()):
-            site_label, position = site
-            instr = self.func.block(site_label).instrs[position]
-            for reg in instr.defs():
-                grouped.setdefault(reg.index, []).append(site)
-        frozen = {reg: tuple(sites) for reg, sites in grouped.items()}
-        self._in_by_reg[label] = frozen
-        return frozen
+    def incoming(self, label: str, reg_index: int) -> Tuple[DefSite, ...]:
+        """Definitions of ``reg_index`` reaching the entry of ``label``."""
+        key = (label, reg_index)
+        sites = self._incoming.get(key)
+        if sites is None:
+            bits = self.reach_in_bits.get(label, 0) & self.reg_mask.get(
+                reg_index, 0
+            )
+            sites = self._incoming[key] = _sites_from_mask(self.sites, bits)
+        return sites
+
+    def _positions(self, label: str) -> Dict[int, List[int]]:
+        per_reg = self._block_defs.get(label)
+        if per_reg is None:
+            per_reg = {}
+            if label in self.reach_in_bits:
+                for index, instr in enumerate(self.blocks[label].instrs):
+                    for reg in instr.defs():
+                        per_reg.setdefault(reg.index, []).append(index)
+            self._block_defs[label] = per_reg
+        return per_reg
 
     def reaching_at(
         self, label: str, index: int, reg_index: int
     ) -> Set[DefSite]:
         """Definitions of ``reg_index`` reaching instruction ``index`` of
         block ``label``."""
-        positions = self._block_defs.get(label, {}).get(reg_index)
+        positions = self._positions(label).get(reg_index)
         if positions:
             at = bisect_left(positions, index) - 1
             if at >= 0:
                 return {(label, positions[at])}
-        return set(self._incoming(label).get(reg_index, ()))
+        return set(self.incoming(label, reg_index))
 
     def unique_def_at(
         self, label: str, index: int, reg_index: int
@@ -86,6 +105,7 @@ class ReachingDefs:
 
 def reaching_definitions(func: Function) -> ReachingDefs:
     """Solve the forward reaching-definitions dataflow problem."""
+    blocks = {block.label: block for block in func.blocks}
     reachable = reachable_labels(func)
     order = [l for l in reverse_postorder(func) if l in reachable]
     labels_set = set(order)
@@ -98,9 +118,8 @@ def reaching_definitions(func: Function) -> ReachingDefs:
     gen_mask: Dict[str, int] = {}
     kill_regs: Dict[str, List[int]] = {}
     for label in order:
-        block = func.block(label)
         last_def: Dict[int, int] = {}  # reg -> site number
-        for index, instr in enumerate(block.instrs):
+        for index, instr in enumerate(blocks[label].instrs):
             regs = instr.defs()
             if not regs:
                 continue
@@ -138,11 +157,9 @@ def reaching_definitions(func: Function) -> ReachingDefs:
                 reach_out_bits[label] = out
                 changed = True
 
-    reach_in: Dict[str, Set[DefSite]] = {
-        label: _sites_from_mask(sites, bits)
-        for label, bits in reach_in_bits.items()
-    }
-    return ReachingDefs(func, reach_in, defs_of)
+    return ReachingDefs(
+        func, blocks, sites, reach_in_bits, reg_mask, defs_of
+    )
 
 
 def _union_masks(reg_mask: Dict[int, int], regs: List[int]) -> int:
@@ -152,12 +169,11 @@ def _union_masks(reg_mask: Dict[int, int], regs: List[int]) -> int:
     return mask
 
 
-def _sites_from_mask(sites: List[DefSite], bits: int) -> Set[DefSite]:
-    result: Set[DefSite] = set()
-    number = 0
+def _sites_from_mask(sites: List[DefSite], bits: int) -> Tuple[DefSite, ...]:
+    """The sites whose numbers are set in ``bits``, lowest first."""
+    result = []
     while bits:
-        if bits & 1:
-            result.add(sites[number])
-        bits >>= 1
-        number += 1
-    return result
+        low = bits & -bits
+        result.append(sites[low.bit_length() - 1])
+        bits ^= low
+    return tuple(result)

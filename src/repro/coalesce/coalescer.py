@@ -41,7 +41,7 @@ from repro.coalesce.profitability import (
 from repro.coalesce.shapes import AFFINE, STRIDED, classify_partition
 from repro.coalesce.widen import apply_plans, widen_run
 from repro.ir.function import BasicBlock, Function
-from repro.opt.pass_manager import PassContext
+from repro.opt.pass_manager import PassContext, function_pass
 
 
 @dataclass
@@ -99,6 +99,7 @@ def coalescible_widths(machine) -> tuple:
     return tuple(sorted((w for w in widths if w >= 2), reverse=True))
 
 
+@function_pass()
 def coalesce_function(
     func: Function,
     ctx: PassContext,

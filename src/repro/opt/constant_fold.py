@@ -19,7 +19,7 @@ from repro.ir.rtl import (
     Reg,
     UnOp,
 )
-from repro.opt.pass_manager import PassContext
+from repro.opt.pass_manager import PassContext, function_pass
 
 
 def _signed(value: int, bits: int) -> int:
@@ -136,6 +136,7 @@ def _simplify_algebraic(instr: BinOp) -> Optional[object]:
     return None
 
 
+@function_pass()
 def constant_fold(func: Function, ctx: PassContext) -> bool:
     """Fold constant expressions and resolve constant branches."""
     bits = ctx.machine.word_bits

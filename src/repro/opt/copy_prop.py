@@ -14,7 +14,7 @@ from typing import Dict
 from repro.analysis.liveness import liveness
 from repro.ir.function import Function
 from repro.ir.rtl import Call, Const, Instr, Mov, Operand, Reg
-from repro.opt.pass_manager import PassContext
+from repro.opt.pass_manager import PassContext, function_pass
 
 
 def _propagate_in_block(block) -> bool:
@@ -193,6 +193,9 @@ def _add_const_of(instr, reg_index: int):
     return None
 
 
+# Deletes and rewrites straight-line instructions only; terminator
+# targets and the block list are untouched.
+@function_pass(preserves={"dominators"})
 def copy_propagate(func: Function, ctx: PassContext) -> bool:
     changed = False
     for block in func.blocks:
@@ -200,8 +203,3 @@ def copy_propagate(func: Function, ctx: PassContext) -> bool:
     changed |= _coalesce_copies(func)
     changed |= _rematerialize_increments(func)
     return changed
-
-
-#: Deletes and rewrites straight-line instructions only; terminator
-#: targets and the block list are untouched.
-copy_propagate.preserves = frozenset({"dominators"})

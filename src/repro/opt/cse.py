@@ -9,7 +9,7 @@ at *different* addresses, which CSE cannot touch (§2.1 of the paper).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.ir.function import Function
 from repro.ir.rtl import (
@@ -28,7 +28,7 @@ from repro.ir.rtl import (
     UnOp,
     COMMUTATIVE_OPS,
 )
-from repro.opt.pass_manager import PassContext
+from repro.opt.pass_manager import PassContext, function_pass
 
 
 def _operand_key(value: Operand) -> Tuple[str, int]:
@@ -78,73 +78,88 @@ def _expression_key(instr) -> Optional[Tuple]:
     return None
 
 
+class _Available:
+    """The block's available expressions, filed by the registers that can
+    retire them: each entry under every register its key reads and
+    under the register holding its result.  Loads are also kept apart,
+    since a store or a call retires them all.  Retiring a register
+    costs only the entries filed under it."""
+
+    __slots__ = ("result", "files", "loads")
+
+    def __init__(self) -> None:
+        self.result: Dict[Tuple, Reg] = {}
+        self.files: Dict[int, Set[Tuple]] = {}
+        self.loads: Set[Tuple] = set()
+
+    def add(self, key: Tuple, reads: Set[int], result: Reg) -> None:
+        self.result[key] = result
+        for reg_index in reads | {result.index}:
+            self.files.setdefault(reg_index, set()).add(key)
+        if key[0] == "load":
+            self.loads.add(key)
+
+    def _drop(self, key: Tuple) -> None:
+        result = self.result.pop(key)
+        for reg_index in _key_regs(key) | {result.index}:
+            filed = self.files.get(reg_index)
+            if filed is not None:
+                filed.discard(key)
+        self.loads.discard(key)
+
+    def retire(self, defined) -> None:
+        """Drop the entries a definition of ``defined`` makes stale."""
+        for reg in defined:
+            for key in self.files.pop(reg.index, ()):
+                self._drop(key)
+
+    def retire_loads(self) -> None:
+        for key in list(self.loads):
+            self._drop(key)
+
+
+# Block-local rewrites only — the dominator tree survives.
+@function_pass(preserves={"dominators"})
 def local_cse(func: Function, ctx: PassContext) -> bool:
     changed = False
     for block in func.blocks:
-        available: Dict[Tuple, Reg] = {}
+        available = _Available()
         new_instrs = []
         for instr in block.instrs:
             key = _expression_key(instr)
-            # Never rewrite a self-referencing computation like
-            # ``i = add i, 1`` into a copy: it costs nothing and hides
-            # the induction variable from the loop analyses.
-            if key is not None and any(
-                _key_reads(key, {r.index}) for r in instr.defs()
-            ):
-                new_instrs.append(instr)
-                defined = {r.index for r in instr.defs()}
-                stale = [
-                    k
-                    for k, result in available.items()
-                    if result.index in defined or _key_reads(k, defined)
-                ]
-                for k in stale:
-                    available.pop(k, None)
-                continue
-            if key is not None and key in available:
-                # Reuse the earlier result.
-                replacement = Mov(instr.defs()[0], available[key])
-                new_instrs.append(replacement)
-                changed = True
-                instr = replacement
-                key = None  # a Mov adds nothing to the table
-            else:
-                new_instrs.append(instr)
-
-            # Invalidate entries whose inputs or results were redefined.
-            defined = {r.index for r in instr.defs()}
-            if defined:
-                stale = [
-                    k
-                    for k, result in available.items()
-                    if result.index in defined or _key_reads(k, defined)
-                ]
-                for k in stale:
-                    available.pop(k, None)
+            defined = instr.defs()
+            if key is not None:
+                reads = _key_regs(key)
+                # Never rewrite a self-referencing computation like
+                # ``i = add i, 1`` into a copy: it costs nothing and
+                # hides the induction variable from the loop analyses.
+                # Its inputs are stale once it runs, so it is not
+                # recorded either.
+                if any(r.index in reads for r in defined):
+                    new_instrs.append(instr)
+                    available.retire(defined)
+                    continue
+                result = available.result.get(key)
+                if result is not None:
+                    # Reuse the earlier result; a Mov adds nothing to
+                    # the table.
+                    instr = Mov(defined[0], result)
+                    changed = True
+                    key = None
+            new_instrs.append(instr)
+            available.retire(defined)
             if isinstance(instr, (Store, Call)):
-                for k in [k for k in available if k[0] == "load"]:
-                    available.pop(k)
-
-            # Record the new expression unless it reads its own result
-            # (e.g. ``r4 = add r4, 1``), whose inputs are already stale.
-            if key is not None and not _key_reads(key, defined):
-                available[key] = instr.defs()[0]
+                available.retire_loads()
+            if key is not None:
+                available.add(key, reads, defined[0])
         block.instrs = new_instrs
     return changed
 
 
-def _key_reads(key: Tuple, reg_indices: set) -> bool:
-    """Whether any register operand baked into ``key`` was redefined."""
-    for part in key:
-        if (
-            isinstance(part, tuple)
-            and len(part) == 2
-            and part[0] == "r"
-            and part[1] in reg_indices
-        ):
-            return True
-    return False
-
-
-#: Block-local rewrites only — the dominator tree survives.
-local_cse.preserves = frozenset({"dominators"})
+def _key_regs(key: Tuple) -> Set[int]:
+    """The registers whose operands are baked into ``key``."""
+    return {
+        part[1]
+        for part in key
+        if isinstance(part, tuple) and len(part) == 2 and part[0] == "r"
+    }

@@ -17,13 +17,15 @@ from typing import Dict, List, Set
 
 from repro.ir.function import Function
 from repro.ir.rtl import Call, Instr, Store
-from repro.opt.pass_manager import PassContext
+from repro.opt.pass_manager import PassContext, function_pass
 
 
 def _observable(instr: Instr) -> bool:
     return instr.is_terminator or isinstance(instr, (Store, Call))
 
 
+# Removes straight-line instructions; the CFG shape is untouched.
+@function_pass(preserves={"dominators"})
 def dead_code_elimination(func: Function, ctx: PassContext) -> bool:
     # All definition sites per register index.
     defs_of: Dict[int, List[Instr]] = {}
@@ -60,7 +62,3 @@ def dead_code_elimination(func: Function, ctx: PassContext) -> bool:
             changed = True
             block.instrs = kept
     return changed
-
-
-#: Removes straight-line instructions; the CFG shape is untouched.
-dead_code_elimination.preserves = frozenset({"dominators"})

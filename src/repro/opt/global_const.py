@@ -30,9 +30,13 @@ from typing import Dict, Optional, Set
 from repro.analysis.defuse import DefUseChains, def_use_chains
 from repro.ir.function import Function
 from repro.ir.rtl import Const, Load, Mov, Reg, Store
-from repro.opt.pass_manager import PassContext
+from repro.opt.pass_manager import PassContext, function_pass
 
 
+# Rewrites operands in place: definition sites, the CFG, and therefore
+# the reaching-definition solution all survive unchanged.  (The def-use
+# chains do not — this pass consumes the uses it rewrites.)
+@function_pass(preserves={"reaching", "dominators"})
 def global_const_prop(func: Function, ctx: PassContext) -> bool:
     analyses = getattr(ctx, "analyses", None)
     chains: DefUseChains = (
@@ -41,15 +45,15 @@ def global_const_prop(func: Function, ctx: PassContext) -> bool:
     )
 
     # Seed: every definition site that moves a constant.
+    blocks = chains.reaching.blocks
     const_of: Dict[tuple, int] = {}
     worklist = deque()
-    for sites in chains.reaching.defs_of.values():
-        for site in sites:
-            label, index = site
-            instr = func.block(label).instrs[index]
-            if isinstance(instr, Mov) and isinstance(instr.src, Const):
-                const_of[site] = instr.src.value
-                worklist.append(site)
+    for site in chains.reaching.sites:
+        label, index = site
+        instr = blocks[label].instrs[index]
+        if isinstance(instr, Mov) and isinstance(instr.src, Const):
+            const_of[site] = instr.src.value
+            worklist.append(site)
 
     changed = False
     rewritten: Set[tuple] = set()
@@ -75,7 +79,7 @@ def global_const_prop(func: Function, ctx: PassContext) -> bool:
                         ctx, func, use, sorted(set(values)), reported
                     )
                     continue
-                instr = func.block(label).instrs[index]
+                instr = blocks[label].instrs[index]
                 if (
                     isinstance(instr, (Load, Store))
                     and instr.base.index == reg_index
@@ -94,12 +98,6 @@ def global_const_prop(func: Function, ctx: PassContext) -> bool:
                         const_of[own_site] = instr.src.value
                         worklist.append(own_site)
     return changed
-
-
-#: Rewrites operands in place: definition sites, the CFG, and therefore
-#: the reaching-definition solution all survive unchanged.  (The def-use
-#: chains do not — this pass consumes the uses it rewrites.)
-global_const_prop.preserves = frozenset({"reaching", "dominators"})
 
 
 def _report_conflict(

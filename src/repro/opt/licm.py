@@ -25,7 +25,7 @@ from repro.ir.rtl import (
     Reg,
     UnOp,
 )
-from repro.opt.pass_manager import PassContext
+from repro.opt.pass_manager import PassContext, function_pass
 
 _PURE_KINDS = (BinOp, UnOp, Mov, FrameAddr, GlobalAddr, Extract)
 
@@ -40,6 +40,7 @@ def _loop_defs(func: Function, loop) -> Dict[int, int]:
     return counts
 
 
+@function_pass()
 def loop_invariant_code_motion(func: Function, ctx: PassContext) -> bool:
     changed = False
     for loop in find_loops(func):
@@ -51,7 +52,10 @@ def loop_invariant_code_motion(func: Function, ctx: PassContext) -> bool:
         moved = True
         while moved:
             moved = False
-            for label in list(loop.blocks):
+            # Layout order, not set order: the hoist order must not
+            # depend on string hashing.
+            in_loop = [b.label for b in func.blocks if b.label in loop.blocks]
+            for label in in_loop:
                 if not all(
                     dominates(idom, label, latch) for latch in loop.latches
                 ):

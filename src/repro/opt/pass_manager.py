@@ -1,13 +1,24 @@
-"""Pass context and the cleanup fixpoint.
+"""Pass context, pass declaration and the cleanup fixpoint.
 
-A pass is a callable ``pass_fn(func, ctx) -> bool`` returning whether it
-changed anything.  Pipeline stages and standalone passes run through
+A pass is a callable ``pass_fn(func, ctx, ...)`` declared with
+:func:`function_pass`, returning whether it changed the function: a
+bool, a list of reports (a change when any report ``applied``), or any
+other result, which counts as a change (:func:`reported_change`).  The
+declaration is how cached dataflow stays current: when the pass reports
+a change, it retires the function's analyses on ``ctx.analyses``,
+keeping only the ones it declares it ``preserves``.  So a pass called
+directly, outside any pipeline stage, leaves no stale analysis behind.
+
+Pipeline stages and standalone passes run through
 :meth:`repro.resilience.transaction.PassGuard.stage`, which records
 their statistics, verifies, runs the differential sanitizer and rolls
 back a failed stage.  Inside a stage, :func:`run_to_fixpoint` iterates
 a pass bundle (``cleanup``) until nothing changes, verifying the IR
 after every pass that changed it so a transformation bug is caught at
-its source.
+its source.  A pass whose last run on the function's current IR changed
+nothing is *settled* there: the fixpoint skips it until some pass
+changes the function again, so a ``cleanup`` on a function nothing
+touched since the last one runs no pass at all.
 
 The context carries what every pass may need: the target machine, the
 sanitizer's diagnostic ``sink``, per-pass ``stats`` (changed/unchanged
@@ -16,11 +27,12 @@ and wall-clock timing for every invocation) and the analysis cache.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
-from repro.analysis.manager import AnalysisManager, invalidate_after
+from repro.analysis.manager import AnalysisManager
 from repro.ir.function import Function
 from repro.ir.verifier import verify_function
 from repro.machine.machine import MachineDescription
@@ -38,9 +50,8 @@ class PassContext:
     sink: Optional[object] = None
     # pass name -> {"runs": int, "changed": int, "seconds": float}
     stats: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    # Cached dataflow (repro.analysis.manager).  A pass that changes a
-    # function must let the manager know; declaring a ``preserves`` set
-    # on the pass callable keeps the named analyses alive across it.
+    # Cached dataflow and settled passes (repro.analysis.manager).  A
+    # pass declared with ``function_pass`` retires what it invalidates.
     analyses: AnalysisManager = field(default_factory=AnalysisManager)
 
     @property
@@ -60,28 +71,71 @@ class PassContext:
         entry["seconds"] += seconds
 
 
+def reported_change(result) -> bool:
+    """Whether a pass or stage result reports a change to the IR."""
+    if isinstance(result, bool):
+        return result
+    if isinstance(result, list):
+        return any(getattr(r, "applied", True) for r in result)
+    return True
+
+
+def function_pass(preserves: Iterable[str] = ()):
+    """Declare a pass and the analyses its changes leave valid.
+
+    The decorated pass keeps its name and signature.  When a call
+    reports a change, the function's cached analyses other than
+    ``preserves`` are dropped from ``ctx.analyses``, and so is the
+    record of which passes are settled on it.
+    """
+    kept = frozenset(preserves)
+
+    def declare(pass_fn):
+        @functools.wraps(pass_fn)
+        def run(func, ctx=None, *args, **kwargs):
+            result = pass_fn(func, ctx, *args, **kwargs)
+            analyses = getattr(ctx, "analyses", None)
+            if analyses is not None and reported_change(result):
+                analyses.invalidate(func, kept)
+            return result
+
+        return run
+
+    return declare
+
+
 def run_to_fixpoint(
     func: Function,
     ctx: PassContext,
     passes: List[PassFn],
     max_rounds: int = 20,
 ) -> bool:
-    """Iterate ``passes`` until none of them changes the function."""
+    """Iterate ``passes`` until none of them changes the function.
+
+    A pass settled on ``func`` is skipped, neither run nor recorded; a
+    pass that ran and changed nothing becomes settled.  The passes must
+    be declared with :func:`function_pass`, whose invalidation on a
+    change is what unsettles them.
+    """
+    analyses = ctx.analyses
     ever_changed = False
     for _ in range(max_rounds):
         changed = False
         for pass_fn in passes:
-            name = getattr(pass_fn, "__name__", str(pass_fn))
+            name = pass_fn.__name__
+            if analyses.is_settled(func, name):
+                continue
             started = time.perf_counter()
-            pass_changed = bool(pass_fn(func, ctx))
+            pass_changed = reported_change(pass_fn(func, ctx))
             ctx.record_pass(
                 name, pass_changed, time.perf_counter() - started
             )
-            invalidate_after(pass_fn, ctx.analyses, func, pass_changed)
             if pass_changed:
                 changed = True
                 if ctx.verify:
                     verify_function(func)
+            else:
+                analyses.settle(func, name)
         ever_changed = ever_changed or changed
         if not changed:
             return ever_changed
@@ -111,4 +165,3 @@ def cleanup(func: Function, ctx: PassContext) -> bool:
             dead_code_elimination,
         ],
     )
-

@@ -20,7 +20,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.ir.function import Function
 from repro.ir.rtl import BinOp, Const, Insert, Instr, Mov, Reg, Store, UnOp
-from repro.opt.pass_manager import PassContext
+from repro.opt.pass_manager import PassContext, function_pass
 
 
 def _ext_info(instr: Optional[Instr]) -> Optional[Tuple[str, int, Reg]]:
@@ -32,6 +32,9 @@ def _ext_info(instr: Optional[Instr]) -> Optional[Tuple[str, int, Reg]]:
     return None
 
 
+# Pure instruction rewrites: the CFG (and so the dominator tree)
+# survives untouched.
+@function_pass(preserves={"dominators"})
 def peephole(func: Function, ctx: PassContext) -> bool:
     changed = False
     for block in func.blocks:
@@ -101,8 +104,3 @@ def _still_valid(
         if any(r.index == source.index for r in middle.defs()):
             return False
     return True
-
-
-#: Pure instruction rewrites: the CFG (and so the dominator tree)
-#: survives untouched.
-peephole.preserves = frozenset({"dominators"})

@@ -27,7 +27,7 @@ from repro.analysis.liveness import liveness
 from repro.errors import PassError
 from repro.ir.function import Function
 from repro.ir.rtl import Instr, Load, Reg, Store
-from repro.opt.pass_manager import PassContext
+from repro.opt.pass_manager import PassContext, function_pass
 
 # Registers reserved for spill-code temporaries (an instruction reads at
 # most three registers).
@@ -131,6 +131,7 @@ def _scan(
     return assignment, spilled
 
 
+@function_pass()
 def allocate_registers(
     func: Function,
     ctx: PassContext,

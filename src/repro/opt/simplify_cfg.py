@@ -13,7 +13,7 @@ from typing import Dict
 from repro.analysis.cfgutil import predecessors, reachable_labels
 from repro.ir.function import Function
 from repro.ir.rtl import CondJump, Jump
-from repro.opt.pass_manager import PassContext
+from repro.opt.pass_manager import PassContext, function_pass
 
 
 def _remove_unreachable(func: Function) -> bool:
@@ -94,6 +94,7 @@ def _collapse_same_target_branches(func: Function) -> bool:
     return changed
 
 
+@function_pass()
 def simplify_cfg(func: Function, ctx: PassContext = None) -> bool:
     """Run all CFG clean-ups to a local fixpoint."""
     changed = False

@@ -38,7 +38,7 @@ from repro.analysis.loops import Loop, ensure_preheader, find_loops
 from repro.analysis.tripcount import analyze_trip_count
 from repro.ir.function import BasicBlock, Function
 from repro.ir.rtl import BinOp, CondJump, Const, Instr, Load, Mov, Reg, Store
-from repro.opt.pass_manager import PassContext
+from repro.opt.pass_manager import PassContext, function_pass
 
 _TO_UNSIGNED = {
     "lt": "ltu", "le": "leu", "gt": "gtu", "ge": "geu",
@@ -461,6 +461,7 @@ def _reuse_pointer(
         instr.disp += delta
 
 
+@function_pass()
 def strength_reduce(func: Function, ctx: PassContext) -> bool:
     """Run strength reduction + LFTR over every loop of ``func``."""
     changed = False

@@ -54,7 +54,7 @@ from repro.ir.rtl import (
     Reg,
     Store,
 )
-from repro.opt.pass_manager import PassContext
+from repro.opt.pass_manager import PassContext, function_pass
 
 _STRICT_RELS = frozenset({"lt", "gt", "ltu", "gtu"})
 _EQUAL_RELS = frozenset({"le", "ge", "leu", "geu"})
@@ -255,6 +255,7 @@ def _increment_pattern(instr: Instr, reg_index: int) -> Optional[int]:
     return None
 
 
+@function_pass()
 def unroll_counted_loop(
     func: Function,
     ctx: PassContext,
@@ -422,6 +423,7 @@ def choose_unroll_factor(
     return UnrollDecision(factor, reason)
 
 
+@function_pass()
 def unroll_function(
     func: Function,
     ctx: PassContext,

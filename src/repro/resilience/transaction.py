@@ -35,6 +35,7 @@ from repro.ir.function import Function, Module
 from repro.ir.parser import parse_module
 from repro.ir.printer import format_module
 from repro.ir.verifier import verify_function, verify_module
+from repro.opt.pass_manager import reported_change
 
 PASS_FAILURE_POLICIES = ("raise", "skip", "fallback")
 
@@ -98,15 +99,6 @@ def restore_module_text(module: Module, text: str) -> None:
             _adopt_function(live, replacement)
 
 
-def _changed(result) -> bool:
-    """The pipeline's historical did-anything-change heuristic."""
-    if isinstance(result, bool):
-        return result
-    if isinstance(result, list):
-        return any(getattr(r, "applied", True) for r in result)
-    return True
-
-
 class PassGuard:
     """Runs pipeline stages as transactions against a module snapshot.
 
@@ -162,27 +154,34 @@ class PassGuard:
         rolled back.  ``func`` names the function for per-function stages
         (``None`` for module-level ones like lowering/scheduling).
 
-        Afterwards the stage's cached dataflow is retired: a function
-        stage that touched its function (or whose outcome is unknown
-        after a rollback) invalidates that function's analyses, and a
-        module stage clears them all.  The passes inside
-        ``run_to_fixpoint`` already invalidate at pass granularity.
+        A stage that completes leaves ``ctx.analyses`` to its passes:
+        each one is declared with
+        :func:`repro.opt.pass_manager.function_pass` and retires the
+        analyses its own changes invalidate, so a stage that changed
+        nothing keeps everything cached and settled.  The guard retires
+        them itself only where it, not a pass, decided what the IR now
+        is: after a module stage, a disabled stage or a rollback (which
+        restores every function's blocks) it clears the whole cache,
+        and after a stage in which a fault fired it drops the
+        function's entry.
         """
-        result = self._transact(ctx, name, thunk, func)
-        if func is None:
+        if name in self.disabled:
+            ctx.record_pass(name, False, 0.0)
+            result, spec = None, None
+        else:
+            aliases = (f"{name}:{func.name}",) if func is not None else ()
+            spec = self.faults.draw(name, aliases) if self.faults else None
+            result = self._transact(ctx, name, thunk, func, spec)
+        if func is None or result is None:
             ctx.analyses.clear()
-        elif result is not False:
+        elif spec is not None:
             ctx.analyses.invalidate(func)
         return result
 
-    def _transact(self, ctx, name: str, thunk, func: Optional[Function]):
-        if name in self.disabled:
-            ctx.record_pass(name, False, 0.0)
-            return None
+    def _transact(self, ctx, name: str, thunk, func: Optional[Function],
+                  spec):
         invocation = self._arrivals[name] = self._arrivals.get(name, 0) + 1
         do_verify = self.armed and self.verify
-        aliases = (f"{name}:{func.name}",) if func is not None else ()
-        spec = self.faults.draw(name, aliases) if self.faults else None
 
         snapshot = snapshot_module_text(self.module) if self.armed else None
         behavior = None
@@ -220,7 +219,7 @@ class PassGuard:
         seconds = time.perf_counter() - started
 
         if error is None:
-            changed = _changed(result)
+            changed = reported_change(result)
             agreed = True
             if self.sanitizer is not None:
                 if func is not None:

@@ -25,7 +25,7 @@ from repro.analysis.alias import (
 )
 from repro.analysis.defuse import def_use_chains
 from repro.analysis.induction import find_basic_ivs
-from repro.analysis.manager import AnalysisManager, invalidate_after
+from repro.analysis.manager import AnalysisManager
 from repro.bench import workloads
 from repro.bench.programs import BENCHMARKS
 from repro.coalesce import check_hazards, classify_partitions, find_runs
@@ -338,45 +338,69 @@ class TestAnalysisManager:
         assert manager.defuse(func) is chains
         assert manager.memdep(func) is not summary
 
-    def test_invalidate_after_honours_pass_declaration(self):
-        func = next(iter(parse_module(TWO_SLOTS)))
-        manager = AnalysisManager()
-        summary = manager.memdep(func)
-        chains = manager.defuse(func)
+    def test_function_pass_honours_declaration(self):
+        from repro.machine import get_machine
+        from repro.opt.pass_manager import PassContext, function_pass
 
-        def untouched_pass(f):
+        func = next(iter(parse_module(TWO_SLOTS)))
+        ctx = PassContext(get_machine("alpha"))
+        summary = ctx.analyses.memdep(func)
+        chains = ctx.analyses.defuse(func)
+
+        @function_pass()
+        def untouched_pass(f, c):
             return False
 
-        invalidate_after(untouched_pass, manager, func, False)
-        assert manager.memdep(func) is summary  # no change: keep all
+        untouched_pass(func, ctx)
+        assert ctx.analyses.memdep(func) is summary  # no change: keep all
 
-        def rewriting_pass(f):
+        @function_pass(preserves={"memdep"})
+        def rewriting_pass(f, c):
             return True
 
-        rewriting_pass.preserves = {"memdep"}
-        invalidate_after(rewriting_pass, manager, func, True)
-        assert manager.memdep(func) is summary
-        assert manager.defuse(func) is not chains
+        assert rewriting_pass.__name__ == "rewriting_pass"
+        rewriting_pass(func, ctx)
+        assert ctx.analyses.memdep(func) is summary
+        assert ctx.analyses.defuse(func) is not chains
 
     def test_guard_stage_retires_analyses(self):
         from repro.machine import get_machine
-        from repro.opt.pass_manager import PassContext
+        from repro.opt.pass_manager import PassContext, function_pass
         from repro.resilience.transaction import PassGuard
 
         module = parse_module(TWO_SLOTS)
         func = next(iter(module))
         machine = get_machine("alpha")
         ctx = PassContext(machine)
-        guard = PassGuard(module, machine)
+        guard = PassGuard(module, machine, policy="skip")
+
+        @function_pass()
+        def rewriting_pass(f, c):
+            return True
+
+        def failing_pass():
+            raise RuntimeError("boom")
+
         summary = ctx.analyses.memdep(func)
         guard.stage(ctx, "untouched", lambda: False, func=func)
         assert ctx.analyses.memdep(func) is summary
-        guard.stage(ctx, "rewriting", lambda: True, func=func)
+        # A completed stage leaves retiring to its pass: a bare True
+        # from a thunk that is no declared pass retires nothing...
+        guard.stage(ctx, "bare", lambda: True, func=func)
+        assert ctx.analyses.memdep(func) is summary
+        # ...while a declared pass that changed the function does.
+        guard.stage(ctx, "rewriting", lambda: rewriting_pass(func, ctx),
+                    func=func)
         summary = ctx.analyses.memdep(func)
         assert summary is not None and ctx.analyses.misses == 2
+        # The guard retires them itself after a rollback...
+        assert guard.stage(ctx, "failing", failing_pass, func=func) is None
+        summary = ctx.analyses.memdep(func)
+        assert ctx.analyses.misses == 3
+        # ...and after a module stage.
         guard.stage(ctx, "module-wide", lambda: None)
         ctx.analyses.memdep(func)
-        assert ctx.analyses.misses == 3
+        assert ctx.analyses.misses == 4
 
 
 class TestHazardOracle:
