@@ -163,6 +163,7 @@ def cmd_run(args) -> int:
         max_steps=args.max_steps, backend=args.sim_backend
     )
     addresses = {}
+    shapes = {}  # name -> (element width, staged element count)
     for spec in args.array or []:
         name, width, values = spec.split(":", 2)
         width = int(width)
@@ -172,6 +173,7 @@ def cmd_run(args) -> int:
         )
         sim.write_words(address, values, width)
         addresses[name] = address
+        shapes[name] = (width, len(values))
 
     call_args = []
     for arg in args.args or []:
@@ -189,15 +191,13 @@ def cmd_run(args) -> int:
     print(f"cycles: {report.total_cycles}")
     print(f"instructions: {report.instr_count}")
     print(f"memory references: {report.memory_accesses}")
-    for name in addresses:
-        if args.dump:
-            width = int(
-                next(s for s in args.array if s.startswith(name + ":"))
-                .split(":")[1]
-            )
-            count = min(args.dump, 64)
+    if args.dump:
+        # At most 64 elements, and never past the staged array.
+        for name, address in addresses.items():
+            width, staged = shapes[name]
+            count = min(args.dump, 64, staged)
             print(f"{name}[0:{count}] =",
-                  sim.read_words(addresses[name], count, width))
+                  sim.read_words(address, count, width))
     return 0
 
 

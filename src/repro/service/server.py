@@ -52,7 +52,7 @@ import socket
 import threading
 import time
 from dataclasses import replace
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import DeadlineExceeded, ReproError
 from repro.machine import get_machine
@@ -718,12 +718,16 @@ class CompileServer(FrontEnd):
 
         sim = program.simulator(**sim_kwargs)
         addresses: Dict[str, int] = {}
+        #: name -> (element width, staged element count)
+        shapes: Dict[str, Tuple[int, int]] = {}
         for name, width, values in request.get("arrays") or []:
+            width = int(width)
             address = sim.alloc_array(
-                name, size=max(len(values), 1) * int(width)
+                name, size=max(len(values), 1) * width
             )
-            sim.write_words(address, [int(v) for v in values], int(width))
+            sim.write_words(address, [int(v) for v in values], width)
             addresses[name] = address
+            shapes[name] = (width, len(values))
         call_args = [
             addresses.get(arg, arg) if isinstance(arg, str) else int(arg)
             for arg in request.get("args") or []
@@ -748,14 +752,12 @@ class CompileServer(FrontEnd):
         )
         dump = request.get("dump")
         if dump:
+            # At most 64 elements, and never past the staged array.
             fields["arrays"] = {
                 name: sim.read_words(
                     address,
-                    min(int(dump), 64),
-                    next(
-                        int(w) for n, w, _ in request["arrays"]
-                        if n == name
-                    ),
+                    min(int(dump), 64, shapes[name][1]),
+                    shapes[name][0],
                 )
                 for name, address in addresses.items()
             }

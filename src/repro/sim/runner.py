@@ -13,6 +13,7 @@ the interface the benchmark harness and the examples use::
 from __future__ import annotations
 
 import os
+import struct
 import time
 from typing import Dict, Optional, Sequence
 
@@ -27,6 +28,10 @@ from repro.sim.memory import SimMemory
 #: Backends selectable via ``backend=`` / ``--sim-backend`` /
 #: ``REPRO_SIM_BACKEND``.
 SIM_BACKENDS = ("interp", "compiled")
+
+#: Unsigned ``struct`` codes of the widths staged in one call; the
+#: signed code is the lower-case letter.
+_WORD_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def default_max_steps() -> int:
@@ -183,23 +188,46 @@ class Simulator:
             raise SimulationError(f"no array named {name!r}") from None
 
     def read_array(self, name: str, count: int) -> bytes:
-        return self.memory.read_bytes(self._arrays[name], count)
+        return self.memory.read_bytes(self.array_addr(name), count)
+
+    def _word_format(self, count: int, width: int, signed: bool) -> str:
+        code = _WORD_CODES[width]
+        order = "<" if self.memory.endian == "little" else ">"
+        return f"{order}{count}{code.lower() if signed else code}"
 
     def write_words(
         self, addr: int, values: Sequence[int], width: int
     ) -> None:
-        """Write a sequence of fixed-width integers starting at ``addr``."""
+        """Write a sequence of fixed-width integers starting at ``addr``.
+
+        Each value is stored as its low ``width`` bytes.  Widths 1, 2, 4
+        and 8 pack the whole sequence in one ``struct`` call; other
+        widths convert element by element."""
         mask = (1 << (8 * width)) - 1
-        payload = b"".join(
-            (v & mask).to_bytes(width, self.memory.endian) for v in values
-        )
+        if width not in _WORD_CODES:
+            payload = b"".join(
+                (v & mask).to_bytes(width, self.memory.endian)
+                for v in values
+            )
+        else:
+            layout = self._word_format(len(values), width, signed=False)
+            try:
+                payload = struct.pack(layout, *values)
+            except struct.error:  # negative or over-wide values
+                payload = struct.pack(layout, *[v & mask for v in values])
         self.memory.write_bytes(addr, payload)
 
     def read_words(
         self, addr: int, count: int, width: int, signed: bool = True
     ) -> list:
-        """Read ``count`` fixed-width integers starting at ``addr``."""
+        """Read ``count`` fixed-width integers starting at ``addr``
+        (one ``struct`` call for widths 1, 2, 4 and 8)."""
         raw = self.memory.read_bytes(addr, count * width)
+        if width in _WORD_CODES:
+            # len(raw) // width is count, or 0 for a negative count.
+            return list(struct.unpack(
+                self._word_format(len(raw) // width, width, signed), raw
+            ))
         return [
             int.from_bytes(
                 raw[i * width:(i + 1) * width],

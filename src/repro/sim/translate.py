@@ -11,10 +11,26 @@ over the same programs.
 
 :class:`CompiledEngine` lowers each *basic block* once into a
 straight-line closure with operand accessors resolved and memory/cache
-accounting inlined at translate time, caches the compiled block by
+accounting inlined at translate time, caches the compiled closure by
 fingerprint in :class:`repro.sim.cache.BlockCache`, and dispatches
 block-to-block with a direct-threaded loop: each closure returns its
 successor's closure, so the driver never consults a label table.
+
+Loop chains: a loop header H that reaches itself through
+H -> B1 -> ... -> Bk -> H, where every Bi's only predecessor is B(i-1)
+and no block has an embedded jump or a call, compiles into *one*
+closure whose ``while True`` keeps registers in Python locals across
+iterations (:func:`loop_chains`; a self-loop is the chain ``[H]``).
+Every block of the chain still runs its own counter, I-cache probes,
+cancel probe and step guard inline; only side exits spill registers
+and return to the driver.
+
+Memory is one ``bytearray``.  Host-endian 2/4/8-byte accesses index a
+word-sized ``memoryview`` cast; the others go through a
+``struct.Struct`` bound in the closure's namespace.  Dynamic byte-field
+positions (``Extract``/``Insert`` with a register ``pos``) compute their
+shift inline; only a straddling field calls back into the interpreter's
+:func:`~repro.sim.interp.field_parameters` to raise its error.
 
 Dynamic counts: the generated code only increments a per-block execution
 counter (plus cache probes when cache simulation is on); instruction,
@@ -28,6 +44,7 @@ compares, arithmetic shifts and extensions.
 
 from __future__ import annotations
 
+import struct
 import sys
 from typing import Dict, List, Optional, Tuple
 
@@ -91,6 +108,7 @@ def _runtime_helpers(machine: MachineDescription) -> Dict[str, object]:
         raise SimulationError(f"bad address {addr:#x}")
 
     def _fieldshift(pos: int, width: int) -> int:
+        """Straddling-field slow path: raises the interpreter's error."""
         shift, _ = field_parameters(machine, pos, width)
         return shift
 
@@ -147,29 +165,108 @@ def _derive_stats(keys, counts, mixes) -> RunStats:
     return stats
 
 
+def loop_chains(func: Function) -> Dict[str, List]:
+    """The loop chains of ``func``: header label -> ``[H, B1, ..., Bk]``.
+
+    A chain is a header H that reaches itself through
+    H -> B1 -> ... -> Bk -> H, where each Bi's only predecessor is
+    B(i-1), and every block ends in a jump and has no embedded jump and
+    no call; a self-loop is the chain ``[H]``.  Where several such paths
+    exist, the longest is taken (on a tie, the one a depth-first walk in
+    branch-target order meets first).  The entry block counts the
+    driver's call as a predecessor, so it is never an interior block.
+
+    Single-predecessor edges form a forest whose roots are the blocks
+    with any other predecessor count, so one walk down each candidate
+    header's tree visits every block at most once: detection is one
+    scan of the instructions plus a linear walk, with no dominator or
+    loop analysis.
+    """
+    blocks = {block.label: block for block in func.blocks}
+    preds = dict.fromkeys(blocks, 0)
+    preds[func.entry.label] += 1  # the driver's call
+    succs: Dict[str, List[str]] = {}
+    chainable = set()
+    for block in func.blocks:
+        targets = []
+        jumps = calls = 0
+        for instr in block.instrs:
+            kind = type(instr)
+            if kind is Jump:
+                jumps += 1
+                targets.append(instr.target)
+            elif kind is CondJump:
+                jumps += 1
+                targets += (instr.iftrue, instr.iffalse)
+            elif kind is Call:
+                calls += 1
+        if jumps == 1 and not calls and type(block.instrs[-1]) in (
+            Jump, CondJump
+        ):
+            chainable.add(block.label)
+        succs[block.label] = list(dict.fromkeys(targets))
+        for target in succs[block.label]:
+            preds[target] += 1
+    chains: Dict[str, List] = {}
+    for block in func.blocks:
+        header = block.label
+        if preds[header] < 2 or header not in chainable:
+            continue
+        parent: Dict[str, Optional[str]] = {header: None}
+        depth = {header: 0}
+        last: Optional[str] = None  # deepest block that jumps to H
+        stack = [header]
+        while stack:
+            label = stack.pop()
+            if header in succs[label] and (
+                last is None or depth[label] > depth[last]
+            ):
+                last = label
+            for target in reversed(succs[label]):
+                if preds[target] == 1 and target in chainable:
+                    parent[target] = label
+                    depth[target] = depth[label] + 1
+                    stack.append(target)
+        chain = []
+        while last is not None:
+            chain.append(blocks[last])
+            last = parent[last]
+        if chain:
+            chains[header] = chain[::-1]
+    return chains
+
+
 class _BlockTranslator:
-    """Emits one basic block as a specialized straight-line closure.
+    """Emits one closure: a basic block, or a whole loop chain.
 
     The closure's signature is ``_blk(_r, _slots)``: ``_r`` is the
     activation's register file (a list), ``_slots`` the tuple of frame
-    slot addresses.  Registers the block reads before writing are pulled
-    into Python locals once on entry; registers it defines are written
-    back to ``_r`` once before handing off to a successor (a mid-block
-    ``Ret`` skips the write-back — the activation is dead).  The closure
-    returns either the successor block's closure (direct threading) or a
-    1-tuple carrying the function's return value, which the driver
-    distinguishes with a single ``type(x) is tuple`` check.
+    slot addresses.  A plain block pulls the registers it reads before
+    writing into Python locals once on entry and writes the registers it
+    defines back to ``_r`` once before handing off to a successor (a
+    mid-block ``Ret`` skips the write-back — the activation is dead).
+    The closure returns either the successor block's closure (direct
+    threading) or a 1-tuple carrying the function's return value, which
+    the driver distinguishes with a single ``type(x) is tuple`` check.
+
+    A loop chain (``loop=True``, ``blocks`` from :func:`loop_chains`)
+    runs its blocks in order inside one ``while True``.  It fills every
+    register the chain mentions on entry — including each one it only
+    defines, so a side exit taken before a block's definitions ran
+    spills back the value the register file already held — and spills
+    every register it defines at each side exit.
 
     Everything that varies between instantiations of the same source —
-    the execution-counter cell ``_n``, I-cache line addresses ``_lN``,
-    global addresses ``_gN``, successor closures ``_sN``, the
-    function/label strings ``_FN``/``_BL`` — is bound through the exec
-    namespace, so the emitted source (and therefore the
-    :class:`~repro.sim.cache.BlockCache` fingerprint) is shared by every
-    structurally identical block.
+    block ``j``'s execution-counter cell ``_n{j}``, label ``_BL{j}`` and
+    I-cache lines ``_ln{j}_{i}``/``_li{j}_{i}``, global addresses
+    ``_gN``, successor closures ``_sN``, the function name ``_FN`` — is
+    bound through the exec namespace, so the emitted source (and
+    therefore the :class:`~repro.sim.cache.BlockCache` fingerprint) is
+    shared by every structurally identical closure.
     """
 
-    def __init__(self, block, func: Function, engine: "CompiledEngine"):
+    def __init__(self, blocks, func: Function, engine: "CompiledEngine",
+                 loop: bool):
         self.func = func
         self.engine = engine
         self.machine = engine.machine
@@ -177,7 +274,8 @@ class _BlockTranslator:
         self.bits = self.machine.word_bits
         self.mask = self.machine.word_mask
         self.sign = 1 << (self.bits - 1)
-        self.block = block
+        self.blocks = blocks
+        self.loop = loop
         self.slot_index = {
             slot: i for i, slot in enumerate(func.frame_slots)
         }
@@ -188,6 +286,8 @@ class _BlockTranslator:
         self.globals_used: Dict[str, str] = {}
         self._global_vars: Dict[str, str] = {}
         self._defined: List[int] = []
+        #: highest register index the closure mentions (-1 for none)
+        self.highest_reg = -1
 
     # -- small emit helpers ---------------------------------------------------
     def emit(self, depth: int, text: str) -> None:
@@ -252,6 +352,22 @@ class _BlockTranslator:
             return f"(({self._reg(base)} + {disp}) & {self.mask})"
         return self._reg(base)
 
+    def _field_shift(self, depth: int, pos: str, width: int) -> str:
+        """Emit the straddle check of a dynamic field position; returns
+        the shift expression (``field_parameters`` inlined).  Widths and
+        word sizes are powers of two, so ``(pos % word) % width`` is
+        ``pos & straddle``; a straddling field calls ``_fieldshift``,
+        which raises the interpreter's own error."""
+        word = self.machine.word_bytes
+        straddle = (word - 1) & (width - 1)
+        if straddle:
+            self.emit(
+                depth, f"if {pos} & {straddle}: _fieldshift({pos}, {width})"
+            )
+        if self.machine.endian == "little":
+            return f"(({pos} & {word - 1}) << 3)"
+        return f"(({word - width} - ({pos} & {word - 1})) << 3)"
+
     def _extract(self, depth: int, instr: Extract) -> None:
         dst = self._reg(instr.dst)
         src = self._reg(instr.src)
@@ -265,12 +381,10 @@ class _BlockTranslator:
             else:
                 expression = f"{src} & {field_mask}"
         else:
-            self.emit(
-                depth,
-                f"_sh = _fieldshift({self._value(instr.pos)}, "
-                f"{instr.width})",
+            shift = self._field_shift(
+                depth, self._value(instr.pos), instr.width
             )
-            expression = f"({src} >> _sh) & {field_mask}"
+            expression = f"({src} >> {shift}) & {field_mask}"
         if instr.signed:
             field_sign = 1 << (8 * instr.width - 1)
             self.emit(
@@ -301,11 +415,10 @@ class _BlockTranslator:
             else:
                 self.emit(depth, f"{dst} = ({acc} & {hole}) | {field}")
         else:
-            self.emit(
-                depth,
-                f"_sh = _fieldshift({self._value(instr.pos)}, "
-                f"{instr.width})",
+            shift = self._field_shift(
+                depth, self._value(instr.pos), instr.width
             )
+            self.emit(depth, f"_sh = {shift}")
             self.emit(
                 depth,
                 f"{dst} = ({acc} & ~({field_mask} << _sh) & {self.mask})"
@@ -339,17 +452,23 @@ class _BlockTranslator:
         return var
 
     def _fill_registers(self) -> List[int]:
-        """Registers read before any write in this block (need filling
-        from ``_r``); also records the set written (need spilling)."""
+        """Registers to fill from ``_r`` on entry; also records the set
+        written (spilled at every exit).  A plain block fills what it
+        reads before writing; a loop chain also fills everything it
+        writes, which makes it fill every register it mentions."""
         written: set = set()
         fill: set = set()
-        for instr in self.block.instrs:
-            for reg in instr.uses():
-                if reg.index not in written:
-                    fill.add(reg.index)
-            for reg in instr.defs():
-                written.add(reg.index)
+        for block in self.blocks:
+            for instr in block.instrs:
+                for reg in instr.uses():
+                    if reg.index not in written:
+                        fill.add(reg.index)
+                for reg in instr.defs():
+                    written.add(reg.index)
         self._defined = sorted(written)
+        self.highest_reg = max(fill | written, default=-1)
+        if self.loop:
+            fill |= written
         return sorted(fill)
 
     def _emit_spill(self, depth: int) -> None:
@@ -425,10 +544,7 @@ class _BlockTranslator:
         elif self.engine.mem_view(width) is not None:
             raw = f"_mv{width}[{a} >> {width.bit_length() - 1}]"
         else:
-            endian = repr(self.machine.endian)
-            raw = (
-                f"int.from_bytes(_mem[{a}:{a} + {width}], {endian})"
-            )
+            raw = f"_u{width}(_mem, {a})[0]"
         dst = self._reg(instr.dst)
         if instr.signed and width < self.machine.word_bytes:
             field_sign = 1 << (8 * width - 1)
@@ -460,44 +576,42 @@ class _BlockTranslator:
                 f"_mv{width}[{a} >> {width.bit_length() - 1}] = {value}",
             )
         else:
-            endian = repr(self.machine.endian)
-            self.emit(
-                depth,
-                f"_mem[{a}:{a} + {width}] = "
-                f"({value}).to_bytes({width}, {endian})",
-            )
+            self.emit(depth, f"_p{width}(_mem, {a}, {value})")
 
-    def _emit_icache_probes(self, depth: int) -> None:
-        """Inline direct-mapped I-cache probes: line number and tag
-        index are per-block constants bound through the namespace; hits
-        are derived (probes - misses), so a hit costs one comparison."""
+    def _emit_icache_probes(self, depth: int, j: int) -> None:
+        """Inline direct-mapped I-cache probes of block ``j``: line
+        number and tag index are per-block constants bound through the
+        namespace; hits are derived (probes - misses), so a hit costs one
+        comparison."""
         line_count = len(
-            self.engine.block_lines(self.func.name, self.block.label)
+            self.engine.block_lines(self.func.name, self.blocks[j].label)
         )
         for i in range(line_count):
+            line, index = f"_ln{j}_{i}", f"_li{j}_{i}"
             self.emit(
                 depth,
-                f"if _it[_li{i}] != _ln{i}: "
-                f"_it[_li{i}] = _ln{i}; _im[0] += 1",
+                f"if _it[{index}] != {line}: "
+                f"_it[{index}] = {line}; _im[0] += 1",
             )
 
-    def _emit_accounting(self, depth: int, icache: bool = True) -> None:
-        """The per-execution prologue, in the interpreter's exact order:
-        block count, I-cache line probes, deadline probe, step guard.
-        (The interpreter's fault_hook slot is absent by construction —
-        the runner falls back to the interpreter whenever a hook is
-        installed.)"""
+    def _emit_accounting(self, depth: int, j: int,
+                         icache: bool = True) -> None:
+        """Block ``j``'s per-execution prologue, in the interpreter's
+        exact order: block count, I-cache line probes, deadline probe,
+        step guard.  (The interpreter's fault_hook slot is absent by
+        construction — the runner falls back to the interpreter whenever
+        a hook is installed.)"""
         engine = self.engine
-        self.emit(depth, "_n[0] += 1")
+        self.emit(depth, f"_n{j}[0] += 1")
         if engine.icache is not None and icache:
-            self._emit_icache_probes(depth)
+            self._emit_icache_probes(depth, j)
         if engine.cancel is not None:
             self.emit(depth, "_cancel()")
-        self.emit(depth, f"_steps[0] += {len(self.block.instrs)}")
+        self.emit(depth, f"_steps[0] += {len(self.blocks[j].instrs)}")
         self.emit(
             depth,
             "if _steps[0] > _MAXSTEPS: "
-            "raise _Timeout(_steps[0], _MAXSTEPS, _FN, _BL)",
+            f"raise _Timeout(_steps[0], _MAXSTEPS, _FN, _BL{j})",
         )
 
     def _emit_fill(self, depth: int, fill: List[int]) -> None:
@@ -506,77 +620,83 @@ class _BlockTranslator:
             self.emit(depth, "; ".join(init[start:start + 8]))
 
     def translate(self) -> str:
-        block = self.block
-        instrs = block.instrs
-        terminator = instrs[-1] if instrs else None
-        label = block.label
-        # A block whose terminator loops straight back to itself runs as
-        # an internal ``while True``: registers stay in locals across
-        # iterations and the closure-call/fill/spill cost is paid once
-        # per loop, not once per iteration.  Accounting still runs every
-        # iteration, so all counts stay bit-identical.
-        embedded_jumps = any(
-            isinstance(i, (Jump, CondJump)) for i in instrs[:-1]
-        )
-        loop_mode = not embedded_jumps and (
-            (isinstance(terminator, Jump) and terminator.target == label)
-            or (
-                isinstance(terminator, CondJump)
-                and label in (terminator.iftrue, terminator.iffalse)
-            )
-        )
         self.emit(0, "def _blk(_r, _slots):")
-        fill = self._fill_registers()
-        if loop_mode:
-            self._emit_fill(1, fill)
-            # When this block's I-cache lines map to distinct tag slots,
-            # nothing can evict them between iterations of the self-loop
-            # — every probe after the first is a guaranteed hit, and
-            # hits are derived, so the probes hoist out of the loop.
-            # (Self-conflicting lines — a block bigger than the whole
-            # I-cache — keep per-iteration probes.)
-            # A Call in the body runs other blocks' probes mid-loop and
-            # can evict our lines, so hoisting is only sound without one.
-            hoist_icache = False
-            has_call = any(isinstance(i, Call) for i in instrs)
-            if self.engine.icache is not None and not has_call:
-                line_nos = [
-                    line // self.engine.icache.line_bytes
-                    for line in self.engine.block_lines(
-                        self.func.name, label
-                    )
-                ]
-                indices = [n % self.engine.icache.lines for n in line_nos]
-                hoist_icache = len(set(indices)) == len(indices)
-                if hoist_icache:
-                    self._emit_icache_probes(1)
-            self.emit(1, "while True:")
-            depth = 2
-            self._emit_accounting(depth, icache=not hoist_icache)
-            for instr in instrs[:-1]:
-                self._emit_block_instr(depth, instr, direct_exit=False)
-            if isinstance(terminator, Jump) or (
-                terminator.iftrue == label and terminator.iffalse == label
-            ):
-                self.emit(depth, "continue")
-            else:
-                condition = self._condition(terminator)
-                if terminator.iftrue == label:
-                    self.emit(depth, f"if ({condition}): continue")
-                    exit_label = terminator.iffalse
-                else:
-                    self.emit(depth, f"if not ({condition}): continue")
-                    exit_label = terminator.iftrue
-                self._emit_spill(depth)
-                self.emit(depth, f"return {self._succ(exit_label)}")
-            return "\n".join(self.lines)
-        self._emit_accounting(1)
-        self._emit_fill(1, fill)
+        if self.loop:
+            self._translate_chain()
+        else:
+            self._translate_block()
+        return "\n".join(self.lines)
+
+    def _hoistable_icache(self) -> bool:
+        """Can a one-block chain probe its I-cache lines once per entry?
+
+        When the block's lines map to distinct tag slots and nothing
+        else runs between iterations (chains hold no calls), every probe
+        after the first is a guaranteed hit, and hits are derived, so the
+        probes hoist out of the loop.  Longer chains, and a block bigger
+        than the whole I-cache, keep per-iteration probes."""
+        icache = self.engine.icache
+        if icache is None or len(self.blocks) != 1:
+            return False
+        indices = [
+            line // icache.line_bytes % icache.lines
+            for line in self.engine.block_lines(
+                self.func.name, self.blocks[0].label
+            )
+        ]
+        return len(set(indices)) == len(indices)
+
+    def _translate_chain(self) -> None:
+        """A loop chain as one ``while True``: registers stay in locals
+        across iterations and the closure-call/fill/spill cost is paid
+        once per loop entry, not once per block.  Accounting still runs
+        for every block, so all counts stay bit-identical."""
+        self._emit_fill(1, self._fill_registers())
+        hoist = self._hoistable_icache()
+        if hoist:
+            self._emit_icache_probes(1, 0)
+        self.emit(1, "while True:")
+        header = self.blocks[0].label
+        for j, block in enumerate(self.blocks):
+            self._emit_accounting(2, j, icache=not hoist)
+            for instr in block.instrs[:-1]:
+                self._emit_block_instr(2, instr, direct_exit=False)
+            stay = self.blocks[(j + 1) % len(self.blocks)].label
+            self._emit_chain_branch(2, block.instrs[-1], stay, header)
+
+    def _emit_chain_branch(self, depth: int, terminator, stay: str,
+                           header: str) -> None:
+        """A chain block's terminator: fall through to ``stay`` (the next
+        block, or around the loop to ``header``), jump back to the header
+        with ``continue``, or spill and leave through a side exit."""
+        if type(terminator) is Jump or (
+            terminator.iftrue == terminator.iffalse
+        ):
+            return
+        condition = self._condition(terminator)
+        if terminator.iftrue == stay:
+            test, other = f"not ({condition})", terminator.iffalse
+        else:
+            test, other = f"({condition})", terminator.iftrue
+        if other == header:
+            self.emit(depth, f"if {test}: continue")
+            return
+        self.emit(depth, f"if {test}:")
+        self._emit_spill(depth + 1)
+        self.emit(depth + 1, f"return {self._succ(other)}")
+
+    def _translate_block(self) -> None:
+        instrs = self.blocks[0].instrs
+        self._emit_accounting(1, 0)
+        self._emit_fill(1, self._fill_registers())
         # Control flow: with the terminator in canonical last position
         # (and no embedded jumps before it) the successor is returned
         # directly; otherwise pending targets accumulate in _nx with
         # last-assignment-wins, exactly like the interpreter's
         # next_label.
+        embedded_jumps = any(
+            isinstance(i, (Jump, CondJump)) for i in instrs[:-1]
+        )
         direct = bool(instrs) and isinstance(
             instrs[-1], (Jump, CondJump, Ret)
         ) and not embedded_jumps
@@ -595,11 +715,10 @@ class _BlockTranslator:
         if not terminated:
             self._emit_spill(1)
             if has_nx:
-                self.emit(1, "if _nx is None: _fell(_FN, _BL)")
+                self.emit(1, "if _nx is None: _fell(_FN, _BL0)")
                 self.emit(1, "return _nx")
             else:
-                self.emit(1, "_fell(_FN, _BL)")
-        return "\n".join(self.lines)
+                self.emit(1, "_fell(_FN, _BL0)")
 
     def _emit_block_instr(self, depth: int, instr, direct_exit: bool) -> bool:
         """Emit one instruction; returns True when it emitted a return."""
@@ -675,12 +794,13 @@ class _BlockTranslator:
 class CompiledEngine:
     """The ``compiled`` simulator backend: direct-threaded cached blocks.
 
-    Each basic block is lowered once into a straight-line closure (see
-    :class:`_BlockTranslator`), compiled CPython code objects are cached
+    Each basic block is lowered once into a straight-line closure, and
+    each loop chain (:func:`loop_chains`) into one looping closure (see
+    :class:`_BlockTranslator`); compiled CPython code objects are cached
     process-wide by source fingerprint in a
     :class:`~repro.sim.cache.BlockCache`, and per-function drivers
-    dispatch block-to-block by calling whatever closure the previous one
-    returned — no label table, no per-instruction dispatch.
+    dispatch closure-to-closure by calling whatever closure the previous
+    one returned — no label table, no per-instruction dispatch.
 
     Parity contract with :class:`repro.sim.interp.Interpreter` (enforced
     by ``tests/test_sim_compiled.py`` and the CI ``sim-differential``
@@ -737,8 +857,8 @@ class CompiledEngine:
         )
         # Word-sized memoryview casts give single-index loads/stores when
         # the target's byte order matches the host's (the views are
-        # host-endian by definition); other targets fall back to
-        # int.from_bytes/to_bytes on the byte arena.
+        # host-endian by definition); other targets go through the
+        # machine-endian struct accessors bound in _translate_all.
         self._mviews: Dict[int, object] = {}
         if machine.endian == sys.byteorder:
             flat = memoryview(self.memory.data)
@@ -767,7 +887,8 @@ class CompiledEngine:
         return self._lines[(func_name, label)]
 
     def block_source(self, func_name: str, label: str) -> str:
-        """Generated Python source of one block (debugging/tests)."""
+        """Generated Python source of the closure that runs one block:
+        its own, or its loop chain's (debugging/tests)."""
         return self._sources[(func_name, label)]
 
     def block_fingerprint(self, func_name: str, label: str) -> str:
@@ -818,8 +939,15 @@ class CompiledEngine:
         # for a width-W access, so the guard is one comparison per side.
         for width in (1, 2, 4, 8):
             environment[f"_mb{width}"] = self.memory.size - width
-        for width, view in self._mviews.items():
-            environment[f"_mv{width}"] = view
+        order = "<" if self.machine.endian == "little" else ">"
+        for width, code in ((2, "H"), (4, "I"), (8, "Q")):
+            view = self._mviews.get(width)
+            if view is not None:
+                environment[f"_mv{width}"] = view
+            else:
+                accessor = struct.Struct(order + code)
+                environment[f"_u{width}"] = accessor.unpack_from
+                environment[f"_p{width}"] = accessor.pack_into
         if self.icache is not None:
             environment.update({
                 "_it": self.icache.tags,
@@ -831,51 +959,69 @@ class CompiledEngine:
             self._translate_function(func, environment)
 
     def _translate_function(self, func: Function, environment: Dict) -> None:
+        cells = {
+            block.label: self._register_block(func.name, block)
+            for block in func.blocks
+        }
+        chains = loop_chains(func)
+        interior = {
+            block.label for chain in chains.values() for block in chain[1:]
+        }
         closures: Dict[str, object] = {}
         patches = []
+        highest_reg = max((p.index for p in func.params), default=-1)
         for block in func.blocks:
-            cell = self._register_block(func.name, block)
-            translator = _BlockTranslator(block, func, self)
+            if block.label in interior:
+                continue  # runs inside its chain's closure
+            members = chains.get(block.label, [block])
+            translator = _BlockTranslator(
+                members, func, self, loop=block.label in chains
+            )
             source = translator.translate()
-            key = (func.name, block.label)
-            self._sources[key] = source
+            highest_reg = max(highest_reg, translator.highest_reg)
             fingerprint = BlockCache.fingerprint(source)
-            self._fingerprints[key] = fingerprint
+            for member in members:
+                self._sources[(func.name, member.label)] = source
+                self._fingerprints[(func.name, member.label)] = fingerprint
             code = self.block_cache.get(fingerprint)
             if code is None:
                 code = compile(source, "<rtl-block>", "exec")
                 self.block_cache.put(fingerprint, code)
-                self.blocks_translated += 1
+                self.blocks_translated += len(members)
             else:
-                self.block_cache_hits += 1
+                self.block_cache_hits += len(members)
             namespace = dict(environment)
-            namespace["_n"] = cell
             namespace["_FN"] = func.name
-            namespace["_BL"] = block.label
-            if self.icache is not None:
-                line_bytes = self.icache.line_bytes
-                cache_lines = self.icache.lines
-                for i, line in enumerate(self.block_lines(*key)):
-                    line_no = line // line_bytes
-                    namespace[f"_ln{i}"] = line_no
-                    namespace[f"_li{i}"] = line_no % cache_lines
+            for j, member in enumerate(members):
+                namespace[f"_n{j}"] = cells[member.label]
+                namespace[f"_BL{j}"] = member.label
+                if self.icache is not None:
+                    line_bytes = self.icache.line_bytes
+                    cache_lines = self.icache.lines
+                    lines = self.block_lines(func.name, member.label)
+                    for i, line in enumerate(lines):
+                        line_no = line // line_bytes
+                        namespace[f"_ln{j}_{i}"] = line_no
+                        namespace[f"_li{j}_{i}"] = line_no % cache_lines
             for var, name in translator.globals_used.items():
                 namespace[var] = self.global_addrs[name]
             exec(code, namespace)  # noqa: S102 - our own generated code
             closures[block.label] = namespace["_blk"]
             patches.append((namespace, translator.successors))
-        # Successor closures can only be bound once every block in the
-        # function exists; patch them into each block's namespace now.
+        # Successor closures can only be bound once every closure in the
+        # function exists; patch them into each namespace now.
         for namespace, successors in patches:
             for var, label in successors.items():
                 namespace[var] = closures[label]
-        self._drivers[func.name] = self._make_driver(func, closures)
+        self._drivers[func.name] = self._make_driver(
+            func, closures, highest_reg + 1
+        )
 
-    def _make_driver(self, func: Function, closures: Dict[str, object]):
+    def _make_driver(self, func: Function, closures: Dict[str, object],
+                     nregs: int):
         memory = self.memory
         entry = closures[func.entry.label]
         param_indices = tuple(p.index for p in func.params)
-        nregs = func.max_reg_index() + 1
         slot_specs = tuple(func.frame_slots.values())
 
         def _driver(*args):

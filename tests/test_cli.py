@@ -55,6 +55,20 @@ def test_run_command(kernel_file, capsys):
     assert "cycles:" in out
 
 
+def test_run_dump_stops_at_the_staged_array(kernel_file, capsys):
+    assert main([
+        "run", kernel_file, "--entry", "dot",
+        "--array", "a:2:1,2,3,4",
+        "--array", "b:2:10,20,30,40",
+        "--args", "a", "b", "4",
+        "--machine", "alpha", "--config", "coalesce-all",
+        "--dump", "64",
+    ]) == 0
+    out = capsys.readouterr().out
+    assert "a[0:4] = [1, 2, 3, 4]" in out
+    assert "b[0:4] = [10, 20, 30, 40]" in out
+
+
 def test_run_with_regalloc_and_force(kernel_file, capsys):
     assert main([
         "run", kernel_file, "--entry", "dot",

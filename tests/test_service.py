@@ -366,6 +366,22 @@ class TestServerBasics:
         assert response["coalesced_loops"] >= 1
         assert response["cycles"] > 0
 
+    def test_dump_stops_at_the_staged_array(self, service):
+        # dump 64 on a 4-element array must not read the neighbouring
+        # simulated memory past its end.
+        server = service()
+        client = client_for(server)
+        response = client.simulate(
+            DOT_SRC, "dot", ["a", "b", 4],
+            arrays=[("a", 2, [1, 2, 3, 4]), ("b", 2, [10, 20, 30, 40])],
+            config="coalesce-all", dump=64,
+        )
+        assert response["status"] == "ok"
+        assert response["result"] == 300
+        assert response["arrays"] == {
+            "a": [1, 2, 3, 4], "b": [10, 20, 30, 40],
+        }
+
     def test_parse_error_is_fatal_not_retryable(self, service):
         server = service()
         client = client_for(server)

@@ -279,6 +279,14 @@ class TestSimulatorFacade:
         with pytest.raises(SimulationError):
             sim.array_addr("missing")
 
+    def test_read_array_of_unknown_name_is_a_simulation_error(self):
+        module = parse_module("func f() {\nentry:\n    ret 0\n}")
+        sim = Simulator(module, get_machine("alpha"))
+        addr = sim.alloc_array("buffer", b"\x01\x02\x03")
+        assert sim.read_array("buffer", 3) == b"\x01\x02\x03"
+        with pytest.raises(SimulationError, match="no array named"):
+            sim.read_array("missing", 3)
+
     def test_misalignment_offset_honoured(self):
         module = parse_module("func f() {\nentry:\n    ret 0\n}")
         sim = Simulator(module, get_machine("alpha"))

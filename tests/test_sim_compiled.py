@@ -25,12 +25,13 @@ from repro.bench.programs import get_benchmark
 from repro.errors import DeadlineExceeded, SimulationError, SimulationTimeout
 from repro.ir import parse_module
 from repro.machine import get_machine
+from repro.machine.machine import CacheGeometry
 from repro.pipeline import compile_minic
 from repro.sanitize.differential import BUFFER_BYTES, make_fixtures
 from repro.sim import Simulator, default_sim_backend
 from repro.sim.cache import BlockCache
 from repro.sim.interp import Interpreter
-from repro.sim.translate import CompiledEngine
+from repro.sim.translate import CompiledEngine, loop_chains
 
 LOOP_TEXT = (
     "func spin(r0) {\nentry:\n    r1 = 0\n    jump loop\n"
@@ -250,6 +251,267 @@ class TestWatchdogAndDeadlineParity:
                 sim.block_count("spin", "loop"),
             ))
         assert states[0] == states[1]
+
+
+# Loop chains (a header plus single-predecessor blocks leading back to
+# it) compile into one closure.  Each program exits the chain from the
+# header and from a later block; ``found`` returns r6, which only the
+# chain's second block defines (entry sets it to 7), so an exit taken
+# before that block ever ran must spill the filled value back.
+CHAIN_TEXTS = {
+    # head -> body -> head: side exit from the header, the last block's
+    # branch loops or leaves.
+    "two": (
+        "func walk(r0, r1) {\nentry:\n    r2 = 0\n    r3 = 0\n"
+        "    r6 = 7\n    jump head\n"
+        "head:\n    r4 = load.1u [r0]\n    r5 = load.1u [r0 + 64]\n"
+        "    r3 = add r3, r4\n    r3 = add r3, r5\n"
+        "    br eq r4, 255, found, body\n"
+        "body:\n    r0 = add r0, 1\n    r2 = add r2, 1\n"
+        "    r6 = add r2, 100\n    br lt r2, r1, head, done\n"
+        "found:\n    ret r6\n"
+        "done:\n    ret r3\n}"
+    ),
+    # head -> mid -> tail -> head: the header leaves on the bound, the
+    # interior block leaves on the sentinel, the last block jumps back.
+    "three": (
+        "func walk(r0, r1) {\nentry:\n    r2 = 0\n    r3 = 0\n"
+        "    r6 = 7\n    jump head\n"
+        "head:\n    br ge r2, r1, done, mid\n"
+        "mid:\n    r4 = load.2u [r0]\n    r0 = add r0, 2\n"
+        "    r2 = add r2, 1\n    br eq r4, 65535, found, tail\n"
+        "tail:\n    r6 = add r2, 100\n    r3 = add r3, r4\n"
+        "    store.2 [r0 + 126], r3\n    jump head\n"
+        "found:\n    ret r6\n"
+        "done:\n    ret r3\n}"
+    ),
+    # head -> mid -> tail -> head: the interior block jumps straight
+    # back to the header on a zero element.
+    "three_continue": (
+        "func walk(r0, r1) {\nentry:\n    r2 = 0\n    r3 = 0\n"
+        "    r6 = 7\n    jump head\n"
+        "head:\n    r4 = load.2u [r0]\n    r0 = add r0, 2\n"
+        "    r2 = add r2, 1\n    br eq r4, 65535, found, mid\n"
+        "mid:\n    r6 = add r2, 100\n    br eq r4, 0, head, tail\n"
+        "tail:\n    r3 = add r3, r4\n    store.2 [r0 + 126], r3\n"
+        "    br lt r2, r1, head, done\n"
+        "found:\n    ret r6\n"
+        "done:\n    ret r3\n}"
+    ),
+}
+
+#: head -> {left, right} -> join -> head: a diamond body is no chain.
+DIAMOND_TEXT = (
+    "func walk(r0, r1) {\nentry:\n    r2 = 0\n    r3 = 0\n"
+    "    jump head\n"
+    "head:\n    r4 = load.1u [r0]\n    br lt r4, 128, left, right\n"
+    "left:\n    r3 = add r3, r4\n    jump join\n"
+    "right:\n    r3 = sub r3, r4\n    jump join\n"
+    "join:\n    r0 = add r0, 1\n    r2 = add r2, 1\n"
+    "    br lt r2, r1, head, done\n"
+    "done:\n    ret r3\n}"
+)
+
+def _tiny_cache_alpha():
+    """The Alpha with a two-line I-cache and a four-line D-cache: the
+    chain's blocks evict each other's lines, and ``[r0]``/``[r0 + 64]``
+    share a D-cache slot."""
+    machine = get_machine("alpha")
+    machine.icache = CacheGeometry(32, 16, 10)
+    machine.dcache = CacheGeometry(64, 16, 10)
+    return machine
+
+
+TINY_CACHE_ALPHA = _tiny_cache_alpha()
+
+
+def _chain_payload(kind):
+    """Buffer contents: ``plain`` never hits the sentinel, ``sentinel``
+    has it at element 5, ``first`` at element 0; zeros every 7th."""
+    values = [0 if i % 7 == 3 else (i * 37) % 250 + 1 for i in range(256)]
+    if kind == "sentinel":
+        values[5] = 0xFFFF
+    elif kind == "first":
+        values[0] = 0xFFFF
+    return b"".join(v.to_bytes(2, "little") for v in values)
+
+
+def _chain_run(text, backend, payload, count, **kwargs):
+    """One call of ``walk`` on one backend: everything the parity
+    contract covers."""
+    sim = Simulator(parse_module(text), TINY_CACHE_ALPHA,
+                    backend=backend, **kwargs)
+    buffer = sim.alloc_array("buffer", payload)
+    observed = {"backend": sim.backend}
+    try:
+        observed["value"] = sim.call("walk", buffer, count)
+    except SimulationTimeout as exc:
+        observed["timeout"] = (exc.steps, exc.limit, exc.function,
+                               exc.block)
+    engine = sim.engine
+    stats = engine.stats
+    observed["blocks"] = dict(stats.block_counts)
+    observed["icache"] = (engine.icache.hits, engine.icache.misses)
+    observed["dcache_misses"] = engine.dcache.misses
+    if "timeout" not in observed:
+        # An aborted block still counts whole in derived totals (the
+        # one tolerated divergence), so these compare on success only.
+        observed["counts"] = (stats.instr_count, stats.load_count,
+                              stats.store_count, stats.call_count)
+        observed["dcache_hits"] = engine.dcache.hits
+        observed["memory"] = sim.memory.read_bytes(buffer, len(payload))
+    return observed
+
+
+def _parity(text, payload, count, **kwargs):
+    interp = _chain_run(text, "interp", payload, count, **kwargs)
+    compiled = _chain_run(text, "compiled", payload, count, **kwargs)
+    assert interp.pop("backend") == "interp"
+    assert compiled.pop("backend") == "compiled"
+    assert interp == compiled
+    return compiled
+
+
+class TestLoopChains:
+    @pytest.mark.parametrize("name", sorted(CHAIN_TEXTS))
+    def test_detected_and_compiled_as_one_closure(self, name):
+        module = parse_module(CHAIN_TEXTS[name])
+        func = module.function("walk")
+        members = ["head", "body"] if name == "two" else [
+            "head", "mid", "tail"]
+        chains = loop_chains(func)
+        assert [b.label for b in chains["head"]] == members
+        assert list(chains) == ["head"]
+        cache = BlockCache()
+        engine = CompiledEngine(module, TINY_CACHE_ALPHA,
+                                block_cache=cache)
+        source = engine.block_source("walk", "head")
+        assert "while True:" in source
+        for label in members[1:]:
+            # interior blocks run inside the header's closure
+            assert engine.block_source("walk", label) == source
+        assert len(cache) == len(func.blocks) - (len(members) - 1)
+        stats = engine.translation_stats()
+        assert stats["blocks"] == stats["translated"] == len(func.blocks)
+        # I-cache probes stay inside the loop of a multi-block chain.
+        prologue = source.split("while True:")[0]
+        assert "_it[" not in prologue
+
+    @pytest.mark.parametrize("name", sorted(CHAIN_TEXTS))
+    @pytest.mark.parametrize("kind, count", [
+        ("plain", 40), ("sentinel", 40), ("first", 40), ("plain", 1),
+    ])
+    def test_parity_with_conflicting_caches(self, name, kind, count):
+        observed = _parity(CHAIN_TEXTS[name], _chain_payload(kind), count)
+        if kind == "first":
+            assert observed["value"] == 7  # spilled, never redefined
+        # the two-line I-cache really does thrash inside the chain
+        assert observed["icache"][1] > observed["blocks"][("walk", "head")]
+
+    def test_diamond_body_stays_on_block_dispatch(self):
+        module = parse_module(DIAMOND_TEXT)
+        assert loop_chains(module.function("walk")) == {}
+        engine = CompiledEngine(module, TINY_CACHE_ALPHA,
+                                block_cache=BlockCache())
+        for block in module.function("walk").blocks:
+            assert "while True" not in engine.block_source(
+                "walk", block.label)
+        observed = _parity(DIAMOND_TEXT, _chain_payload("plain"), 60)
+        assert observed["blocks"][("walk", "left")] > 0
+        assert observed["blocks"][("walk", "right")] > 0
+
+    def test_entry_block_is_never_interior(self):
+        # Without the driver's call counted, entry's only predecessor
+        # would be ``head`` and [head, entry] would look like a chain.
+        text = (
+            "func walk(r0, r1) {\nentry:\n"
+            "    br lt r1, 3, head, other\n"
+            "other:\n    jump head\n"
+            "head:\n    r1 = add r1, 1\n    br lt r1, 9, entry, done\n"
+            "done:\n    ret r1\n}"
+        )
+        module = parse_module(text)
+        assert loop_chains(module.function("walk")) == {}
+        observed = _parity(text, _chain_payload("plain"), 0)
+        assert observed["value"] == 9
+
+    def test_entry_block_can_head_a_chain(self):
+        text = (
+            "func walk(r0, r1) {\nentry:\n"
+            "    br lt r1, 9, head, done\n"
+            "head:\n    r1 = add r1, 1\n    jump tail\n"
+            "tail:\n    r0 = add r0, 2\n    jump entry\n"
+            "done:\n    ret r1\n}"
+        )
+        chains = loop_chains(parse_module(text).function("walk"))
+        assert [b.label for b in chains["entry"]] == [
+            "entry", "head", "tail"]
+        assert _parity(text, _chain_payload("plain"), 0)["value"] == 9
+
+    @pytest.mark.parametrize("body", [
+        "    r3 = call leaf(r2)\n    jump head\n",
+        # an embedded branch: the later jump wins, as in the interpreter
+        "    br lt r2, 5, done, head\n    r3 = add r2, 1\n    jump head\n",
+    ])
+    def test_calls_and_embedded_jumps_break_chains(self, body):
+        text = (
+            "func leaf(r0) {\nentry:\n    ret r0\n}\n"
+            "func walk(r0, r1) {\nentry:\n    r2 = 0\n    jump head\n"
+            "head:\n    r2 = add r2, 1\n    br lt r2, r1, body, done\n"
+            f"body:\n{body}"
+            "done:\n    ret r2\n}"
+        )
+        module = parse_module(text)
+        assert loop_chains(module.function("walk")) == {}
+        assert _parity(text, _chain_payload("plain"), 20)["value"] == 20
+
+    @pytest.mark.parametrize("name", sorted(CHAIN_TEXTS))
+    def test_timeout_in_the_second_block(self, name):
+        func = parse_module(CHAIN_TEXTS[name]).function("walk")
+        chain = loop_chains(func)["head"]
+        # entry, then the header, then one step into the second block
+        limit = len(func.entry.instrs) + len(chain[0].instrs) + 1
+        observed = _parity(CHAIN_TEXTS[name], _chain_payload("plain"), 40,
+                           max_steps=limit)
+        assert observed["timeout"][1:] == (limit, "walk", chain[1].label)
+
+    @pytest.mark.parametrize("name", sorted(CHAIN_TEXTS))
+    def test_cancel_cadence_and_raising_cancel(self, name):
+        payload = _chain_payload("plain")
+        counts = []
+        for backend in ("interp", "compiled"):
+            probes = []
+            _chain_run(CHAIN_TEXTS[name], backend, payload, 30,
+                       cancel=lambda: probes.append(1))
+            counts.append(len(probes))
+        assert counts[0] == counts[1] > 30
+        states = []
+        for backend in ("interp", "compiled"):
+            fired = [0]
+
+            def cancel():
+                fired[0] += 1
+                if fired[0] >= 8:  # mid-chain, on the third iteration
+                    raise DeadlineExceeded(1.0, 2.0, "test")
+
+            sim = Simulator(parse_module(CHAIN_TEXTS[name]),
+                            TINY_CACHE_ALPHA, backend=backend,
+                            cancel=cancel)
+            buffer = sim.alloc_array("buffer", payload)
+            with pytest.raises(DeadlineExceeded):
+                sim.call("walk", buffer, 30)
+            states.append((fired[0], dict(sim.engine.stats.block_counts),
+                           sim.engine.icache.misses))
+        assert states[0] == states[1]
+
+    def test_self_loop_is_a_one_block_chain_with_hoisted_probes(self):
+        module = parse_module(LOOP_TEXT)
+        assert [b.label for b in loop_chains(module.function("spin"))[
+            "loop"]] == ["loop"]
+        engine = CompiledEngine(module, get_machine("alpha"),
+                                block_cache=BlockCache())
+        prologue = engine.block_source("spin", "loop").split("while True:")[0]
+        assert "_it[" in prologue
 
 
 # (alignment nudge, integer argument) — the sanitize matrix plus a

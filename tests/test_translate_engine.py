@@ -164,3 +164,151 @@ class TestProgramEquivalence:
         )
         interp, compiled = both_engines(text)
         assert interp.call("f", 7) == compiled.call("f", 7) == 7
+
+
+BIG_ENDIAN = ["m88100", "m68030"]
+BOUNDARY_VALUES = [
+    0, 1, 0x7FFF, 0x8000, 0xFFFF, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF,
+]
+ACCESS_TEXT = "\n".join(
+    [
+        f"func ld{w}{s}(r0) {{\nentry:\n    r1 = load.{w}{s} [r0]\n"
+        "    ret r1\n}"
+        for w in (2, 4) for s in "su"
+    ] + [
+        f"func st{w}(r0, r1) {{\nentry:\n    store.{w} [r0], r1\n"
+        "    ret\n}"
+        for w in (2, 4)
+    ]
+)
+
+
+def _outcome(engine, name, *args):
+    """A call's value, or its error's type and text."""
+    try:
+        return ("ok", engine.call(name, *args))
+    except SimulationError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+class TestBigEndianAccess:
+    """Non-host-endian 2/4-byte loads and stores (struct accessors in the
+    compiled engine) against the interpreter's SimMemory.load/store."""
+
+    @pytest.mark.parametrize("machine", BIG_ENDIAN)
+    def test_boundary_values_round_trip(self, machine):
+        interp, compiled = both_engines(ACCESS_TEXT, machine)
+        addr = interp.memory.alloc(16)
+        assert compiled.memory.alloc(16) == addr
+        for value in BOUNDARY_VALUES:
+            for width in (2, 4):
+                results = []
+                for engine in (interp, compiled):
+                    engine.call(f"st{width}", addr, value)
+                    image = engine.memory.read_bytes(addr, 8)
+                    results.append((
+                        image,
+                        engine.call(f"ld{width}s", addr),
+                        engine.call(f"ld{width}u", addr),
+                        # the other half-word of the stored word
+                        engine.call("ld2u", addr + 2),
+                    ))
+                assert results[0] == results[1], (width, hex(value))
+                mask = (1 << (8 * width)) - 1
+                assert results[0][0][:width] == (value & mask).to_bytes(
+                    width, "big"
+                )
+                assert results[0][2] == value & mask
+
+    @pytest.mark.parametrize("machine", BIG_ENDIAN)
+    @pytest.mark.parametrize("name, args", [
+        ("ld2s", (4097,)), ("ld2u", (4097,)), ("st2", (4097, 1)),
+        ("ld4s", (4098,)), ("ld4u", (4098,)), ("st4", (4098, 1)),
+        ("ld4u", ((1 << 22) - 2,)),   # misaligned and past the end
+        ("ld2u", (0,)), ("st4", (0, 1)),
+        ("ld2s", (1 << 22,)), ("st2", ((1 << 22) - 1, 1)),
+        ("ld4u", ((1 << 22) - 4,)),   # the last word: valid
+    ])
+    def test_same_traps_and_faults(self, machine, name, args):
+        interp, compiled = both_engines(ACCESS_TEXT, machine)
+        expected = _outcome(interp, name, *args)
+        got = _outcome(compiled, name, *args)
+        if expected[0] in ("ok", "AlignmentTrap"):
+            assert got == expected
+        else:
+            # bounds faults: same type, the texts name the address
+            assert expected[0] == got[0] == "SimulationError"
+
+
+FIELD_TEXT = (
+    "func ext(r0, r1) {{\nentry:\n    r2 = ext.{w}{s} r0, pos=r1\n"
+    "    ret r2\n}}\n"
+    "func ins(r0, r1, r2) {{\nentry:\n    r3 = ins.{w} r0, r1, pos=r2\n"
+    "    ret r3\n}}"
+)
+
+
+class TestDynamicFieldShift:
+    """Extract/insert with a register position: the compiled engine
+    computes the shift inline and calls back only to raise."""
+
+    @pytest.mark.parametrize("machine, width", [
+        (machine, width)
+        for machine in ("alpha", "m88100", "m68030")
+        for width in (1, 2, 4, 8)
+        if width <= get_machine(machine).word_bytes
+    ])
+    @pytest.mark.parametrize("signed", [True, False])
+    def test_every_byte_position(self, machine, width, signed):
+        word = get_machine(machine).word_bytes
+        text = FIELD_TEXT.format(w=width, s="s" if signed else "u")
+        interp, compiled = both_engines(text, machine)
+        src = int.from_bytes(bytes(range(0xF1, 0xF1 + word)), "big")
+        straddling = 0
+        for base in (0, 0x12340, (1 << (8 * word)) - 2 * word):
+            for byte in range(word):
+                pos = base + byte
+                for name, args in (("ext", (src, pos)),
+                                   ("ins", (src, 0x8182838485868788, pos))):
+                    expected = _outcome(interp, name, *args)
+                    assert _outcome(compiled, name, *args) == expected
+                    if expected[0] != "ok":
+                        straddling += 1
+                        assert "not naturally aligned" in expected[1]
+        assert straddling == 3 * 2 * (word - word // width)
+
+
+def _all_block_sources(machine):
+    sources = set()
+    for name in ("blockstage", "dotproduct", "eqntott", "image_add16",
+                 "mirror", "translate", "spmv_csr", "strided_copy"):
+        program = get_benchmark(name)
+        for config in ("vpo", "coalesce-all"):
+            compiled = compile_minic(program.source, machine, config,
+                                     force_coalesce=True)
+            engine = CompiledEngine(compiled.module, compiled.machine)
+            for func in compiled.module:
+                for block in func.blocks:
+                    sources.add(engine.block_source(func.name, block.label))
+    return sources
+
+
+class TestGeneratedSourceShape:
+    @pytest.mark.parametrize("machine", ["alpha", "m88100", "m68030"])
+    def test_no_per_access_slow_paths(self, machine):
+        import re
+
+        straddle = re.compile(
+            r"^\s*if r\d+ & \d+: _fieldshift\(r\d+, \d\)$"
+        )
+        fieldshift_lines = 0
+        for source in _all_block_sources(machine):
+            if machine != "alpha":
+                assert "int.from_bytes(" not in source
+                assert ".to_bytes(" not in source
+            for line in source.splitlines():
+                if "_fieldshift(" in line:
+                    fieldshift_lines += 1
+                    assert straddle.match(line), line
+        if machine == "alpha":
+            assert fieldshift_lines > 0  # coalesced unaligned accesses
