@@ -157,47 +157,46 @@ def cmd_compile(args) -> int:
     return 0
 
 
+def _call_from_args(args):
+    """``--entry``/``--array``/``--args`` as a Plan: a token that names a
+    staged array is that array, any other is ``int(token, 0)``."""
+    from repro.service.client import parse_array_specs
+    from repro.sim.plan import Plan
+
+    arrays = parse_array_specs(args.array)
+    names = {name for name, _, _ in arrays}
+    call_args = []
+    for token in args.args or []:
+        try:
+            call_args.append(token if token in names else int(token, 0))
+        except ValueError:
+            call_args.append(token)  # neither: the Plan rejects it
+    return Plan(args.entry, arrays, call_args)
+
+
 def cmd_run(args) -> int:
+    from repro.errors import ReproError
+    from repro.sim.plan import dump, run_plan
+
+    try:
+        call = _call_from_args(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     program = _compile_from_args(args)
     sim = program.simulator(
         max_steps=args.max_steps, backend=args.sim_backend
     )
-    addresses = {}
-    shapes = {}  # name -> (element width, staged element count)
-    for spec in args.array or []:
-        name, width, values = spec.split(":", 2)
-        width = int(width)
-        values = [int(v, 0) for v in values.split(",")] if values else []
-        address = sim.alloc_array(
-            name, size=max(len(values), 1) * width
-        )
-        sim.write_words(address, values, width)
-        addresses[name] = address
-        shapes[name] = (width, len(values))
-
-    call_args = []
-    for arg in args.args or []:
-        if arg in addresses:
-            call_args.append(addresses[arg])
-        else:
-            call_args.append(int(arg, 0))
-    result = sim.call(args.entry, *call_args)
+    result = run_plan(sim, call)
     if result is not None:
-        bits = program.machine.word_bits
-        if result >= 1 << (bits - 1):
-            result -= 1 << bits
         print(f"result: {result}")
     report = sim.report()
     print(f"cycles: {report.total_cycles}")
     print(f"instructions: {report.instr_count}")
     print(f"memory references: {report.memory_accesses}")
     if args.dump:
-        # At most 64 elements, and never past the staged array.
-        for name, address in addresses.items():
-            width, staged = shapes[name]
-            count = min(args.dump, 64, staged)
-            print(f"{name}[0:{count}] =",
-                  sim.read_words(address, count, width))
+        for name, values in dump(sim, call, args.dump).items():
+            print(f"{name}[0:{len(values)}] =", values)
     return 0
 
 
@@ -1021,11 +1020,7 @@ def _print_submit_response(response, as_json: bool) -> None:
 
 def cmd_submit(args) -> int:
     from repro.errors import ReproError
-    from repro.service.client import (
-        ServiceClient,
-        ServiceUnavailable,
-        parse_array_specs,
-    )
+    from repro.service.client import ServiceClient, ServiceUnavailable
 
     client = ServiceClient(
         args.socket, retries=args.retries,
@@ -1047,13 +1042,9 @@ def cmd_submit(args) -> int:
         elif args.entry:
             with open(args.file) as handle:
                 source = handle.read()
-            call_args = [
-                arg if not arg.lstrip("-").isdigit() else int(arg, 0)
-                for arg in args.args or []
-            ]
+            call = _call_from_args(args)
             response = client.simulate(
-                source, args.entry, call_args,
-                arrays=parse_array_specs(args.array),
+                source, call.entry, call.args, arrays=call.arrays,
                 machine=args.machine, config=args.config,
                 max_steps=args.max_steps, **fields,
             )

@@ -21,13 +21,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.bench.programs import get_benchmark
 from repro.bench import workloads
 from repro.bench.cache import cached_compile_minic
 from repro.pipeline import CompiledProgram
-from repro.sim import Simulator, instructions_per_second
+from repro.sim import instructions_per_second
+from repro.sim.plan import check as check_plan, run_plan
 
 COLUMN_CONFIGS: Dict[str, Tuple[str, Dict[str, object]]] = {
     "cc": ("cc", {}),
@@ -129,9 +130,11 @@ def run_benchmark(
     compile_started = time.perf_counter()
     compiled = compile_benchmark(name, machine, column, **extra)
     compile_seconds = time.perf_counter() - compile_started
+    call = workloads.make_plan(name, width, height)
     sim_started = time.perf_counter()
     sim = compiled.simulator(backend=sim_backend)
-    result, ok = _stage_and_run(name, sim, width, height, check)
+    result = run_plan(sim, call)
+    ok = not check or check_plan(sim, call, result)
     sim_seconds = time.perf_counter() - sim_started
     report = sim.report()
     return BenchResult(
@@ -165,179 +168,3 @@ def run_benchmark(
             for stage, stats in compiled.pass_stats.items()
         },
     )
-
-
-def _stage_and_run(
-    name: str, sim: Simulator, width: int, height: int, check: bool
-) -> Tuple[Optional[int], bool]:
-    pixels = width * height
-
-    if name == "convolution":
-        src = workloads.lcg_bytes(pixels)
-        a = sim.alloc_array("src", bytes(src))
-        d = sim.alloc_array("dst", size=pixels)
-        sim.call("convolve", a, d, width, height)
-        if not check:
-            return None, True
-        got = sim.read_words(d, pixels, 1, signed=False)
-        return None, got == workloads.ref_convolution(src, width, height)
-
-    if name in ("image_add", "image_xor"):
-        a_vals = workloads.lcg_bytes(pixels, seed=11)
-        b_vals = workloads.lcg_bytes(pixels, seed=22)
-        d = sim.alloc_array("dst", size=pixels)
-        a = sim.alloc_array("a", bytes(a_vals))
-        b = sim.alloc_array("b", bytes(b_vals))
-        sim.call(get_benchmark(name).entry, d, a, b, pixels)
-        if not check:
-            return None, True
-        got = sim.read_words(d, pixels, 1, signed=False)
-        reference = (
-            workloads.ref_image_add(a_vals, b_vals)
-            if name == "image_add"
-            else workloads.ref_image_xor(a_vals, b_vals)
-        )
-        return None, got == reference
-
-    if name == "image_add16":
-        a_vals = [v * 257 for v in workloads.lcg_bytes(pixels, seed=33)]
-        b_vals = [v * 257 for v in workloads.lcg_bytes(pixels, seed=44)]
-        d = sim.alloc_array("dst", size=2 * pixels)
-        a = sim.alloc_array("a", size=2 * pixels)
-        b = sim.alloc_array("b", size=2 * pixels)
-        sim.write_words(a, a_vals, 2)
-        sim.write_words(b, b_vals, 2)
-        sim.call("image_add16", d, a, b, pixels)
-        if not check:
-            return None, True
-        got = sim.read_words(d, pixels, 2, signed=False)
-        return None, got == workloads.ref_image_add16(a_vals, b_vals)
-
-    if name == "translate":
-        tx, ty = 8, 4
-        src = workloads.lcg_bytes(pixels, seed=55)
-        a = sim.alloc_array("src", bytes(src))
-        d = sim.alloc_array("dst", size=pixels)
-        sim.call("translate", a, d, width, height, tx, ty)
-        if not check:
-            return None, True
-        got = sim.read_words(d, pixels, 1, signed=False)
-        return None, got == workloads.ref_translate(
-            src, width, height, tx, ty
-        )
-
-    if name == "mirror":
-        src = workloads.lcg_bytes(pixels, seed=66)
-        a = sim.alloc_array("src", bytes(src))
-        d = sim.alloc_array("dst", size=pixels)
-        sim.call("mirror", a, d, width, height)
-        if not check:
-            return None, True
-        got = sim.read_words(d, pixels, 1, signed=False)
-        return None, got == workloads.ref_mirror(src, width, height)
-
-    if name == "eqntott":
-        nterms, term_width = max(height, 4), max(width, 8)
-        terms = workloads.eqntott_terms(nterms, term_width)
-        t = sim.alloc_array("terms", size=2 * len(terms))
-        sim.write_words(t, terms, 2)
-        w = sim.alloc_array("work", size=2 * term_width)
-        value = sim.call("eqntott", t, w, nterms, term_width)
-        value = _to_signed(value, sim.machine.word_bits)
-        if not check:
-            return value, True
-        return value, value == workloads.ref_eqntott(
-            terms, nterms, term_width
-        )
-
-    if name == "blockstage":
-        src = workloads.lcg_bytes(pixels, seed=99)
-        a = sim.alloc_array("src", bytes(src))
-        value = sim.call("blockstage", a, pixels)
-        value = _to_signed(value, sim.machine.word_bits)
-        if not check:
-            return value, True
-        return value, value == workloads.ref_blockstage(src, pixels)
-
-    if name == "spmv_csr":
-        nrows = max(height, 4)
-        vals, cols, rowptr = workloads.csr_matrix(nrows)
-        ncols = 128
-        x_vals = workloads.lcg_shorts(ncols, seed=4321, span=128)
-        y = sim.alloc_array("y", size=4 * nrows)
-        v = sim.alloc_array("val", size=2 * len(vals))
-        c = sim.alloc_array("col", size=2 * len(cols))
-        rp = sim.alloc_array("rowptr", size=4 * len(rowptr))
-        x = sim.alloc_array("x", size=2 * ncols)
-        sim.write_words(v, vals, 2)
-        sim.write_words(c, cols, 2)
-        sim.write_words(rp, rowptr, 4)
-        sim.write_words(x, x_vals, 2)
-        value = sim.call("spmv", y, v, c, rp, x, nrows)
-        value = _to_signed(value, sim.machine.word_bits)
-        if not check:
-            return value, True
-        got_y = sim.read_words(y, nrows, 4)
-        ref_y, ref_total = workloads.ref_spmv(
-            vals, cols, rowptr, x_vals, nrows
-        )
-        return value, value == ref_total and got_y == ref_y
-
-    if name == "histogram":
-        src = workloads.lcg_bytes(pixels, seed=17)
-        h = sim.alloc_array("hist", size=4 * 256)
-        s = sim.alloc_array("src", bytes(src))
-        value = sim.call("histogram", h, s, pixels)
-        value = _to_signed(value, sim.machine.word_bits)
-        reference = workloads.ref_histogram(src)
-        if not check:
-            return value, True
-        got = sim.read_words(h, 256, 4)
-        return value, value == reference[0] and got == reference
-
-    if name == "strided_copy":
-        src = workloads.lcg_bytes(2 * pixels, seed=23)
-        d = sim.alloc_array("dst", size=pixels)
-        s = sim.alloc_array("src", bytes(src))
-        sim.call("strided_copy", d, s, pixels)
-        if not check:
-            return None, True
-        got = sim.read_words(d, pixels, 1, signed=False)
-        return None, got == workloads.ref_strided_copy(src, pixels)
-
-    if name == "conv2d_rowwalk":
-        rows = max(height, 3)
-        w = max(4, min(width, 64))
-        m_vals = workloads.lcg_bytes(rows * 64, seed=29)
-        m = sim.alloc_array("m", bytes(m_vals))
-        out = sim.alloc_array("out", size=w)
-        y_row = rows // 2
-        value = sim.call("conv2d_rowwalk", m, out, y_row, w)
-        value = _to_signed(value, sim.machine.word_bits)
-        reference = workloads.ref_conv2d_rowwalk(m_vals, y_row, w)
-        if not check:
-            return value, True
-        got = sim.read_words(out, w, 1, signed=False)
-        return value, value == reference[1] and got == reference
-
-    if name == "dotproduct":
-        count = pixels
-        a_vals = workloads.lcg_shorts(count, seed=77, span=2000)
-        b_vals = workloads.lcg_shorts(count, seed=88, span=2000)
-        a = sim.alloc_array("a", size=2 * count)
-        b = sim.alloc_array("b", size=2 * count)
-        sim.write_words(a, a_vals, 2)
-        sim.write_words(b, b_vals, 2)
-        value = sim.call("dotproduct", a, b, count)
-        value = _to_signed(value, sim.machine.word_bits)
-        if not check:
-            return value, True
-        return value, value == workloads.ref_dotproduct(a_vals, b_vals)
-
-    raise KeyError(f"no staging recipe for benchmark {name!r}")
-
-
-def _to_signed(value: int, bits: int) -> int:
-    if value >= 1 << (bits - 1):
-        value -= 1 << bits
-    return value

@@ -1,4 +1,4 @@
-"""Input generation and golden-output references for the benchmarks.
+"""Inputs, golden-output references and kernel-call plans of the benchmarks.
 
 Everything is deterministic (seeded LCG, not ``random``) so cycle counts
 and outputs are reproducible run to run.
@@ -6,7 +6,9 @@ and outputs are reproducible run to run.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Callable, Dict, List, Tuple
+
+from repro.sim.plan import Plan
 
 
 def lcg_bytes(count: int, seed: int = 12345) -> List[int]:
@@ -213,3 +215,132 @@ def eqntott_terms(nterms: int, width: int, seed: int = 777) -> List[int]:
         row[flip_at] = (row[flip_at] + 1 + t % 2) % 3
         terms.extend(row)
     return terms
+
+
+# ---------------------------------------------------------------------------
+# Kernel-call plans, one recipe per benchmark.  Seeds, sizes and array
+# order are the bench anchor's: staging order fixes simulated addresses.
+# ---------------------------------------------------------------------------
+
+Recipe = Callable[[int, int], Plan]
+
+
+def _src_to_dst(entry: str, seed: int, reference, *extra: int) -> Recipe:
+    """``entry(src, dst, w, h, *extra)`` over one byte image."""
+    def recipe(w: int, h: int) -> Plan:
+        src = lcg_bytes(w * h, seed=seed)
+        return Plan(
+            entry, [("src", 1, src), ("dst", 1, [0] * (w * h))],
+            ["src", "dst", w, h, *extra],
+            {"dst": reference(src, w, h, *extra)},
+        )
+    return recipe
+
+
+def _image_pair(
+    entry: str, reference, seeds: Tuple[int, int], width: int = 1,
+    scale: int = 1,
+) -> Recipe:
+    """``entry(dst, a, b, pixels)`` over two images."""
+    def recipe(w: int, h: int) -> Plan:
+        pixels = w * h
+        a, b = ([v * scale for v in lcg_bytes(pixels, seed=seed)]
+                for seed in seeds)
+        return Plan(
+            entry,
+            [("dst", width, [0] * pixels), ("a", width, a),
+             ("b", width, b)],
+            ["dst", "a", "b", pixels], {"dst": reference(a, b)},
+        )
+    return recipe
+
+
+def _eqntott(w: int, h: int) -> Plan:
+    nterms, term_width = max(h, 4), max(w, 8)
+    terms = eqntott_terms(nterms, term_width)
+    return Plan(
+        "eqntott", [("terms", 2, terms), ("work", 2, [0] * term_width)],
+        ["terms", "work", nterms, term_width],
+        result=ref_eqntott(terms, nterms, term_width),
+    )
+
+
+def _dotproduct(w: int, h: int) -> Plan:
+    a, b = (lcg_shorts(w * h, seed=seed, span=2000) for seed in (77, 88))
+    return Plan(
+        "dotproduct", [("a", 2, a), ("b", 2, b)], ["a", "b", w * h],
+        result=ref_dotproduct(a, b),
+    )
+
+
+def _blockstage(w: int, h: int) -> Plan:
+    src = lcg_bytes(w * h, seed=99)
+    return Plan(
+        "blockstage", [("src", 1, src)], ["src", w * h],
+        result=ref_blockstage(src, w * h),
+    )
+
+
+def _spmv_csr(w: int, h: int) -> Plan:
+    nrows = max(h, 4)
+    vals, cols, rowptr = csr_matrix(nrows)
+    x = lcg_shorts(128, seed=4321, span=128)
+    y, total = ref_spmv(vals, cols, rowptr, x, nrows)
+    return Plan(
+        "spmv",
+        [("y", 4, [0] * nrows), ("val", 2, vals), ("col", 2, cols),
+         ("rowptr", 4, rowptr), ("x", 2, x)],
+        ["y", "val", "col", "rowptr", "x", nrows], {"y": y}, total,
+    )
+
+
+def _histogram(w: int, h: int) -> Plan:
+    src = lcg_bytes(w * h, seed=17)
+    hist = ref_histogram(src)
+    return Plan(
+        "histogram", [("hist", 4, [0] * 256), ("src", 1, src)],
+        ["hist", "src", w * h], {"hist": hist}, hist[0],
+    )
+
+
+def _strided_copy(w: int, h: int) -> Plan:
+    src = lcg_bytes(2 * w * h, seed=23)
+    return Plan(
+        "strided_copy", [("dst", 1, [0] * (w * h)), ("src", 1, src)],
+        ["dst", "src", w * h], {"dst": ref_strided_copy(src, w * h)},
+    )
+
+
+def _conv2d_rowwalk(w: int, h: int) -> Plan:
+    rows, width = max(h, 3), max(4, min(w, 64))
+    m = lcg_bytes(rows * 64, seed=29)
+    out = ref_conv2d_rowwalk(m, rows // 2, width)
+    return Plan(
+        "conv2d_rowwalk", [("m", 1, m), ("out", 1, [0] * width)],
+        ["m", "out", rows // 2, width], {"out": out}, out[1],
+    )
+
+
+_RECIPES: Dict[str, Recipe] = {
+    "convolution": _src_to_dst("convolve", 12345, ref_convolution),
+    "image_add": _image_pair("image_add", ref_image_add, (11, 22)),
+    "image_add16": _image_pair(
+        "image_add16", ref_image_add16, (33, 44), width=2, scale=257
+    ),
+    "image_xor": _image_pair("image_xor", ref_image_xor, (11, 22)),
+    "translate": _src_to_dst("translate", 55, ref_translate, 8, 4),
+    "eqntott": _eqntott,
+    "mirror": _src_to_dst("mirror", 66, ref_mirror),
+    "dotproduct": _dotproduct,
+    "blockstage": _blockstage,
+    "spmv_csr": _spmv_csr,
+    "histogram": _histogram,
+    "strided_copy": _strided_copy,
+    "conv2d_rowwalk": _conv2d_rowwalk,
+}
+
+
+def make_plan(name: str, width: int, height: int) -> Plan:
+    """Benchmark ``name``'s call on a ``width`` x ``height`` image, with
+    the reference outputs it must produce."""
+    return _RECIPES[name](width, height)

@@ -25,7 +25,7 @@ import os
 import time
 from dataclasses import dataclass, field, replace
 from itertools import groupby
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.alias import annotate_memory_roots
 from repro.coalesce import CoalesceReport, coalesce_function
@@ -44,6 +44,7 @@ from repro.resilience.transaction import (
 )
 from repro.sched.block_cost import schedule_module
 from repro.sim import Simulator
+from repro.sim.plan import Plan, run_plan
 
 
 #: Every step of ``compile_minic`` in run order, with the config test
@@ -400,18 +401,23 @@ def compile_minic(
 def compile_and_run(
     source: str,
     entry: str,
-    args: List[int],
+    args: Sequence[Union[str, int]],
     machine: Union[str, MachineDescription] = "alpha",
     config: Union[str, PipelineConfig, None] = None,
     sim_backend: Optional[str] = None,
+    arrays: Optional[Sequence[Tuple[str, int, List[int]]]] = None,
     **overrides,
-):
-    """One-call convenience: compile, simulate, return (result, report).
+) -> Tuple[Optional[int], Simulator]:
+    """One-call convenience: compile ``source``, stage ``arrays`` and
+    call ``entry``.
 
-    ``sim_backend`` picks the simulator backend (``interp`` or
-    ``compiled``); None defers to ``REPRO_SIM_BACKEND``.
+    ``arrays`` holds ``(name, width, values)`` staged in order; a string
+    in ``args`` passes the address of the array it names.  Returns the
+    signed result (None for a void entry) and the :class:`Simulator`.
+    ``sim_backend`` picks ``interp`` or ``compiled``; None defers to
+    ``REPRO_SIM_BACKEND``.
     """
+    call = Plan(entry, arrays or [], args)
     program = compile_minic(source, machine, config, **overrides)
     sim = program.simulator(backend=sim_backend)
-    result = sim.call(entry, *args)
-    return result, sim.report()
+    return run_plan(sim, call), sim

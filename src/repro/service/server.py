@@ -52,7 +52,7 @@ import socket
 import threading
 import time
 from dataclasses import replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import DeadlineExceeded, ReproError
 from repro.machine import get_machine
@@ -67,6 +67,7 @@ from repro.service.breaker import (
     MODE_PROBE,
     BreakerBoard,
 )
+from repro.sim.plan import Plan, dump, run_plan
 
 DEFAULT_WORKERS = 2
 DEFAULT_QUEUE_LIMIT = 16
@@ -685,6 +686,11 @@ class CompileServer(FrontEnd):
         return fields
 
     def _do_simulate(self, request: dict) -> dict:
+        # A malformed call is a fatal ReproError before any compile work.
+        call = Plan(
+            request["entry"], request.get("arrays") or [],
+            request.get("args") or [],
+        )
         program, fields = self._compile_program(request)
         self._cancel()  # queue+compile may have eaten the whole budget
 
@@ -717,31 +723,7 @@ class CompileServer(FrontEnd):
             sim_kwargs["fault_hook"] = plan.sim_hook()
 
         sim = program.simulator(**sim_kwargs)
-        addresses: Dict[str, int] = {}
-        #: name -> (element width, staged element count)
-        shapes: Dict[str, Tuple[int, int]] = {}
-        for name, width, values in request.get("arrays") or []:
-            width = int(width)
-            address = sim.alloc_array(
-                name, size=max(len(values), 1) * width
-            )
-            sim.write_words(address, [int(v) for v in values], width)
-            addresses[name] = address
-            shapes[name] = (width, len(values))
-        call_args = [
-            addresses.get(arg, arg) if isinstance(arg, str) else int(arg)
-            for arg in request.get("args") or []
-        ]
-        for arg in call_args:
-            if isinstance(arg, str):
-                raise ReproError(
-                    f"argument {arg!r} names no staged array"
-                )
-        result = sim.call(request["entry"], *call_args)
-        if result is not None:
-            bits = program.machine.word_bits
-            if result >= 1 << (bits - 1):
-                result -= 1 << bits
+        result = run_plan(sim, call)
         report = sim.report()
         fields.update(
             result=result,
@@ -750,17 +732,8 @@ class CompileServer(FrontEnd):
             memory_accesses=report.memory_accesses,
             sim_backend=sim.backend,
         )
-        dump = request.get("dump")
-        if dump:
-            # At most 64 elements, and never past the staged array.
-            fields["arrays"] = {
-                name: sim.read_words(
-                    address,
-                    min(int(dump), 64, shapes[name][1]),
-                    shapes[name][0],
-                )
-                for name, address in addresses.items()
-            }
+        if request.get("dump"):
+            fields["arrays"] = dump(sim, call, int(request["dump"]))
         return fields
 
     def _do_bench(self, request: dict) -> dict:

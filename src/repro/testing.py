@@ -2,8 +2,8 @@
 
 ``tests/conftest.py`` and ``benchmarks/conftest.py`` both import their
 fixtures from here, so the two suites cannot drift: one definition of
-the evaluation-machine fixtures, the bench image size, the MiniC
-compile-and-run helper and the benchmark-report recorder.
+the evaluation-machine fixtures, the bench image size and the
+benchmark-report recorder (snippets run through ``compile_and_run``).
 
 This module is the only part of the package that imports pytest; it is
 never imported by library code.
@@ -16,7 +16,6 @@ import os
 import pytest
 
 from repro.machine import get_machine
-from repro.pipeline import compile_minic
 
 #: The three evaluation machines of the paper, in table order.
 MACHINE_NAMES = ("alpha", "m88100", "m68030")
@@ -51,43 +50,6 @@ def m68030():
 @pytest.fixture(scope="session")
 def bench_size():
     return {"width": BENCH_SIZE, "height": BENCH_SIZE}
-
-
-def signed(value: int, bits: int) -> int:
-    """Two's complement interpretation of a machine word."""
-    if value >= 1 << (bits - 1):
-        value -= 1 << bits
-    return value
-
-
-def run_minic(
-    source: str,
-    entry: str,
-    args,
-    machine_name: str = "alpha",
-    config: str = "vpo",
-    arrays=None,
-    **overrides,
-):
-    """Compile and run a MiniC snippet; returns (signed result, simulator).
-
-    ``arrays`` is a list of (name, width, values) staged before the call;
-    their addresses are substituted for string placeholders in ``args``
-    (an arg equal to the array's name becomes its address).
-    """
-    program = compile_minic(source, machine_name, config, **overrides)
-    sim = program.simulator()
-    addresses = {}
-    for name, width, values in arrays or []:
-        addr = sim.alloc_array(name, size=max(len(values), 1) * width)
-        sim.write_words(addr, values, width)
-        addresses[name] = addr
-    resolved = [addresses.get(a, a) if isinstance(a, str) else a
-                for a in args]
-    result = sim.call(entry, *resolved)
-    if result is not None:
-        result = signed(result, program.machine.word_bits)
-    return result, sim
 
 
 def record_columns(benchmark, rows_or_row, extra=None):

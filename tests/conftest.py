@@ -13,6 +13,4 @@ from repro.testing import (  # noqa: F401  (re-exported fixtures/helpers)
     m68030,
     m88100,
     machine,
-    run_minic,
-    signed,
 )

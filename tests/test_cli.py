@@ -69,6 +69,22 @@ def test_run_dump_stops_at_the_staged_array(kernel_file, capsys):
     assert "b[0:4] = [10, 20, 30, 40]" in out
 
 
+@pytest.mark.parametrize("call, complaint", [
+    (["--array", "a:2", "--args", "a", "a", "4"], "bad array spec 'a:2'"),
+    (["--array", "a:2:1,2", "--args", "a", "bogus", "4"],
+     "argument 'bogus' is neither an integer nor the name of a staged"),
+    (["--array", "a:2:1,2", "--array", "a:2:3,4", "--args", "a", "a", "2"],
+     "array 'a' is staged twice"),
+])
+def test_run_bad_call_is_an_error_not_a_traceback(
+    kernel_file, capsys, call, complaint
+):
+    assert main(["run", kernel_file, "--entry", "dot", *call]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert complaint in err
+
+
 def test_run_with_regalloc_and_force(kernel_file, capsys):
     assert main([
         "run", kernel_file, "--entry", "dot",

@@ -9,7 +9,7 @@ from repro.coalesce.coalescer import coalescible_widths
 from repro.ir import Load, parse_module
 from repro.machine import get_machine
 from repro.pipeline import compile_minic
-from tests.conftest import signed
+from repro.sim.plan import to_signed
 
 SUM_SHORTS = """
 int f(short *a, int n) {
@@ -90,7 +90,7 @@ class TestMultiWidthRuns:
         a = sim.alloc_array("a", size=2 * len(values))
         sim.write_words(a, values, 2)
         result = sim.call("f", a, len(values))
-        assert signed(result, 32) == sum(values)
+        assert to_signed(result, 32) == sum(values)
 
     def test_sub_word_tile_correct_on_little_endian(self):
         prog = compile_minic(
@@ -109,7 +109,7 @@ class TestMultiWidthRuns:
         a = sim.alloc_array("a", size=2 * len(values))
         sim.write_words(a, values, 2)
         result = sim.call("f", a, len(values))
-        assert signed(result, 64) == sum(values)
+        assert to_signed(result, 64) == sum(values)
 
 
 class TestUnalignedLoads:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.ir import Load, Store, format_instr
 from repro.pipeline import compile_minic
-from tests.conftest import signed
+from repro.sim.plan import to_signed
 
 DOT_SOURCE = """
 int dotproduct(short a[], short b[], int n) {
@@ -55,7 +55,7 @@ class TestFigure1Shape:
         n = 256
         sim, a, b, expected = stage_dot(prog, n)
         value = sim.call("dotproduct", a, b, n)
-        assert signed(value, 64) == expected
+        assert to_signed(value, 64) == expected
         report = sim.report()
         # 2 wide loads per 4 iterations = n/2 total (plus nothing else).
         assert report.load_count == n // 2
@@ -94,7 +94,7 @@ class TestRuntimeChecks:
         label = self._coalesced_label(prog, "dotproduct")
         sim, a, b, expected = stage_dot(prog, 64)
         value = sim.call("dotproduct", a, b, 64)
-        assert signed(value, 64) == expected
+        assert to_signed(value, 64) == expected
         assert sim.block_count("dotproduct", label) == 16
         assert sim.block_count("dotproduct", "loop0") == 0
 
@@ -106,7 +106,7 @@ class TestRuntimeChecks:
             prog, 64, a_offset=offsets[0], b_offset=offsets[1]
         )
         value = sim.call("dotproduct", a, b, 64)
-        assert signed(value, 64) == expected       # still correct
+        assert to_signed(value, 64) == expected       # still correct
         assert sim.block_count("dotproduct", label) == 0
 
     def test_overlapping_arrays_fall_back(self):
@@ -162,7 +162,7 @@ class TestRuntimeChecks:
         label = self._coalesced_label(prog, "dotproduct")
         # Trip count divisible: coalesced loop runs.
         sim, a, b, expected = stage_dot(prog, 64)
-        assert signed(sim.call("dotproduct", a, b, 64), 64) == expected
+        assert to_signed(sim.call("dotproduct", a, b, 64), 64) == expected
         assert sim.block_count("dotproduct", label) > 0
 
 
@@ -225,7 +225,7 @@ class TestCorrectnessMatrix:
         prog = compile_minic(DOT_SOURCE, machine, config)
         sim, a, b, expected = stage_dot(prog, n)
         value = sim.call("dotproduct", a, b, n)
-        assert signed(value, prog.machine.word_bits) == expected
+        assert to_signed(value, prog.machine.word_bits) == expected
 
     @pytest.mark.parametrize("machine", ["alpha", "m88100", "m68030"])
     def test_copy_forced(self, machine, n=37):

@@ -7,7 +7,7 @@ tests that optimization preserves semantics.
 
 import pytest
 
-from tests.conftest import run_minic
+from repro.pipeline import compile_and_run
 
 CONFIGS = ("naive", "vpo")
 
@@ -15,7 +15,7 @@ CONFIGS = ("naive", "vpo")
 def run_both(source, entry, args, arrays=None, machine="alpha"):
     results = []
     for config in CONFIGS:
-        value, _sim = run_minic(
+        value, _sim = compile_and_run(
             source, entry, args, machine, config, arrays=arrays
         )
         results.append(value)
@@ -254,7 +254,7 @@ class TestMemoryAndPointers:
     def test_pointer_difference(self):
         src = "long f(short *a, short *b) { return b - a; }"
         arrays = [("a", 2, [0] * 8)]
-        value, sim = run_minic(
+        value, sim = compile_and_run(
             "long f(short *a, long off) { return (a + off) - a; }",
             "f", ["a", 5], arrays=arrays,
         )
@@ -311,7 +311,7 @@ class TestConversions:
 
     def test_sizeof_on_32bit_machine(self):
         src = "long f() { return sizeof(long) + sizeof(int*); }"
-        value, _ = run_minic(src, "f", [], machine_name="m88100")
+        value, _ = compile_and_run(src, "f", [], machine="m88100")
         assert value == 8
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from repro.pipeline import compile_minic
 from repro.sim import Simulator
-from tests.conftest import signed
+from repro.sim.plan import to_signed
 
 _BIN_OPS = [
     ("+", lambda a, b: a + b),
@@ -128,7 +128,7 @@ def test_random_array_loops(seed):
         raw = {"+": raw + other, "^": raw ^ other,
                "|": raw | other, "&": raw & other}[op]
         raw &= (1 << (8 * width)) - 1
-        return signed(raw, 8 * width) if signed_elem else raw
+        return to_signed(raw, 8 * width) if signed_elem else raw
 
     expected = [oracle(v) for v in values]
     for machine in ("alpha", "m88100"):

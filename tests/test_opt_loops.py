@@ -14,8 +14,7 @@ from repro.opt.pass_manager import PassContext, cleanup
 from repro.opt.unroll import choose_unroll_factor, compact_ivs
 from repro.analysis import find_loops
 from repro.sim import Simulator
-from repro.pipeline import compile_minic
-from tests.conftest import run_minic
+from repro.pipeline import compile_and_run
 
 
 @pytest.fixture
@@ -119,7 +118,7 @@ class TestStrengthReduction:
 
     def test_semantics_preserved(self):
         values = [3, -1, 4, 1, -5, 9, 2, -6, 5, 3, 5]
-        result, _ = run_minic(
+        result, _ = compile_and_run(
             SUM_LOOP_SRC, "f", ["a", len(values)], config="vpo",
             arrays=[("a", 2, values)], unroll_factor=None,
         )
@@ -138,7 +137,7 @@ class TestStrengthReduction:
         func, changed = self._reduced_loop(source)
         assert changed
         values = [2, 4, 6, 8, 10]
-        result, _ = run_minic(
+        result, _ = compile_and_run(
             source, "f", ["a", 5], arrays=[("a", 2, values)]
         )
         assert result == 30
@@ -206,7 +205,7 @@ class TestUnroll:
     @pytest.mark.parametrize("factor", [2, 4, 8])
     def test_all_trip_counts_correct(self, n, factor):
         values = [(i * 7) % 23 - 11 for i in range(max(n, 1))]
-        result, _ = run_minic(
+        result, _ = compile_and_run(
             SUM_LOOP_SRC, "f", ["a", n], config="vpo",
             arrays=[("a", 2, values)], unroll_factor=factor,
         )
@@ -222,8 +221,8 @@ class TestUnroll:
         }
         """
         for n in (0, 1, 3, 9):
-            result, _ = run_minic(source, "f", [n], config="vpo",
-                                  unroll_factor=4)
+            result, _ = compile_and_run(source, "f", [n], config="vpo",
+                                        unroll_factor=4)
             assert result == max(n, 1)
 
     def test_down_counting_loop(self):
@@ -237,7 +236,7 @@ class TestUnroll:
         """
         values = list(range(-5, 8))
         for n in (0, 1, 5, 12, 13):
-            result, _ = run_minic(
+            result, _ = compile_and_run(
                 source, "f", ["a", n], config="vpo",
                 arrays=[("a", 2, values)], unroll_factor=4,
             )

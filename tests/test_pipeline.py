@@ -71,12 +71,24 @@ class TestCompileMinic:
         assert program.machine.name == "alpha"
 
     def test_compile_and_run_convenience(self):
-        values = [4, 5, 6, -1]
-        program = compile_minic(SOURCE, "alpha", "vpo")
-        sim = program.simulator()
-        a = sim.alloc_array("a", size=8)
-        sim.write_words(a, values, 2)
-        assert sim.call("f", a, 4) == 3 * sum(values)
+        # A negative result comes back signed on the 64-bit Alpha and on
+        # the 32-bit Motorola machines alike, not as a raw machine word.
+        values = [4, -5, 6, -20]
+        for machine in ("alpha", "m88100", "m68030"):
+            result, sim = compile_and_run(
+                SOURCE, "f", ["a", len(values)], machine=machine,
+                arrays=[("a", 2, values)],
+            )
+            assert result == 3 * sum(values) == -45
+            assert sim.machine.name == machine
+            assert sim.report().total_cycles > 0
+            assert sim.read_words(sim.array_addr("a"), 4, 2) == values
+
+    def test_compile_and_run_rejects_a_bad_call_before_compiling(self):
+        # The source does not parse: a ParseError would mean the call
+        # was checked only after compiling.
+        with pytest.raises(ReproError, match="neither an integer nor"):
+            compile_and_run("int f( {", "f", ["a", 4])
 
     def test_coalesce_reports_surface(self):
         program = compile_minic(

@@ -11,7 +11,7 @@ from repro.sched import build_dag, list_schedule
 from repro.sim import SimMemory, Simulator
 from repro.sim.interp import Interpreter
 from repro.sim.translate import CompiledEngine
-from tests.conftest import signed
+from repro.sim.plan import to_signed
 
 words64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
 words32 = st.integers(min_value=0, max_value=(1 << 32) - 1)
@@ -62,7 +62,7 @@ class TestFoldingMatchesExecution:
     @settings(max_examples=100, deadline=None)
     def test_relation_matches_python_semantics(self, rel, a, b):
         got = eval_relation(rel, a, b, 32)
-        sa, sb = signed(a, 32), signed(b, 32)
+        sa, sb = to_signed(a, 32), to_signed(b, 32)
         expected = {
             "eq": a == b, "ne": a != b,
             "lt": sa < sb, "le": sa <= sb, "gt": sa > sb, "ge": sa >= sb,
@@ -87,7 +87,7 @@ class TestMemoryRoundTrip:
         mask = (1 << (8 * width)) - 1
         assert memory.load(addr, width, signed=False) == value & mask
         loaded = memory.load(addr, width, signed=True)
-        assert loaded == signed(value & mask, 8 * width)
+        assert loaded == to_signed(value & mask, 8 * width)
 
     @given(
         payload=st.binary(min_size=1, max_size=64),
@@ -286,7 +286,7 @@ class TestKernelDifferential:
         sim.call("saxpy", d, a, b, n)
         got = sim.read_words(d, n, 2)
         expected = [
-            signed((x * 3 + y) & 0xFFFF, 16)
+            to_signed((x * 3 + y) & 0xFFFF, 16)
             for x, y in zip(a_vals, b_vals)
         ]
         assert got == expected

@@ -7,9 +7,9 @@ from repro.ir import parse_module, verify_function
 from repro.machine import get_machine
 from repro.opt.pass_manager import PassContext
 from repro.opt.regalloc import allocate_registers
-from repro.pipeline import compile_minic
+from repro.pipeline import compile_and_run, compile_minic
 from repro.sim import Simulator
-from tests.conftest import run_minic, signed
+from repro.sim.plan import to_signed
 
 HIGH_PRESSURE = """
 int pressure(int a, int b) {
@@ -74,7 +74,7 @@ class TestAllocation:
         verify_function(func)
         sim = Simulator(program.module, program.machine)
         for a, b in ((3, 4), (100, -7), (-13, 12)):
-            value = signed(sim.call("pressure", a, b), 64)
+            value = to_signed(sim.call("pressure", a, b), 64)
             assert value == reference_pressure(a, b)
         if num_registers <= 10:
             assert result.spilled  # pressure must actually spill
@@ -121,7 +121,7 @@ class TestPipelineIntegration:
         values_a = [(i * 7) % 50 - 25 for i in range(n)]
         values_b = [(i * 3) % 30 - 15 for i in range(n)]
         expected = sum(x * y for x, y in zip(values_a, values_b))
-        result, sim = run_minic(
+        result, sim = compile_and_run(
             source, "dotp", ["a", "b", n], machine, "coalesce-all",
             arrays=[("a", 2, values_a), ("b", 2, values_b)],
             regalloc=True,
@@ -149,8 +149,8 @@ class TestPipelineIntegration:
             s += i * p
             p += 2
         expected = s + p
-        result, _ = run_minic(source, "f", [10], config="vpo",
-                              regalloc=True)
+        result, _ = compile_and_run(source, "f", [10], config="vpo",
+                                    regalloc=True)
         assert result == expected
 
     def test_m68030_small_register_file(self):

@@ -6,7 +6,7 @@ import pytest
 from repro.ir import Store
 from repro.machine import get_machine
 from repro.pipeline import compile_minic
-from tests.conftest import signed
+from repro.sim.plan import to_signed
 
 DOT = """
 int dot(short *a, short *b, int n) {
@@ -44,7 +44,7 @@ class TestVersionedDivisibility:
         b = sim.alloc_array("b", size=2 * max(n, 1))
         sim.write_words(a, a_vals, 2)
         sim.write_words(b, b_vals, 2)
-        value = signed(sim.call("dot", a, b, n), 64)
+        value = to_signed(sim.call("dot", a, b, n), 64)
         assert value == sum(x * y for x, y in zip(a_vals, b_vals))
         label = [r for r in program.coalesce_reports if r.applied][0]
         return sim.block_count("dot", label.lcopy_label)

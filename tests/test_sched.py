@@ -6,7 +6,7 @@ from repro.ir import parse_module
 from repro.machine import get_machine
 from repro.sched import block_cycles, build_dag, list_schedule
 from repro.sched.list_scheduler import apply_schedule
-from tests.conftest import run_minic
+from repro.pipeline import compile_and_run
 
 
 def block_of(text, label="entry"):
@@ -198,7 +198,7 @@ class TestApplySchedule:
         values = [5, -3, 2, 7, -8, 1]
         expected = sum(v * (v + 1) for v in values)
         for config in ("cc", "vpo"):
-            result, _ = run_minic(
+            result, _ = compile_and_run(
                 source, "f", ["a", len(values)], config=config,
                 arrays=[("a", 4, values)],
             )

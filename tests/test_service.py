@@ -382,6 +382,32 @@ class TestServerBasics:
             "a": [1, 2, 3, 4], "b": [10, 20, 30, 40],
         }
 
+    def test_malformed_call_is_rejected_before_compiling(self, service):
+        # The source does not parse, so a ParseError would mean the
+        # call was checked only after compile work began.
+        server = service()
+        client = client_for(server)
+        cases = [
+            ([["a", 2]], ["a", 4], "want [name, width, values]"),
+            ([["a", 2, [1, "x"]]], ["a", 2], "'x' is not an integer"),
+            ([["a", 2, [1.5]]], ["a", 1], "1.5 is not an integer"),
+            ([["a", 2, [1, 2]]], [None], "None is neither an integer"),
+            ([["a", 2, [1, 2]], ["a", 2, [3, 4]]], ["a", 2],
+             "array 'a' is staged twice"),
+            ([], ["b", 1], "argument 'b' is neither an integer"),
+        ]
+        for arrays, args, complaint in cases:
+            response = client.request(
+                "simulate", source="int f( {", entry="f",
+                arrays=arrays, args=args,
+            )
+            assert response["status"] == "error", response
+            assert response["error_type"] == "ReproError", response
+            assert response["classification"] == "fatal", response
+            assert response["retryable"] is False
+            assert complaint in response["error"], response
+        assert server.cache.stats()["misses"] == 0  # no compile lookup
+
     def test_parse_error_is_fatal_not_retryable(self, service):
         server = service()
         client = client_for(server)
@@ -908,6 +934,30 @@ class TestServiceCLI:
         ]) == 0
         out = capsys.readouterr().out
         assert f"result: {DOT_EXPECTED}" in out
+
+    def test_run_and_submit_parse_call_args_alike(
+        self, served, tmp_path, capsys
+    ):
+        # Hex and negative integers are integers to both commands; a
+        # token that names a staged array is that array.
+        from repro.__main__ import main
+
+        source = tmp_path / "kernels.c"
+        source.write_text(DOT_SRC + ADD_SRC)
+        calls = [
+            (["--entry", "dot", "--array", "a:2:3,1,4,1,5,9,2,6",
+              "--array", "b:2:1,1,1,1,1,1,1,1", "--args", "a", "b", "0x4"],
+             "result: 9"),
+            (["--entry", "add", "--args", "-3", "0x10"], "result: 13"),
+        ]
+        for call, expected in calls:
+            assert main(["run", str(source), *call]) == 0
+            assert expected in capsys.readouterr().out
+            assert main([
+                "submit", str(source), "--socket", served.socket_path,
+                *call,
+            ]) == 0
+            assert expected in capsys.readouterr().out
 
     def test_submit_json_output(self, served, tmp_path, capsys):
         import json
