@@ -57,7 +57,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro import MACHINE_NAMES, PRESETS, compile_minic
+from repro import MACHINE_NAMES, PRESETS, compile_minic, timing
 from repro.ir import format_module
 from repro.pipeline import stage_names
 
@@ -212,50 +212,51 @@ def cmd_lint(args) -> int:
     sink = DiagnosticSink()
     stats = {}
 
-    try:
-        if args.file.endswith(".rtl"):
-            # Hand-written RTL: verify structurally (into the sink), then
-            # lint; --differential runs the cleanup bundle on every
-            # function as a guarded stage under the differential
-            # pass-sanitizer.
-            from repro.ir.parser import parse_module
-            from repro.ir.verifier import verify_module
-            from repro.opt.pass_manager import PassContext, cleanup
-            from repro.resilience.transaction import PassGuard
-            from repro.sanitize.differential import DifferentialSanitizer
+    with timing.root("lint") as tree:
+        try:
+            if args.file.endswith(".rtl"):
+                # Hand-written RTL: verify structurally (into the sink), then
+                # lint; --differential runs the cleanup bundle on every
+                # function as a guarded stage under the differential
+                # pass-sanitizer.
+                from repro.ir.parser import parse_module
+                from repro.ir.verifier import verify_module
+                from repro.opt.pass_manager import PassContext, cleanup
+                from repro.resilience.transaction import PassGuard
+                from repro.sanitize.differential import DifferentialSanitizer
 
-            with open(args.file) as handle:
-                module = parse_module(handle.read(), name=args.file)
-            verify_module(module, sink=sink)
-            if not sink.has_errors:
-                lint_module(module, machine, checks=checks, sink=sink)
-                if args.differential:
-                    ctx = PassContext(machine, sink=sink)
-                    guard = PassGuard(
-                        module, machine, sink=sink,
-                        sanitizer=DifferentialSanitizer(
-                            module, machine, sink
-                        ),
-                    )
-                    for func in module:
-                        guard.stage(
-                            ctx, "cleanup",
-                            lambda: cleanup(func, ctx), func=func,
+                with open(args.file) as handle:
+                    module = parse_module(handle.read(), name=args.file)
+                verify_module(module, sink=sink)
+                if not sink.has_errors:
+                    lint_module(module, machine, checks=checks, sink=sink)
+                    if args.differential:
+                        ctx = PassContext(machine, sink=sink)
+                        guard = PassGuard(
+                            module, machine, sink=sink,
+                            sanitizer=DifferentialSanitizer(
+                                module, machine, sink
+                            ),
                         )
-                    stats = ctx.stats
-        else:
-            program = _compile_from_args(
-                args, differential=args.differential
-            )
-            sink.extend(program.diagnostics)
-            lint_module(
-                program.module, program.machine,
-                checks=checks, sink=sink,
-            )
-            stats = program.pass_stats
-    except (ReproError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+                        for func in module:
+                            guard.stage(
+                                ctx, "cleanup",
+                                lambda: cleanup(func, ctx), func=func,
+                            )
+                        stats = ctx.stats
+            else:
+                program = _compile_from_args(
+                    args, differential=args.differential
+                )
+                sink.extend(program.diagnostics)
+                lint_module(
+                    program.module, program.machine,
+                    checks=checks, sink=sink,
+                )
+                stats = program.pass_stats
+        except (ReproError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
     if args.json:
         import json
@@ -279,22 +280,23 @@ def cmd_lint(args) -> int:
                 for d in sink.sorted()
             ],
         }
-        if args.stats and stats:
-            payload["pass_stats"] = stats
+        if args.stats:
+            payload.update(pass_stats=stats, timing=tree.to_dict())
         print(json.dumps(payload, indent=1, sort_keys=True))
         return 1 if sink.has_errors else 0
 
     print(sink.render_grouped())
-    if args.stats and stats:
+    if args.stats:
         print()
         print("pass statistics:")
         for name in sorted(stats):
             entry = stats[name]
             print(
                 f"  {name:20s} runs {entry['runs']:3d}  "
-                f"changed {entry['changed']:3d}  "
-                f"{entry['seconds'] * 1000:8.1f} ms"
+                f"changed {entry['changed']:3d}"
             )
+        print()
+        print(timing.format_tree(tree.to_dict()))
     return 1 if sink.has_errors else 0
 
 
@@ -316,38 +318,46 @@ def cmd_tables(args) -> int:
     return 0
 
 
+def _select_matrix(args, machines):
+    """``--programs``, ``--machines`` and ``--variants`` of ``bench`` and
+    ``simdiff`` as three name lists: each axis takes comma-separated
+    names or ``all``, and defaults to every name (the machine axis to
+    ``machines``).  Prints ``error: unknown <axis>(s) ...`` and returns
+    None on a name the matrix does not know."""
+    from repro.bench import runner
+
+    selection = []
+    for axis, text, known, default in (
+        ("program", args.programs, runner.ALL_PROGRAMS, runner.ALL_PROGRAMS),
+        ("machine", args.machines, runner.ALL_MACHINES, machines),
+        ("variant", args.variants, runner.COLUMNS, runner.COLUMNS),
+    ):
+        if text and text != "all":
+            names = [name.strip() for name in text.split(",")]
+        else:
+            names = list(known if text else default)
+        unknown = sorted(set(names) - set(known))
+        if unknown:
+            print(f"error: unknown {axis}(s) {', '.join(map(repr, unknown))}",
+                  file=sys.stderr)
+            return None
+        selection.append(names)
+    return selection
+
+
 def cmd_bench(args) -> int:
     from repro.bench import runner
     from repro.errors import ReproError
 
     if args.quick:
         size = args.size if args.size is not None else runner.QUICK_SIZE
-        machines = list(runner.QUICK_MACHINES)
+        selection = _select_matrix(args, runner.QUICK_MACHINES)
     else:
         size = args.size if args.size is not None else runner.FULL_SIZE
-        machines = sorted(MACHINE_NAMES)
-    if args.machines and args.machines != "all":
-        machines = [m.strip() for m in args.machines.split(",")]
-        unknown = set(machines) - set(MACHINE_NAMES)
-        if unknown:
-            print(
-                f"error: unknown machine(s) {', '.join(sorted(unknown))}",
-                file=sys.stderr,
-            )
-            return 2
-    programs = list(runner.ALL_PROGRAMS)
-    if args.programs:
-        programs = [p.strip() for p in args.programs.split(",")]
-    variants = list(runner.COLUMNS)
-    if args.variants:
-        variants = [v.strip() for v in args.variants.split(",")]
-        unknown = set(variants) - set(runner.COLUMNS)
-        if unknown:
-            print(
-                f"error: unknown variant(s) {', '.join(sorted(unknown))}",
-                file=sys.stderr,
-            )
-            return 2
+        selection = _select_matrix(args, runner.ALL_MACHINES)
+    if selection is None:
+        return 2
+    programs, machines, variants = selection
 
     try:
         budgets = runner.parse_phase_budgets(args.phase_budget or [])
@@ -370,11 +380,11 @@ def cmd_bench(args) -> int:
         done.append(record)
         flag = "" if record["output_ok"] else "  [OUTPUT MISMATCH]"
         cached = " (cached)" if record["compile_cache_hit"] else ""
+        seconds = record["timing"]["seconds"] if record["timing"] else 0.0
         print(
             f"  [{len(done):3d}/{total}] {record['program']}/"
             f"{record['machine']}/{record['variant']}: "
-            f"{record['cycles']} cycles in "
-            f"{record['wall_seconds']:.2f}s{cached}{flag}",
+            f"{record['cycles']} cycles in {seconds:.2f}s{cached}{flag}",
             file=sys.stderr,
         )
 
@@ -405,7 +415,12 @@ def cmd_bench(args) -> int:
     print(f"wrote {len(records)} records to {out}", file=sys.stderr)
 
     if args.stats:
-        print(runner.format_stats(records))
+        hits = sum(1 for r in records if r["compile_cache_hit"])
+        print(f"{len(records)} records, {hits} of them cache hits (no "
+              "compile spans); host time summed over records:")
+        merged = timing.merge(r["timing"] for r in records if r["timing"])
+        if merged is not None:
+            print(timing.format_tree(merged))
 
     overruns = (
         runner.check_phase_budgets(records, budgets) if budgets else []
@@ -458,7 +473,7 @@ def cmd_bench(args) -> int:
         return 1
     if overruns:
         print(
-            f"error: {len(overruns)} phase budget(s) exceeded",
+            f"error: {len(overruns)} phase budget(s) failed",
             file=sys.stderr,
         )
         return 1
@@ -491,29 +506,10 @@ def cmd_simdiff(args) -> int:
     from repro.bench import runner
     from repro.errors import ReproError
 
-    programs = list(runner.ALL_PROGRAMS)
-    if args.programs:
-        programs = [p.strip() for p in args.programs.split(",")]
-    machines = list(runner.ALL_MACHINES)
-    if args.machines:
-        machines = [m.strip() for m in args.machines.split(",")]
-        unknown = set(machines) - set(MACHINE_NAMES)
-        if unknown:
-            print(
-                f"error: unknown machine(s) {', '.join(sorted(unknown))}",
-                file=sys.stderr,
-            )
-            return 2
-    variants = list(runner.COLUMNS)
-    if args.variants:
-        variants = [v.strip() for v in args.variants.split(",")]
-        unknown = set(variants) - set(runner.COLUMNS)
-        if unknown:
-            print(
-                f"error: unknown variant(s) {', '.join(sorted(unknown))}",
-                file=sys.stderr,
-            )
-            return 2
+    selection = _select_matrix(args, runner.ALL_MACHINES)
+    if selection is None:
+        return 2
+    programs, machines, variants = selection
 
     jobs = args.jobs if args.jobs is not None else runner.default_jobs()
     total = len(programs) * len(machines) * len(variants)
@@ -1286,7 +1282,7 @@ def main(argv=None) -> int:
     )
     p_lint.add_argument(
         "--stats", action="store_true",
-        help="print per-pass changed/timing statistics",
+        help="print per-pass run/changed counts and the span tree",
     )
     p_lint.add_argument(
         "--json", action="store_true",
@@ -1306,7 +1302,7 @@ def main(argv=None) -> int:
     )
     p_bench.add_argument(
         "--programs", default=None,
-        help="comma-separated benchmark names (default: all)",
+        help="comma-separated benchmark names or 'all' (default: all)",
     )
     p_bench.add_argument(
         "--machines", default=None,
@@ -1315,7 +1311,7 @@ def main(argv=None) -> int:
     p_bench.add_argument(
         "--variants", default=None,
         help="comma-separated column names "
-             "(cc,vpo,coalesce-loads,coalesce-all)",
+             "(cc,vpo,coalesce-loads,coalesce-all) or 'all'",
     )
     p_bench.add_argument(
         "--size", type=int, default=None,
@@ -1349,14 +1345,14 @@ def main(argv=None) -> int:
     )
     p_bench.add_argument(
         "--stats", action="store_true",
-        help="print aggregated per-phase compile/simulate timings",
+        help="print the records' span trees, summed node by node",
     )
     p_bench.add_argument(
         "--phase-budget", action="append", default=None,
         metavar="PHASE=SECONDS",
-        help="fail the run when a compile phase's aggregated time "
-             "(summed across records, as --stats reports it) exceeds "
-             "SECONDS; repeatable, comma-separable, e.g. cleanup=0.3",
+        help="fail the run when the inclusive time of the span PHASE, "
+             "summed across records, exceeds SECONDS, or when no record "
+             "compiled; repeatable, comma-separable, e.g. cleanup=0.3",
     )
     p_bench.add_argument(
         "--cell-timeout", type=float, default=None,
@@ -1383,15 +1379,15 @@ def main(argv=None) -> int:
     )
     p_simdiff.add_argument(
         "--programs", default=None,
-        help="comma-separated benchmark names (default: all)",
+        help="comma-separated benchmark names or 'all' (default: all)",
     )
     p_simdiff.add_argument(
         "--machines", default=None,
-        help="comma-separated machine names (default: all three)",
+        help="comma-separated machine names or 'all' (default: all)",
     )
     p_simdiff.add_argument(
         "--variants", default=None,
-        help="comma-separated column names (default: all four)",
+        help="comma-separated column names or 'all' (default: all)",
     )
     p_simdiff.add_argument(
         "--size", type=int, default=32,

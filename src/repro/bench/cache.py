@@ -68,8 +68,9 @@ from repro.pipeline import (
     compile_minic,
     get_config,
 )
+from repro.timing import span
 
-CACHE_SCHEMA = 1
+CACHE_SCHEMA = 2
 
 #: Default size cap of the disk cache; REPRO_CACHE_MAX_BYTES overrides
 #: (0 or a negative value lifts the cap).
@@ -363,7 +364,6 @@ def serialize_program(program: CompiledProgram) -> dict:
         "module": format_module(program.module),
         "machine": program.machine.name,
         "coalesce_reports": [asdict(r) for r in program.coalesce_reports],
-        "pass_stats": program.pass_stats,
     }
 
 
@@ -389,14 +389,10 @@ def revive_program(
                 tuple(pair) for pair in entry.get("elisions", [])
             ]
             reports.append(CoalesceReport(**entry))
-        stats: Dict[str, Dict[str, float]] = payload.get("pass_stats", {})
     except Exception:
         return None
     return CompiledProgram(
-        module, machine, config,
-        coalesce_reports=reports,
-        pass_stats=stats,
-        cache_hit=True,
+        module, machine, config, coalesce_reports=reports, cache_hit=True
     )
 
 
@@ -474,23 +470,24 @@ def cached_compile_minic(
             raise ValueError("payload does not revive to a program")
         return revived
 
-    try:
-        program, role = cache.artifacts.fetch_or_compute(
-            key, produce, decode=decode,
-            wait_timeout=lease_wait, cancel=cancel,
-        )
-    except OSError:
-        # Anything the store could not degrade internally (a dying
-        # filesystem, a yanked cache directory): compile uncached.
-        return compile_minic(source, machine, config, cancel=cancel)
-    hit = role in ("hit", "dedup")
-    with cache.counts_lock:
-        if hit:
-            cache.hits += 1
-        else:
-            cache.misses += 1
-        if role == "dedup":
-            cache.dedups += 1
-    if not hit:
-        cache.prune()
+    with span("cache"):
+        try:
+            program, role = cache.artifacts.fetch_or_compute(
+                key, produce, decode=decode,
+                wait_timeout=lease_wait, cancel=cancel,
+            )
+        except OSError:
+            # Anything the store could not degrade internally (a dying
+            # filesystem, a yanked cache directory): compile uncached.
+            return compile_minic(source, machine, config, cancel=cancel)
+        hit = role in ("hit", "dedup")
+        with cache.counts_lock:
+            if hit:
+                cache.hits += 1
+            else:
+                cache.misses += 1
+            if role == "dedup":
+                cache.dedups += 1
+        if not hit:
+            cache.prune()
     return program

@@ -18,16 +18,13 @@ applied anyway.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
+from repro import timing
 from repro.bench.programs import get_benchmark
 from repro.bench import workloads
 from repro.bench.cache import cached_compile_minic
-from repro.pipeline import CompiledProgram
-from repro.sim import instructions_per_second
 from repro.sim.plan import check as check_plan, run_plan
 
 COLUMN_CONFIGS: Dict[str, Tuple[str, Dict[str, object]]] = {
@@ -54,14 +51,14 @@ class BenchResult:
     benchmark: str
     machine: str
     column: str
-    cycles: int
-    base_cycles: int
-    dcache_miss_cycles: int
-    icache_miss_cycles: int
-    instr_count: int
-    memory_accesses: int
-    output_ok: bool
-    coalesced_loops: int
+    cycles: int = 0
+    base_cycles: int = 0
+    dcache_miss_cycles: int = 0
+    icache_miss_cycles: int = 0
+    instr_count: int = 0
+    memory_accesses: int = 0
+    output_ok: bool = False
+    coalesced_loops: int = 0
     # Figure 5 runtime checks the static alias engine discharged.
     checks_elided: int = 0
     # Accepted runs per access shape ('unit'/'strided'/'affine'/
@@ -72,42 +69,23 @@ class BenchResult:
     stores: int = 0
     dcache_misses: int = 0
     icache_misses: int = 0
-    compile_seconds: float = 0.0
-    sim_seconds: float = 0.0
+    # Nothing was compiled for this measurement: the program was revived
+    # from the disk compile cache.
     compile_cache_hit: bool = False
     # Which simulator backend actually ran (after any fallback) and its
-    # throughput in simulated instructions per host second (None when the
-    # run was too short to time).
+    # throughput in simulated instructions per host second of the
+    # sim.exec span (None when the run was too short to time).
     sim_backend: str = "interp"
     sim_instrs_per_sec: Optional[float] = None
-    # stage name -> seconds, from CompiledProgram.pass_stats (describes
-    # the original compilation when compile_cache_hit is True)
-    phase_seconds: Dict[str, float] = field(default_factory=dict)
+    # This measurement's host time: a repro.timing tree in recorded form
+    # (None when nothing was measured).
+    timing: Optional[Dict[str, object]] = None
 
     def __repr__(self) -> str:
         return (
             f"<BenchResult {self.benchmark}/{self.machine}/{self.column}: "
             f"{self.cycles} cycles, ok={self.output_ok}>"
         )
-
-
-@lru_cache(maxsize=256)
-def _compile(
-    name: str, machine: str, column: str, extra: Tuple[Tuple[str, object], ...]
-) -> CompiledProgram:
-    program = get_benchmark(name)
-    preset, overrides = COLUMN_CONFIGS[column]
-    merged = dict(machine_overrides(machine))
-    merged.update(overrides)
-    merged.update(dict(extra))
-    return cached_compile_minic(program.source, machine, preset, **merged)
-
-
-def compile_benchmark(
-    name: str, machine: str, column: str, **extra
-) -> CompiledProgram:
-    """Compile one benchmark for one table column (cached)."""
-    return _compile(name, machine, column, tuple(sorted(extra.items())))
 
 
 def run_benchmark(
@@ -120,23 +98,27 @@ def run_benchmark(
     sim_backend: Optional[str] = None,
     **extra,
 ) -> BenchResult:
-    """Compile, stage inputs, simulate, verify and measure one benchmark.
+    """Compile (through the disk cache), stage inputs, simulate, verify
+    and time one benchmark, as one :mod:`repro.timing` tree (``cell``).
 
     ``sim_backend`` picks the simulator backend (``interp`` or
     ``compiled``); None defers to ``REPRO_SIM_BACKEND``.  The result
     records the backend that actually ran — the compiled backend falls
     back to the interpreter under fault injection.
     """
-    compile_started = time.perf_counter()
-    compiled = compile_benchmark(name, machine, column, **extra)
-    compile_seconds = time.perf_counter() - compile_started
-    call = workloads.make_plan(name, width, height)
-    sim_started = time.perf_counter()
-    sim = compiled.simulator(backend=sim_backend)
-    result = run_plan(sim, call)
-    ok = not check or check_plan(sim, call, result)
-    sim_seconds = time.perf_counter() - sim_started
-    report = sim.report()
+    preset, overrides = COLUMN_CONFIGS[column]
+    overrides = {**machine_overrides(machine), **overrides, **extra}
+    with timing.root("cell") as tree:
+        compiled = cached_compile_minic(
+            get_benchmark(name).source, machine, preset, **overrides
+        )
+        call = workloads.make_plan(name, width, height)
+        sim = compiled.simulator(backend=sim_backend)
+        result = run_plan(sim, call)
+        ok = not check or check_plan(sim, call, result)
+        report = sim.report()
+    recorded = tree.to_dict()
+    exec_seconds = timing.total(recorded, "sim.exec") or 0.0
     return BenchResult(
         benchmark=name,
         machine=machine,
@@ -156,15 +138,11 @@ def run_benchmark(
         stores=report.store_count,
         dcache_misses=report.dcache_misses,
         icache_misses=report.icache_misses,
-        compile_seconds=compile_seconds,
-        sim_seconds=sim_seconds,
         compile_cache_hit=compiled.cache_hit,
         sim_backend=sim.backend,
-        sim_instrs_per_sec=instructions_per_second(
-            report.instr_count, sim.wall_seconds
+        sim_instrs_per_sec=(
+            report.instr_count / exec_seconds
+            if exec_seconds > 1e-6 and report.instr_count > 0 else None
         ),
-        phase_seconds={
-            stage: stats["seconds"]
-            for stage, stats in compiled.pass_stats.items()
-        },
+        timing=recorded,
     )

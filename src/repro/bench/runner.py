@@ -11,8 +11,9 @@ Three layers on top of :mod:`repro.bench.harness`:
 * :func:`save_run` / :func:`load_run` persist a run to ``BENCH_<tag>.json``
   with a versioned schema (see :data:`RUN_SCHEMA`): per-record program,
   machine, variant, simulated cycles, loads/stores (and how many the
-  variant eliminated vs ``vpo``), cache misses, wall-clock and per-phase
-  compile timings, plus run-level metadata (git SHA, image size, jobs).
+  variant eliminated vs ``vpo``), cache misses, the cell's host-time
+  span tree (:mod:`repro.timing`), plus run-level metadata (git SHA,
+  image size, jobs).
 * :func:`compare_runs` diffs a fresh run against a stored baseline and
   :func:`format_compare_table` renders the regression table the CI gate
   prints; cycles past the tolerance (or a record missing from the
@@ -33,26 +34,24 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     wait,
 )
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.bench.harness import COLUMNS, run_benchmark
+from repro import timing
+from repro.bench.harness import COLUMNS, BenchResult, run_benchmark
 from repro.bench.programs import BENCHMARKS, TABLE_ORDER
 from repro.sim import default_sim_backend
 
-RUN_SCHEMA = 1
+RUN_SCHEMA = 2
 
 #: Record fields that describe the *host measurement*, not the simulated
 #: program: they differ run-to-run and backend-to-backend by design and
 #: are never part of any regression or differential comparison.
 HOST_METRIC_FIELDS = (
-    "wall_seconds",
-    "compile_seconds",
-    "sim_seconds",
+    "timing",
     "sim_instrs_per_sec",
     "sim_backend",
     "compile_cache_hit",
-    "phase_seconds",
 )
 
 #: Record fields the interp and compiled backends must agree on exactly
@@ -165,89 +164,35 @@ def build_matrix(
     )
 
 
+def _record(
+    spec: BenchSpec, result: BenchResult, status: str = "ok", error: str = ""
+) -> Dict[str, object]:
+    """One cell's record: ``result``'s fields, named as in the matrix."""
+    record = asdict(result)
+    del record["benchmark"], record["column"]
+    record.update(
+        program=spec.program, variant=spec.variant, width=spec.width,
+        height=spec.height, status=status, error=error,
+    )
+    if result.sim_instrs_per_sec is not None:
+        record["sim_instrs_per_sec"] = round(result.sim_instrs_per_sec, 1)
+    return record
+
+
 def _run_spec(spec: BenchSpec) -> Dict[str, object]:
     """Measure one cell; must stay module-level (pickled to workers)."""
-    started = time.perf_counter()
-    result = run_benchmark(
+    return _record(spec, run_benchmark(
         spec.program, spec.machine, spec.variant,
         width=spec.width, height=spec.height,
         sim_backend=spec.sim_backend,
-    )
-    wall = time.perf_counter() - started
-    return {
-        "program": spec.program,
-        "machine": spec.machine,
-        "variant": spec.variant,
-        "width": spec.width,
-        "height": spec.height,
-        "result": result.result,
-        "cycles": result.cycles,
-        "base_cycles": result.base_cycles,
-        "dcache_miss_cycles": result.dcache_miss_cycles,
-        "icache_miss_cycles": result.icache_miss_cycles,
-        "dcache_misses": result.dcache_misses,
-        "icache_misses": result.icache_misses,
-        "instr_count": result.instr_count,
-        "loads": result.loads,
-        "stores": result.stores,
-        "memory_accesses": result.memory_accesses,
-        "output_ok": result.output_ok,
-        "coalesced_loops": result.coalesced_loops,
-        "checks_elided": result.checks_elided,
-        "coalesced_by_shape": dict(
-            sorted(result.coalesced_by_shape.items())
-        ),
-        "wall_seconds": round(wall, 6),
-        "compile_seconds": round(result.compile_seconds, 6),
-        "sim_seconds": round(result.sim_seconds, 6),
-        "compile_cache_hit": result.compile_cache_hit,
-        "sim_backend": result.sim_backend,
-        "sim_instrs_per_sec": (
-            round(result.sim_instrs_per_sec, 1)
-            if result.sim_instrs_per_sec is not None else None
-        ),
-        "status": "ok",
-        "error": "",
-        "phase_seconds": {
-            stage: round(seconds, 6)
-            for stage, seconds in sorted(result.phase_seconds.items())
-        },
-    }
+    ))
 
 
 def _failed_record(spec: BenchSpec, error: str) -> Dict[str, object]:
     """The record shape for a cell whose measurement died or timed out."""
-    return {
-        "program": spec.program,
-        "machine": spec.machine,
-        "variant": spec.variant,
-        "width": spec.width,
-        "height": spec.height,
-        "result": None,
-        "cycles": 0,
-        "base_cycles": 0,
-        "dcache_miss_cycles": 0,
-        "icache_miss_cycles": 0,
-        "dcache_misses": 0,
-        "icache_misses": 0,
-        "instr_count": 0,
-        "loads": 0,
-        "stores": 0,
-        "memory_accesses": 0,
-        "output_ok": False,
-        "coalesced_loops": 0,
-        "checks_elided": 0,
-        "coalesced_by_shape": {},
-        "wall_seconds": 0.0,
-        "compile_seconds": 0.0,
-        "sim_seconds": 0.0,
-        "compile_cache_hit": False,
-        "sim_backend": spec.sim_backend,
-        "sim_instrs_per_sec": None,
-        "status": "failed",
-        "error": error,
-        "phase_seconds": {},
-    }
+    return _record(spec, BenchResult(
+        spec.program, spec.machine, spec.variant, sim_backend=spec.sim_backend
+    ), "failed", error)
 
 
 def _run_spec_safe(spec: BenchSpec) -> Dict[str, object]:
@@ -707,51 +652,32 @@ def check_phase_budgets(
     records: List[Dict[str, object]],
     budgets: Dict[str, float],
 ) -> List[str]:
-    """Check aggregated per-phase compile time against the budgets.
-
-    Aggregation matches :func:`format_stats`: the sum of each phase's
-    ``phase_seconds`` across every record (cached entries report the
-    timings of the original compilation).  Returns one overrun message
-    per busted budget; an empty list means every budget held.  A
-    budgeted phase that never ran is an overrun too — a silently renamed
-    or dropped phase must not make the gate vacuously pass.
-    """
-    phases: Dict[str, float] = {}
-    for record in records:
-        for stage, seconds in record.get("phase_seconds", {}).items():
-            phases[stage] = phases.get(stage, 0.0) + seconds
-    overruns: List[str] = []
+    """One message per budget that fails; a phase's time is the
+    inclusive time of its spans summed over the records' trees.  Only
+    compiles are measured (a cache hit's tree has no compile spans), so
+    a budget fails too when no record compiled anything, or when the
+    phase never ran although records compiled (renamed or dropped?)."""
+    trees = [r["timing"] for r in records if r.get("timing")]
+    if not any(timing.total(tree, "compile") is not None for tree in trees):
+        return [
+            f"phase {phase!r} has a budget of {budgets[phase]:g}s that "
+            f"cannot be enforced: none of the {len(records)} records "
+            "compiled anything (each was a cache hit or failed); run on "
+            "an empty REPRO_CACHE_DIR"
+            for phase in sorted(budgets)
+        ]
+    problems: List[str] = []
     for phase in sorted(budgets):
-        budget = budgets[phase]
-        if phase not in phases:
-            overruns.append(
-                f"phase {phase!r} has a budget of {budget:g}s but never "
-                "ran (renamed or dropped?)"
+        spent = [t for t in (timing.total(tree, phase) for tree in trees)
+                 if t is not None]
+        if not spent:
+            problems.append(
+                f"phase {phase!r} has a budget of {budgets[phase]:g}s but "
+                "never ran (renamed or dropped?)"
             )
-        elif phases[phase] > budget:
-            overruns.append(
-                f"phase {phase!r} spent {phases[phase]:.3f}s, over its "
-                f"{budget:g}s budget"
+        elif sum(spent) > budgets[phase]:
+            problems.append(
+                f"phase {phase!r} spent {sum(spent):.3f}s, over its "
+                f"{budgets[phase]:g}s budget"
             )
-    return overruns
-
-
-def format_stats(records: List[Dict[str, object]]) -> str:
-    """Aggregate per-phase compile timing plus simulate/compile totals."""
-    phases: Dict[str, float] = {}
-    compile_total = sim_total = 0.0
-    hits = 0
-    for record in records:
-        compile_total += record["compile_seconds"]
-        sim_total += record["sim_seconds"]
-        hits += 1 if record["compile_cache_hit"] else 0
-        for stage, seconds in record["phase_seconds"].items():
-            phases[stage] = phases.get(stage, 0.0) + seconds
-    lines = [
-        f"{len(records)} records: compile {compile_total:.2f}s "
-        f"({hits} cache hits), simulate {sim_total:.2f}s",
-        "per-phase compile time (as-compiled, cached entries included):",
-    ]
-    for stage in sorted(phases, key=phases.get, reverse=True):
-        lines.append(f"  {stage:20s} {phases[stage] * 1000:10.1f} ms")
-    return "\n".join(lines)
+    return problems

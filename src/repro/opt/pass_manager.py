@@ -10,25 +10,26 @@ keeping only the ones it declares it ``preserves``.  So a pass called
 directly, outside any pipeline stage, leaves no stale analysis behind.
 
 Pipeline stages and standalone passes run through
-:meth:`repro.resilience.transaction.PassGuard.stage`, which records
-their statistics, verifies, runs the differential sanitizer and rolls
-back a failed stage.  Inside a stage, :func:`run_to_fixpoint` iterates
-a pass bundle (``cleanup``) until nothing changes, verifying the IR
-after every pass that changed it so a transformation bug is caught at
-its source.  A pass whose last run on the function's current IR changed
-nothing is *settled* there: the fixpoint skips it until some pass
-changes the function again, so a ``cleanup`` on a function nothing
-touched since the last one runs no pass at all.
+:meth:`repro.resilience.transaction.PassGuard.stage`, which times them
+as a span, records their statistics, verifies, runs the differential
+sanitizer and rolls back a failed stage.  Inside a stage,
+:func:`run_to_fixpoint` iterates a pass bundle (``cleanup``) until
+nothing changes, timing each pass as a span nested under the stage's
+and verifying the IR after every pass that changed it so a
+transformation bug is caught at its source.  A pass whose last run on
+the function's current IR changed nothing is *settled* there: the
+fixpoint skips it until some pass changes the function again, so a
+``cleanup`` on a function nothing touched since the last one runs no
+pass at all.
 
 The context carries what every pass may need: the target machine, the
-sanitizer's diagnostic ``sink``, per-pass ``stats`` (changed/unchanged
-and wall-clock timing for every invocation) and the analysis cache.
+sanitizer's diagnostic ``sink``, per-pass ``stats`` (how often each pass
+ran and how often it changed the IR) and the analysis cache.
 """
 
 from __future__ import annotations
 
 import functools
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional
 
@@ -36,6 +37,7 @@ from repro.analysis.manager import AnalysisManager
 from repro.ir.function import Function
 from repro.ir.verifier import verify_function
 from repro.machine.machine import MachineDescription
+from repro.timing import span
 
 PassFn = Callable[[Function, "PassContext"], bool]
 
@@ -48,8 +50,8 @@ class PassContext:
     verify: bool = True
     # Sanitizer integration: diagnostics land in the sink.
     sink: Optional[object] = None
-    # pass name -> {"runs": int, "changed": int, "seconds": float}
-    stats: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    # pass name -> {"runs": int, "changed": int}
+    stats: Dict[str, Dict[str, int]] = field(default_factory=dict)
     # Cached dataflow and settled passes (repro.analysis.manager).  A
     # pass declared with ``function_pass`` retires what it invalidates.
     analyses: AnalysisManager = field(default_factory=AnalysisManager)
@@ -62,13 +64,10 @@ class PassContext:
     def word_mask(self) -> int:
         return self.machine.word_mask
 
-    def record_pass(self, name: str, changed: bool, seconds: float) -> None:
-        entry = self.stats.setdefault(
-            name, {"runs": 0, "changed": 0, "seconds": 0.0}
-        )
+    def record_pass(self, name: str, changed: bool) -> None:
+        entry = self.stats.setdefault(name, {"runs": 0, "changed": 0})
         entry["runs"] += 1
         entry["changed"] += 1 if changed else 0
-        entry["seconds"] += seconds
 
 
 def reported_change(result) -> bool:
@@ -125,11 +124,9 @@ def run_to_fixpoint(
             name = pass_fn.__name__
             if analyses.is_settled(func, name):
                 continue
-            started = time.perf_counter()
-            pass_changed = reported_change(pass_fn(func, ctx))
-            ctx.record_pass(
-                name, pass_changed, time.perf_counter() - started
-            )
+            with span(name):
+                pass_changed = reported_change(pass_fn(func, ctx))
+            ctx.record_pass(name, pass_changed)
             if pass_changed:
                 changed = True
                 if ctx.verify:

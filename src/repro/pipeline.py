@@ -22,7 +22,6 @@ Four preset configurations reproduce the paper's measurement columns:
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, field, replace
 from itertools import groupby
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -45,6 +44,7 @@ from repro.resilience.transaction import (
 from repro.sched.block_cost import schedule_module
 from repro.sim import Simulator
 from repro.sim.plan import Plan, run_plan
+from repro.timing import span
 
 
 #: Every step of ``compile_minic`` in run order, with the config test
@@ -197,11 +197,10 @@ class CompiledProgram:
     # Sanitizer findings (repro.sanitize.Diagnostic), populated when the
     # config enables sanitize/differential.
     diagnostics: List[object] = field(default_factory=list)
-    # pass/stage name -> {"runs", "changed", "seconds"}
-    pass_stats: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    # pass/stage name -> {"runs", "changed"}; empty on a cache hit
+    pass_stats: Dict[str, Dict[str, int]] = field(default_factory=dict)
     # True when this program was revived from the compile-session cache
-    # (repro.bench.cache) instead of being compiled in this process; its
-    # pass_stats then describe the original compilation.
+    # (repro.bench.cache) instead of being compiled in this process.
     cache_hit: bool = False
     # Recovered pass failures (repro.resilience.PassFailure), populated
     # when on_pass_failure is 'skip'/'fallback' or faults were injected.
@@ -282,120 +281,121 @@ def compile_minic(
     if crash_dir is None:
         crash_dir = os.environ.get("REPRO_CRASH_DIR") or None
 
-    if cancel is not None:
-        cancel()
-    frontend_started = time.perf_counter()
-    module = compile_source(source, word_bytes=machine.word_bytes)
-    frontend_seconds = time.perf_counter() - frontend_started
-    if config.verify:
-        verify_module(module)
-
-    sink = None
-    sanitizer = None
-    if (
-        config.sanitize or config.differential
-        or config.on_pass_failure != "raise" or faults
-    ):
-        from repro.sanitize import DiagnosticSink
-
-        sink = DiagnosticSink()
-    if config.differential:
-        from repro.sanitize.differential import DifferentialSanitizer
-
-        sanitizer = DifferentialSanitizer(module, machine, sink)
-
-    ctx = PassContext(machine, verify=config.verify, sink=sink)
-    ctx.record_pass("frontend", True, frontend_seconds)
-    reports: List[CoalesceReport] = []
-
-    guard = PassGuard(
-        module, machine,
-        policy=config.on_pass_failure,
-        faults=faults,
-        sink=sink,
-        sanitizer=sanitizer,
-        source=source,
-        config=config,
-        crash_dir=crash_dir,
-        disabled=config.disabled_passes,
-        verify=config.verify,
-        max_bundles=max_bundles,
-    )
-
-    # Each stage's body.  The callees are looked up in this module when a
-    # stage runs, so a wrapper installed on ``repro.pipeline.<callee>``
-    # sees every call.
-    def coalesce(func: Function):
-        divisibility = None
-        if config.versioned_divisibility:
-            divisibility = config.unroll_factor or machine.word_bytes
-        return coalesce_function(
-            func,
-            ctx,
-            include_stores=config.coalesce == "all",
-            force=config.force_coalesce,
-            divisibility_factor=divisibility,
-            unaligned_loads=config.unaligned_loads,
-            elide_checks=config.elide_checks and not faults,
-        )
-
-    def lower(_) -> None:
-        lower_module(module, machine)
+    with span("compile"):
+        if cancel is not None:
+            cancel()
+        with span("frontend"):
+            module = compile_source(source, word_bytes=machine.word_bytes)
         if config.verify:
             verify_module(module)
 
-    bodies = {
-        "cleanup": lambda func: cleanup(func, ctx),
-        "licm": lambda func: loop_invariant_code_motion(func, ctx),
-        "strength_reduce": lambda func: strength_reduce(func, ctx),
-        "unroll": lambda func: unroll_function(
-            func, ctx, factor=config.unroll_factor),
-        "coalesce": coalesce,
-        "lower": lower,
-        "schedule": lambda _: schedule_module(module, machine),
-        "regalloc": lambda func: allocate_registers(func, ctx),
-    }
+        sink = None
+        sanitizer = None
+        if (
+            config.sanitize or config.differential
+            or config.on_pass_failure != "raise" or faults
+        ):
+            from repro.sanitize import DiagnosticSink
 
-    def run(name: str, func: Optional[Function] = None):
-        # The cancel probe runs *outside* the guard: a deadline abort
-        # must propagate, never be rolled back as a pass failure.
-        if cancel is not None:
-            cancel()
-        return guard.stage(ctx, name, lambda: bodies[name](func), func=func)
+            sink = DiagnosticSink()
+        if config.differential:
+            from repro.sanitize.differential import DifferentialSanitizer
 
-    steps = [name for name, when in STAGES if when(config)]
-    for per_module, group in groupby(
-        steps, key=lambda name: name in MODULE_STAGES
-    ):
-        if per_module:
-            for name in group:
-                run(name)
-            continue
-        group = list(group)
-        for func in module:
-            for name in group:
-                if name is None:
-                    # Pre-lowering, while the IR is still analyzable; the
-                    # alias-consistency checker validates the claims.
-                    annotate_memory_roots(func, ctx.analyses.memdep(func))
-                elif name == "coalesce":
-                    reports.extend(run(name, func) or [])
-                else:
-                    run(name, func)
-    if config.verify:
-        verify_module(module)
+            sanitizer = DifferentialSanitizer(module, machine, sink)
 
-    if config.sanitize:
-        from repro.sanitize import lint_module
+        ctx = PassContext(machine, verify=config.verify, sink=sink)
+        reports: List[CoalesceReport] = []
 
-        lint_module(module, machine, sink=sink)
+        guard = PassGuard(
+            module, machine,
+            policy=config.on_pass_failure,
+            faults=faults,
+            sink=sink,
+            sanitizer=sanitizer,
+            source=source,
+            config=config,
+            crash_dir=crash_dir,
+            disabled=config.disabled_passes,
+            verify=config.verify,
+            max_bundles=max_bundles,
+        )
 
-    return CompiledProgram(
-        module, machine, config, reports,
-        diagnostics=list(sink) if sink is not None else [],
-        pass_stats=dict(ctx.stats),
-        pass_failures=list(guard.failures),
-    )
+        # Each stage's body.  The callees are looked up in this module
+        # when a stage runs, so a wrapper installed on
+        # ``repro.pipeline.<callee>`` sees every call.
+        def coalesce(func: Function):
+            divisibility = None
+            if config.versioned_divisibility:
+                divisibility = config.unroll_factor or machine.word_bytes
+            return coalesce_function(
+                func,
+                ctx,
+                include_stores=config.coalesce == "all",
+                force=config.force_coalesce,
+                divisibility_factor=divisibility,
+                unaligned_loads=config.unaligned_loads,
+                elide_checks=config.elide_checks and not faults,
+            )
+
+        def lower(_) -> None:
+            lower_module(module, machine)
+            if config.verify:
+                verify_module(module)
+
+        bodies = {
+            "cleanup": lambda func: cleanup(func, ctx),
+            "licm": lambda func: loop_invariant_code_motion(func, ctx),
+            "strength_reduce": lambda func: strength_reduce(func, ctx),
+            "unroll": lambda func: unroll_function(
+                func, ctx, factor=config.unroll_factor),
+            "coalesce": coalesce,
+            "lower": lower,
+            "schedule": lambda _: schedule_module(module, machine),
+            "regalloc": lambda func: allocate_registers(func, ctx),
+        }
+
+        def run(name: str, func: Optional[Function] = None):
+            # The cancel probe runs *outside* the guard: a deadline abort
+            # must propagate, never be rolled back as a pass failure.
+            if cancel is not None:
+                cancel()
+            return guard.stage(
+                ctx, name, lambda: bodies[name](func), func=func
+            )
+
+        steps = [name for name, when in STAGES if when(config)]
+        for per_module, group in groupby(
+            steps, key=lambda name: name in MODULE_STAGES
+        ):
+            if per_module:
+                for name in group:
+                    run(name)
+                continue
+            group = list(group)
+            for func in module:
+                for name in group:
+                    if name is None:
+                        # Pre-lowering, while the IR is still analyzable; the
+                        # alias-consistency checker validates the claims.
+                        annotate_memory_roots(func, ctx.analyses.memdep(func))
+                    elif name == "coalesce":
+                        reports.extend(run(name, func) or [])
+                    else:
+                        run(name, func)
+        if config.verify:
+            verify_module(module)
+
+        if config.sanitize:
+            from repro.sanitize import lint_module
+
+            lint_module(module, machine, sink=sink)
+
+        return CompiledProgram(
+            module, machine, config, reports,
+            diagnostics=list(sink) if sink is not None else [],
+            pass_stats=dict(ctx.stats),
+            pass_failures=list(guard.failures),
+        )
 
 
 def compile_and_run(

@@ -26,7 +26,6 @@ The policy knob (``PipelineConfig.on_pass_failure``):
 
 from __future__ import annotations
 
-import time
 import traceback as _traceback
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
@@ -36,6 +35,7 @@ from repro.ir.parser import parse_module
 from repro.ir.printer import format_module
 from repro.ir.verifier import verify_function, verify_module
 from repro.opt.pass_manager import reported_change
+from repro.timing import span
 
 PASS_FAILURE_POLICIES = ("raise", "skip", "fallback")
 
@@ -163,19 +163,20 @@ class PassGuard:
         is: after a module stage, a disabled stage or a rollback (which
         restores every function's blocks) it clears the whole cache,
         and after a stage in which a fault fired it drops the
-        function's entry.
+        function's entry.  The whole call is one span named ``name``.
         """
-        if name in self.disabled:
-            ctx.record_pass(name, False, 0.0)
-            result, spec = None, None
-        else:
-            aliases = (f"{name}:{func.name}",) if func is not None else ()
-            spec = self.faults.draw(name, aliases) if self.faults else None
-            result = self._transact(ctx, name, thunk, func, spec)
-        if func is None or result is None:
-            ctx.analyses.clear()
-        elif spec is not None:
-            ctx.analyses.invalidate(func)
+        with span(name):
+            if name in self.disabled:
+                ctx.record_pass(name, False)
+                result, spec = None, None
+            else:
+                aliases = (f"{name}:{func.name}",) if func is not None else ()
+                spec = self.faults.draw(name, aliases) if self.faults else None
+                result = self._transact(ctx, name, thunk, func, spec)
+            if func is None or result is None:
+                ctx.analyses.clear()
+            elif spec is not None:
+                ctx.analyses.invalidate(func)
         return result
 
     def _transact(self, ctx, name: str, thunk, func: Optional[Function],
@@ -197,7 +198,6 @@ class PassGuard:
         error_tb = ""
         failure_kind = "exception"
         result = None
-        started = time.perf_counter()
         try:
             if spec is not None and spec.kind in ("raise", "stall", "sleep"):
                 self.faults.execute(spec)
@@ -216,7 +216,6 @@ class PassGuard:
         except Exception as exc:  # noqa: BLE001 — any pass bug must be containable
             error = exc
             error_tb = _traceback.format_exc()
-        seconds = time.perf_counter() - started
 
         if error is None:
             changed = reported_change(result)
@@ -232,11 +231,11 @@ class PassGuard:
                         ):
                             agreed = False
             if agreed or not self.armed:
-                ctx.record_pass(name, changed, seconds)
+                ctx.record_pass(name, changed)
                 return result
             failure_kind = "differential"
 
-        ctx.record_pass(name, False, seconds)
+        ctx.record_pass(name, False)
         if not self.armed:
             raise error  # legacy 'raise' path: propagate unchanged
         if self.policy == "raise" and error is not None:

@@ -54,6 +54,7 @@ import time
 from dataclasses import replace
 from typing import Dict, List, Optional
 
+from repro import timing
 from repro.errors import DeadlineExceeded, ReproError
 from repro.machine import get_machine
 from repro.pipeline import compile_minic, get_config
@@ -538,14 +539,14 @@ class CompileServer(FrontEnd):
         request_id = request.get("id")
         budget = self._arm_deadline(request, enqueued_at)
         op = request["op"]
-        started = time.monotonic()
         try:
-            if op == "compile":
-                fields = self._do_compile(request)
-            elif op == "simulate":
-                fields = self._do_simulate(request)
-            else:
-                fields = self._do_bench(request)
+            with timing.root("request") as request_span:
+                if op == "compile":
+                    fields = self._do_compile(request)
+                elif op == "simulate":
+                    fields = self._do_simulate(request)
+                else:
+                    fields = self._do_bench(request)
         except DeadlineExceeded as exc:
             self.stats.bump("timeouts")
             return protocol.make_response(
@@ -569,9 +570,8 @@ class CompileServer(FrontEnd):
         )
         self.stats.bump("completed")
         self.stats.bump("degraded" if status != protocol.STATUS_OK else "ok")
-        fields.setdefault(
-            "wall_seconds", round(time.monotonic() - started, 6)
-        )
+        # Processing time: the queue wait before it is not in the span.
+        fields.setdefault("wall_seconds", round(request_span.ns / 1e9, 6))
         return protocol.make_response(request_id, status, **fields)
 
     # -- the compile path ---------------------------------------------------

@@ -12,7 +12,7 @@ each machine's latencies, issue width and caches.
 from repro.sim.memory import SimMemory
 from repro.sim.cache import BlockCache, DirectMappedCache, shared_block_cache
 from repro.sim.interp import Interpreter, RunStats, layout_code
-from repro.sim.costs import CycleReport, cycle_report, instructions_per_second
+from repro.sim.costs import CycleReport, cycle_report
 from repro.sim.runner import (
     SIM_BACKENDS,
     Simulator,
@@ -32,7 +32,6 @@ __all__ = [
     "Simulator",
     "cycle_report",
     "default_sim_backend",
-    "instructions_per_second",
     "layout_code",
     "shared_block_cache",
 ]

@@ -66,16 +66,6 @@ class CycleReport:
         )
 
 
-def instructions_per_second(
-    instr_count: int, wall_seconds: float
-) -> Optional[float]:
-    """Simulated-instructions per host second, or None when the wall
-    clock is too coarse to divide by (sub-microsecond runs)."""
-    if wall_seconds <= 1e-6 or instr_count <= 0:
-        return None
-    return instr_count / wall_seconds
-
-
 def cycle_report(
     module: Module,
     machine: MachineDescription,

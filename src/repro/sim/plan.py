@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ReproError
+from repro.timing import span
 
 
 def to_signed(value: int, bits: int) -> int:
@@ -71,13 +72,15 @@ def _array(item) -> Tuple[str, int, List[int]]:
 def run_plan(sim, plan: Plan) -> Optional[int]:
     """Stage ``plan``'s arrays in order and call its entry; returns the
     signed result, or None for an entry that returns nothing."""
-    for name, width, values in plan.arrays:
-        address = sim.alloc_array(name, size=max(len(values), 1) * width)
-        sim.write_words(address, values, width)
-    value = sim.call(plan.entry, *[
-        sim.array_addr(arg) if isinstance(arg, str) else arg
-        for arg in plan.args
-    ])
+    with span("sim.stage"):
+        for name, width, values in plan.arrays:
+            address = sim.alloc_array(name, size=max(len(values), 1) * width)
+            sim.write_words(address, values, width)
+    with span("sim.exec"):
+        value = sim.call(plan.entry, *[
+            sim.array_addr(arg) if isinstance(arg, str) else arg
+            for arg in plan.args
+        ])
     return None if value is None else to_signed(value, sim.machine.word_bits)
 
 
@@ -87,22 +90,24 @@ def check(sim, plan: Plan, result: Optional[int]) -> bool:
     if plan.result is not None and result != plan.result:
         return False
     widths = {name: width for name, width, _ in plan.arrays}
-    for name, expected in plan.outputs.items():
-        mask = (1 << (8 * widths[name])) - 1
-        got = sim.read_words(
-            sim.array_addr(name), len(expected), widths[name], signed=False
-        )
-        if got != [value & mask for value in expected]:
-            return False
+    with span("sim.readback"):
+        for name, expected in plan.outputs.items():
+            mask = (1 << (8 * widths[name])) - 1
+            got = sim.read_words(
+                sim.array_addr(name), len(expected), widths[name], signed=False
+            )
+            if got != [value & mask for value in expected]:
+                return False
     return True
 
 
 def dump(sim, plan: Plan, count: int) -> Dict[str, List[int]]:
     """The first ``count`` elements of each staged array, signed: at
     most 64, and never past the end of the array."""
-    return {
-        name: sim.read_words(
-            sim.array_addr(name), min(count, 64, len(values)), width
-        )
-        for name, width, values in plan.arrays
-    }
+    with span("sim.readback"):
+        return {
+            name: sim.read_words(
+                sim.array_addr(name), min(count, 64, len(values)), width
+            )
+            for name, width, values in plan.arrays
+        }

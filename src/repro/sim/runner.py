@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import os
 import struct
-import time
 from typing import Dict, Optional, Sequence
 
 from repro.errors import SimulationError
@@ -23,6 +22,7 @@ from repro.machine.machine import MachineDescription
 from repro.sim.costs import CycleReport, cycle_report
 from repro.sim.interp import Interpreter
 from repro.sim.memory import SimMemory
+from repro.timing import span
 
 
 #: Backends selectable via ``backend=`` / ``--sim-backend`` /
@@ -128,15 +128,16 @@ class Simulator:
         elif resolved == "compiled":
             from repro.sim.translate import CompiledEngine
 
-            self.engine = CompiledEngine(
-                module,
-                machine,
-                memory=self.memory,
-                simulate_caches=simulate_caches,
-                max_steps=max_steps,
-                cancel=cancel,
-                block_cache=block_cache,
-            )
+            with span("sim.translate"):  # every block, at construction
+                self.engine = CompiledEngine(
+                    module,
+                    machine,
+                    memory=self.memory,
+                    simulate_caches=simulate_caches,
+                    max_steps=max_steps,
+                    cancel=cancel,
+                    block_cache=block_cache,
+                )
         else:
             raise SimulationError(
                 f"unknown simulator backend {resolved!r} "
@@ -144,9 +145,6 @@ class Simulator:
             )
         self._arrays: Dict[str, int] = {}
         self._stagger_counter = 0
-        # Host wall-clock spent inside call(), accumulated across calls;
-        # the bench runner's profiling hooks read this.
-        self.wall_seconds = 0.0
 
     # -- data staging -------------------------------------------------------
     def alloc_array(
@@ -239,11 +237,7 @@ class Simulator:
 
     # -- execution -------------------------------------------------------------
     def call(self, name: str, *args: int) -> Optional[int]:
-        started = time.perf_counter()
-        try:
-            return self.engine.call(name, *args)
-        finally:
-            self.wall_seconds += time.perf_counter() - started
+        return self.engine.call(name, *args)
 
     def block_count(self, func_name: str, label: str) -> int:
         """How many times a block executed (drives fallback-path tests)."""

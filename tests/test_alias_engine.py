@@ -638,15 +638,38 @@ class TestPhaseBudgets:
         with pytest.raises(ValueError, match="bad phase budget"):
             parse_phase_budgets([spec])
 
+    @staticmethod
+    def _node(name, seconds, *children):
+        tree = {"name": name, "calls": 1, "seconds": seconds,
+                "self_seconds": seconds - sum(c["seconds"] for c in children)}
+        if children:
+            tree["children"] = list(children)
+        return tree
+
+    def _record(self, *phases):
+        """A bench record whose tree compiled ``phases``; with none, a
+        cache hit's, which holds no compile."""
+        if not phases:
+            return {"compile_cache_hit": True,
+                    "timing": self._node("cell", 1.0)}
+        return {"compile_cache_hit": False, "timing": self._node(
+            "cell", 2.0, self._node("compile", 1.0, *phases))}
+
     def test_check_aggregates_across_records(self):
         from repro.bench.runner import check_phase_budgets
 
+        node = self._node
         records = [
-            {"phase_seconds": {"cleanup": 0.2, "licm": 0.1}},
-            {"phase_seconds": {"cleanup": 0.3}},
-            {},  # a failed cell contributes nothing
+            self._record(node("cleanup", 0.2,
+                              node("global_const_prop", 0.05)),
+                         node("licm", 0.1)),
+            self._record(node("cleanup", 0.3)),
+            self._record(),  # a cache hit measured no compile
+            {"compile_cache_hit": False, "timing": None},  # a failed cell
         ]
         assert check_phase_budgets(records, {"cleanup": 0.6}) == []
+        assert check_phase_budgets(
+            records, {"global_const_prop": 0.06}) == []
         overruns = check_phase_budgets(records, {"cleanup": 0.4})
         assert len(overruns) == 1
         assert "cleanup" in overruns[0] and "0.4" in overruns[0]
@@ -655,10 +678,26 @@ class TestPhaseBudgets:
         from repro.bench.runner import check_phase_budgets
 
         overruns = check_phase_budgets(
-            [{"phase_seconds": {"cleanup": 0.1}}], {"global_const_prop": 5}
+            [self._record(self._node("cleanup", 0.1)), self._record()],
+            {"global_const_prop": 5},
         )
         assert len(overruns) == 1
         assert "never ran" in overruns[0]
+
+    def test_budget_of_a_run_that_compiled_nothing_fails_unenforceable(
+        self
+    ):
+        from repro.bench.runner import check_phase_budgets
+
+        overruns = check_phase_budgets(
+            [self._record(), self._record()],
+            {"cleanup": 12, "global_const_prop": 6},
+        )
+        assert len(overruns) == 2
+        for overrun in overruns:
+            assert "cannot be enforced" in overrun
+            assert "cache hit" in overrun
+            assert "never ran" not in overrun
 
 
 class TestLintJson:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench import cache as cache_mod
-from repro.bench import runner
+from repro.bench import harness, runner
 from repro.bench.cache import (
     CompileCache,
     cache_key,
@@ -60,9 +60,9 @@ class TestCompileCache:
         assert warm.cache_hit
         assert _run_dot(cold) == _run_dot(warm)
         assert warm.coalesced_loops == cold.coalesced_loops
-        # profiling hooks survive the round-trip
-        assert "frontend" in warm.pass_stats
-        assert warm.pass_stats == cold.pass_stats
+        # a revived program ran no pass, so it reports none
+        assert "cleanup" in cold.pass_stats
+        assert warm.pass_stats == {}
 
     def test_miss_on_config_change(self, tmp_path):
         cache = CompileCache(tmp_path)
@@ -156,8 +156,9 @@ def _record(program="dotproduct", machine="alpha", variant="vpo",
         "program": program, "machine": machine, "variant": variant,
         "width": width, "height": height, "cycles": cycles,
         "loads": 10, "stores": 5, "memory_accesses": 15,
-        "output_ok": True, "compile_seconds": 0.0, "sim_seconds": 0.0,
-        "compile_cache_hit": False, "phase_seconds": {},
+        "output_ok": True, "compile_cache_hit": False,
+        "timing": {"name": "cell", "calls": 1, "seconds": 0.0,
+                   "self_seconds": 0.0},
     }
     record.update(extra)
     return record
@@ -296,6 +297,44 @@ class TestRunMatrix:
         assert runner.gate_passed(rows)
 
 
+def _nodes(tree):
+    yield tree
+    for child in tree.get("children", ()):
+        yield from _nodes(child)
+
+
+def _span_names(tree):
+    return {node["name"] for node in _nodes(tree)}
+
+
+COMPILE_SPANS = {"compile", "frontend", "cleanup", "simplify_cfg", "lower"}
+
+
+class TestCellTiming:
+    """A record's timing tree describes the call that made it."""
+
+    CELL = ("dotproduct", "alpha", "coalesce-all")
+
+    def test_repeat_in_one_process_is_a_hit_without_compile_spans(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        cold = harness.run_benchmark(*self.CELL, width=8, height=8)
+        assert not cold.compile_cache_hit
+        names = _span_names(cold.timing)
+        assert {"cell", "cache", "sim.exec"} | COMPILE_SPANS <= names
+        for node in _nodes(cold.timing):
+            inner = sum(c["seconds"] for c in node.get("children", ()))
+            assert inner <= node["seconds"], node["name"]
+
+        warm = harness.run_benchmark(*self.CELL, width=8, height=8)
+        assert warm.compile_cache_hit
+        assert warm.cycles == cold.cycles
+        assert "cache" in _span_names(warm.timing)
+        assert not COMPILE_SPANS & _span_names(warm.timing)
+        assert warm.sim_instrs_per_sec is not None
+
+
 @pytest.mark.bench_quick
 class TestCliAndWarmCache:
     """End-to-end: the bench CLI in subprocesses, cold vs warm cache."""
@@ -328,6 +367,13 @@ class TestCliAndWarmCache:
         b = json.loads((tmp_path / "BENCH_b.json").read_text())
         assert not any(r["compile_cache_hit"] for r in a["records"])
         assert all(r["compile_cache_hit"] for r in b["records"])
+        # the warm records replay no compile: their trees hold none
+        assert all(
+            COMPILE_SPANS <= _span_names(r["timing"]) for r in a["records"]
+        )
+        assert not any(
+            COMPILE_SPANS & _span_names(r["timing"]) for r in b["records"]
+        )
         assert [r["cycles"] for r in a["records"]] == [
             r["cycles"] for r in b["records"]
         ]

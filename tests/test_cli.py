@@ -149,11 +149,80 @@ def test_lint_differential_smoke(kernel_file, tmp_path, capsys):
     ]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is True
-    assert sorted(payload["pass_stats"]) == sorted([
-        "cleanup", "simplify_cfg", "constant_fold", "copy_propagate",
+    passes = [
+        "simplify_cfg", "constant_fold", "copy_propagate",
         "global_const_prop", "local_cse", "peephole",
         "dead_code_elimination",
-    ])
+    ]
+    assert sorted(payload["pass_stats"]) == sorted(["cleanup"] + passes)
+    # The seven passes are timed as children of their stage.
+    (cleanup,) = payload["timing"]["children"]
+    assert cleanup["name"] == "cleanup"
+    assert [child["name"] for child in cleanup["children"]] == passes
+
+
+def test_lint_stats_json_nests_passes_under_their_stage(
+    kernel_file, capsys
+):
+    assert main([
+        "lint", kernel_file, "--config", "coalesce-all", "--stats",
+        "--json",
+    ]) == 0
+    tree = json.loads(capsys.readouterr().out)["timing"]
+    assert tree["name"] == "lint"
+    (compile_span,) = tree["children"]
+    stages = {child["name"]: child for child in compile_span["children"]}
+    assert {"frontend", "cleanup", "coalesce", "lower"} <= set(stages)
+    assert {child["name"] for child in stages["cleanup"]["children"]} == {
+        "simplify_cfg", "constant_fold", "copy_propagate",
+        "global_const_prop", "local_cse", "peephole",
+        "dead_code_elimination",
+    }
+    assert stages["cleanup"]["self_seconds"] < stages["cleanup"]["seconds"]
+
+
+@pytest.mark.parametrize("command", ["bench", "simdiff"])
+@pytest.mark.parametrize("axis", ["programs", "machines", "variants"])
+def test_matrix_selection_rejects_unknown_names_before_any_cell(
+    command, axis, tmp_path, monkeypatch, capsys
+):
+    from repro.bench import runner
+
+    def no_cells(**_):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(runner, "run_matrix", no_cells)
+    out = tmp_path / "BENCH_x.json"
+    assert main([command, f"--{axis}", "nosuch", "--out", str(out)]) == 2
+    assert f"error: unknown {axis[:-1]}(s) 'nosuch'" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["bench", "simdiff"])
+def test_matrix_selection_all_is_every_name(
+    command, tmp_path, monkeypatch
+):
+    from repro.bench import runner
+
+    asked = []
+
+    def record(**kwargs):
+        asked.append(kwargs)
+        return []
+
+    monkeypatch.setattr(runner, "run_matrix", record)
+    args = [command, "--programs", "all", "--machines", "all",
+            "--variants", "all", "--out", str(tmp_path / "BENCH_x.json")]
+    if command == "bench":
+        args.append("--quick")  # 'all' overrides the quick tier's alpha
+    assert main(args) == 0
+    assert asked
+    for kwargs in asked:
+        assert sorted(kwargs["programs"]) == sorted(runner.ALL_PROGRAMS)
+        assert sorted(kwargs["machines"]) == sorted(runner.ALL_MACHINES)
+        assert sorted(kwargs["variants"]) == sorted(runner.COLUMNS)
 
 
 def test_lint_rejects_hazardous_rtl(tmp_path, capsys):

@@ -460,9 +460,15 @@ class TestCacheHardening:
 
         return CompileCache(tmp_path)
 
+    @staticmethod
+    def _payload(module):
+        from repro.bench.cache import CACHE_SCHEMA
+
+        return {"schema": CACHE_SCHEMA, "module": module, "machine": "alpha"}
+
     def test_truncated_entry_is_a_logged_miss(self, tmp_path):
         cache = self._cache(tmp_path)
-        cache.store("k", {"schema": 1, "module": "m", "machine": "alpha"})
+        cache.store("k", self._payload("m"))
         path = cache._path("k")
         path.write_text(path.read_text()[:10])  # torn write
         assert cache.lookup("k") is None
@@ -473,12 +479,12 @@ class TestCacheHardening:
 
     def test_wrong_shape_entry_is_dropped(self, tmp_path):
         cache = self._cache(tmp_path)
-        cache.store("k", {"schema": 1, "module": 42, "machine": "alpha"})
+        cache.store("k", self._payload(42))
         assert cache.lookup("k") is None
 
     def test_clear_removes_stray_temp_files(self, tmp_path):
         cache = self._cache(tmp_path)
-        cache.store("k", {"schema": 1, "module": "m", "machine": "alpha"})
+        cache.store("k", self._payload("m"))
         (tmp_path / "orphan.tmp").write_text("partial")
         assert cache.clear() == 1
         assert list(tmp_path.glob("*.tmp")) == []

@@ -112,9 +112,7 @@ def test_pass_manager_records_stats():
         ("cleanup", cleanup),
         ("bad-peephole", _bad_mul_to_add),
     ])
-    assert ctx.stats["bad-peephole"]["runs"] == 1
-    assert ctx.stats["bad-peephole"]["changed"] == 1
-    assert ctx.stats["bad-peephole"]["seconds"] >= 0.0
+    assert ctx.stats["bad-peephole"] == {"runs": 1, "changed": 1}
     # run_to_fixpoint inside cleanup records the bundle's sub-passes too.
     assert ctx.stats["dead_code_elimination"]["runs"] >= 1
 
