@@ -49,8 +49,9 @@ def main():
     elapsed = time.perf_counter() - started
     cache = default_cache()
     if cache is not None:
-        print(f"\n[{elapsed:.1f}s; compile cache: {cache.hits} hits, "
-              f"{cache.misses} misses]", file=sys.stderr)
+        stats = cache.stats()
+        print(f"\n[{elapsed:.1f}s; compile cache: {stats['hits']} hits, "
+              f"{stats['misses']} misses]", file=sys.stderr)
     else:
         print(f"\n[{elapsed:.1f}s; compile cache off]", file=sys.stderr)
 

@@ -1171,9 +1171,10 @@ def cmd_status(args) -> int:
 def cmd_cache(args) -> int:
     import json
 
-    from repro.bench.cache import CompileCache, cache_enabled
+    from repro.bench.cache import cache_enabled, default_cache_dir
+    from repro.service.artifacts import ArtifactStore
 
-    cache = CompileCache(args.dir)
+    cache = ArtifactStore(args.dir or default_cache_dir())
     if args.clear:
         removed = cache.clear()
         print(f"removed {removed} cache entr{'y' if removed == 1 else 'ies'}")
@@ -1674,7 +1675,7 @@ def main(argv=None) -> int:
     p_cache.add_argument(
         "--dir", default=None,
         help="cache directory (default: REPRO_CACHE_DIR or "
-             ".repro_cache/compile)",
+             "~/.cache/repro-compile)",
     )
     p_cache.add_argument(
         "--clear", action="store_true", help="remove every cache entry"

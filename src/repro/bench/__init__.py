@@ -3,14 +3,17 @@
 ``programs`` holds the MiniC sources of the paper's Table I benchmark set
 (plus the Figure 1 dot product), ``workloads`` generates inputs and golden
 outputs, ``harness`` compiles/runs one benchmark under one configuration,
-``tables`` regenerates the paper's tables, ``cache`` persists finished
-compilations across processes, and ``runner`` fans the measurement matrix
-out over worker processes, stores ``BENCH_<tag>.json`` baselines and
-implements the CI regression gate.
+``tables`` regenerates the paper's tables, ``cache`` keys, serializes
+and revives finished compilations in the shared artifact store
+(``cached_compile_minic``; the store is ``ArtifactStore`` from
+``repro/service/artifacts.py``, imported only once a cache is opened),
+and ``runner`` fans the measurement matrix out over worker processes,
+stores ``BENCH_<tag>.json`` baselines and implements the CI regression
+gate.
 """
 
 from repro.bench.programs import BENCHMARKS, BenchmarkProgram, get_benchmark
-from repro.bench.cache import CompileCache, cached_compile_minic
+from repro.bench.cache import cached_compile_minic
 from repro.bench.harness import (
     BenchResult,
     COLUMN_CONFIGS,
@@ -42,7 +45,6 @@ __all__ = [
     "BenchmarkProgram",
     "COLUMN_CONFIGS",
     "ComparisonRow",
-    "CompileCache",
     "TableRow",
     "cached_compile_minic",
     "compare_runs",

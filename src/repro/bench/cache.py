@@ -1,4 +1,4 @@
-"""Disk-backed compile-session cache.
+"""The compile cache: finished compilations kept in an artifact store.
 
 Compiling one benchmark column takes seconds of pure-Python work
 (front end, dataflow, unrolling, coalescing, lowering, scheduling);
@@ -17,34 +17,18 @@ A cache entry is keyed by the SHA-256 of four things:
   ``frontend``, ``ir``, ``analysis``, ``opt``, ``coalesce``, ``machine``
   and ``sched`` packages), so editing any pass invalidates every entry.
 
-Storage is delegated to the crash-safe content-addressed
-:class:`repro.service.artifacts.ArtifactStore`: entries are written to
-a temp file, fsync'd, and hardlinked into place (link-once — an
-existing entry is never replaced), framed by an integrity header whose
-length and SHA-256 every read re-verifies.  A corrupted or stale entry
-is treated as a miss and deleted; any ``OSError`` on the read or write
-path (disk full, permissions, a yanked directory) logs a diagnostic
-and bypasses the cache — the compile itself never fails because of
-cache I/O.  The cache lives in ``$REPRO_CACHE_DIR`` (default
-``~/.cache/repro-compile``) and is disabled entirely by
-``REPRO_CACHE=off``.
-
-Disk usage is bounded: the cache holds at most ``max_bytes``
-(``REPRO_CACHE_MAX_BYTES``, default 256 MiB) of entries, pruned
-oldest-mtime-first on every store; a hit refreshes the entry's mtime, so
-eviction is LRU rather than FIFO.  ``python -m repro cache --stats``
-inspects the store, ``--clear`` empties it.
-
-Concurrent requests for one cold key compile it once, whether they come
-from threads of one process (the compile service's worker pool) or from
-separate processes (the fleet's workers, CI shards, a human running
-``bench``): ``cached_compile_minic`` runs the whole miss path through
-``ArtifactStore.fetch_or_compute``, so the first caller to reach a cold
-key takes its lease and compiles while the rest block-with-deadline on
-the lease and read the published artifact — or, if the holder dies,
-steal the lease (fencing-token rule, DESIGN.md §8b) and compile in its
-place.  Waiters in the holder's process are woken when it releases the
-lease; waiters elsewhere poll.
+The bytes belong to an ``ArtifactStore`` (``repro/service/artifacts.py``),
+which owns the integrity framing, the link-once publish, the lease
+protocol that compiles a cold key once across threads and processes,
+the LRU size cap and the event journal.  This module adds what is
+compile-specific: the key, the payload (:func:`serialize_program` /
+:func:`revive_program`) and :func:`cached_compile_minic`, which runs
+every cacheable compile through ``ArtifactStore.fetch_or_compute``.
+The store lives in ``$REPRO_CACHE_DIR`` (default
+``~/.cache/repro-compile``) and ``REPRO_CACHE=off`` disables it;
+``python -m repro cache --stats`` inspects it, ``--clear`` empties it.
+The service package is imported only when a store is first opened, so
+``import repro.bench`` does not load it.
 """
 
 from __future__ import annotations
@@ -52,11 +36,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import threading
 from dataclasses import asdict
 from functools import lru_cache
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from repro.coalesce import CoalesceReport
 from repro.errors import ReproError
@@ -68,25 +51,13 @@ from repro.pipeline import (
     compile_minic,
     get_config,
 )
+from repro.resilience.faults import FaultPlan
 from repro.timing import span
 
+if TYPE_CHECKING:
+    from repro.service.artifacts import ArtifactStore
+
 CACHE_SCHEMA = 2
-
-#: Default size cap of the disk cache; REPRO_CACHE_MAX_BYTES overrides
-#: (0 or a negative value lifts the cap).
-DEFAULT_MAX_BYTES = 256 * 1024 * 1024
-
-
-def default_max_bytes() -> Optional[int]:
-    """The configured cap in bytes, or ``None`` for unbounded."""
-    raw = os.environ.get("REPRO_CACHE_MAX_BYTES", "").strip()
-    if not raw:
-        return DEFAULT_MAX_BYTES
-    try:
-        value = int(raw)
-    except ValueError:
-        return DEFAULT_MAX_BYTES
-    return value if value > 0 else None
 
 #: Package subtrees whose source text participates in compilation.  The
 #: sim/ and sanitize/ trees are deliberately absent: they run *after*
@@ -138,198 +109,21 @@ def cache_key(
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-class CompileCache:
-    """One directory of JSON-serialized compilations.
+def validate_payload(payload) -> dict:
+    """Shape-check a decoded payload; raises ``ValueError``.
 
-    Corruption is expected (interrupted writers, disk-full truncation,
-    concurrent benchmark workers): a torn or schema-mismatched entry is
-    logged to the diagnostic ``sink``, deleted, and treated as a miss —
-    never a crash, never a stale program.  The bytes on disk belong to
-    an :class:`~repro.service.artifacts.ArtifactStore` (``.artifacts``),
-    which adds the integrity framing, the link-once publish, the lease
-    protocol, and the durable cross-process event journal behind the
-    ``hit``/``dedup``/``steal``/``corruption`` counters in
-    :meth:`stats`.
+    A truncated-then-concatenated or hand-edited entry can be valid
+    JSON yet still unusable; check shape before reviving.
     """
-
-    def __init__(
-        self,
-        directory: Union[str, Path, None] = None,
-        sink=None,
-        max_bytes: Union[int, None] = -1,
-        lease_ttl: Optional[float] = None,
-        faults=None,
-    ):
-        from repro.service.artifacts import ArtifactStore
-
-        if directory is None:
-            directory = os.environ.get("REPRO_CACHE_DIR") or (
-                Path.home() / ".cache" / "repro-compile"
-            )
-        self.directory = Path(directory)
-        # -1 means "use the configured default"; None lifts the cap.
-        self.max_bytes = default_max_bytes() if max_bytes == -1 else max_bytes
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        # Hits that waited on another caller's lease first (role
-        # 'dedup'); the compile server reports it in its status.
-        self.dedups = 0
-        # Guards the counters cached_compile_minic bumps from the
-        # compile server's worker threads.
-        self.counts_lock = threading.Lock()
-        if sink is None:
-            from repro.sanitize import DiagnosticSink
-
-            sink = DiagnosticSink()
-        self.sink = sink
-        self.artifacts = ArtifactStore(
-            self.directory, ttl=lease_ttl, sink=sink, faults=faults,
-        )
-
-    def _path(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
-
-    @staticmethod
-    def validate_payload(payload) -> dict:
-        """Shape-check a decoded payload; raises ``ValueError``.
-
-        A truncated-then-concatenated or hand-edited entry can be valid
-        JSON yet still unusable; check shape before reviving.
-        """
-        if not isinstance(payload, dict):
-            raise ValueError("payload is not an object")
-        if payload.get("schema") != CACHE_SCHEMA:
-            raise ValueError("schema mismatch")
-        if not isinstance(payload.get("module"), str):
-            raise ValueError("missing or non-text 'module' field")
-        if not isinstance(payload.get("machine"), str):
-            raise ValueError("missing or non-text 'machine' field")
-        return payload
-
-    # -- raw payload access -------------------------------------------------
-    def lookup(self, key: str) -> Optional[dict]:
-        """The stored payload for ``key``, or None (corrupt files are
-        removed, logged, and reported as misses)."""
-        data = self.artifacts.read(key)  # integrity-verified or dropped
-        if data is None:
-            self.misses += 1
-            return None
-        try:
-            payload = self.validate_payload(json.loads(data))
-        except ValueError as exc:
-            self.misses += 1
-            self.artifacts.drop(key, str(exc))
-            return None
-        self.hits += 1
-        self.artifacts.note_hit(key)  # journal + refresh LRU recency
-        return payload
-
-    def store(self, key: str, payload: dict) -> None:
-        """Durably persist ``payload``; I/O failures are non-fatal.
-
-        The temp file is flushed and fsync'd before being hardlinked
-        into place, so a crash mid-store leaves either no entry or a
-        complete one — a reader can never observe a half-written
-        payload under the final name, and the integrity header catches
-        anything that slips through anyway.  Link-once means a racing
-        writer's complete entry is kept rather than replaced.
-        """
-        try:
-            data = json.dumps(payload).encode()
-        except (TypeError, ValueError):
-            return
-        status = self.artifacts.publish(key, data)
-        if status != "error":
-            self.prune()
-
-    def prune(self, max_bytes: Union[int, None] = -1) -> int:
-        """Evict oldest-mtime entries until the store fits ``max_bytes``
-        (default: the cache's own cap); returns how many were evicted.
-
-        The entry just stored is the newest, so a prune right after a
-        store can evict anything but it.  Concurrent pruners racing on
-        the same file are harmless: a lost unlink is just a miss.
-        """
-        if max_bytes == -1:
-            max_bytes = self.max_bytes
-        if max_bytes is None or not self.directory.is_dir():
-            return 0
-        entries = []
-        total = 0
-        for path in self.directory.glob("*.json"):
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            entries.append((stat.st_mtime, stat.st_size, path))
-            total += stat.st_size
-        entries.sort()
-        evicted = 0
-        for mtime, size, path in entries:
-            if total <= max_bytes:
-                break
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            total -= size
-            evicted += 1
-        self.evictions += evicted
-        return evicted
-
-    def stats(self) -> Dict[str, object]:
-        """On-disk shape, this process's hit/miss counters, and the
-        fleet-wide counters aggregated from the store's durable event
-        journal (``dedup_hits``, ``steals``, ``corruption_drops``, …) —
-        the journal survives process exit, so a fresh ``cache --stats``
-        can report what an entire fleet run did."""
-        entries = 0
-        total = 0
-        if self.directory.is_dir():
-            for path in self.directory.glob("*.json"):
-                try:
-                    total += path.stat().st_size
-                except OSError:
-                    continue
-                entries += 1
-        stats: Dict[str, object] = {
-            "directory": str(self.directory),
-            "entries": entries,
-            "bytes": total,
-            "max_bytes": self.max_bytes,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "lease_ttl": self.artifacts.ttl,
-        }
-        stats.update(self.artifacts.counters())
-        return stats
-
-    def clear(self) -> int:
-        """Delete every entry (plus stray temp files, leases, per-key
-        locks, and the event journal); returns how many entries were
-        removed."""
-        removed = 0
-        if self.directory.is_dir():
-            for path in self.directory.glob("*.json"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-            for path in self.directory.glob("*.tmp"):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-            self.artifacts.clear()
-        return removed
-
-    def __len__(self) -> int:
-        if not self.directory.is_dir():
-            return 0
-        return sum(1 for _ in self.directory.glob("*.json"))
+    if not isinstance(payload, dict):
+        raise ValueError("payload is not an object")
+    if payload.get("schema") != CACHE_SCHEMA:
+        raise ValueError("schema mismatch")
+    if not isinstance(payload.get("module"), str):
+        raise ValueError("missing or non-text 'module' field")
+    if not isinstance(payload.get("machine"), str):
+        raise ValueError("missing or non-text 'machine' field")
+    return payload
 
 
 def cache_enabled() -> bool:
@@ -338,20 +132,28 @@ def cache_enabled() -> bool:
     )
 
 
-_default_cache: Optional[CompileCache] = None
+def default_cache_dir() -> Path:
+    """``$REPRO_CACHE_DIR``, or ``~/.cache/repro-compile``."""
+    return Path(
+        os.environ.get("REPRO_CACHE_DIR")
+        or Path.home() / ".cache" / "repro-compile"
+    )
 
 
-def default_cache() -> Optional[CompileCache]:
-    """The process-wide cache, or None when REPRO_CACHE=off."""
+_default_cache: Optional["ArtifactStore"] = None
+
+
+def default_cache() -> Optional["ArtifactStore"]:
+    """The process-wide store on :func:`default_cache_dir`, or None
+    when REPRO_CACHE=off."""
     global _default_cache
     if not cache_enabled():
         return None
-    if (
-        _default_cache is None
-        or str(_default_cache.directory)
-        != str(CompileCache().directory)
-    ):
-        _default_cache = CompileCache()
+    directory = default_cache_dir()
+    if _default_cache is None or _default_cache.directory != directory:
+        from repro.service.artifacts import ArtifactStore
+
+        _default_cache = ArtifactStore(directory)
     return _default_cache
 
 
@@ -400,34 +202,37 @@ def cached_compile_minic(
     source: str,
     machine: Union[str, MachineDescription] = "alpha",
     config: Union[str, PipelineConfig, None] = None,
-    cache: Optional[CompileCache] = None,
+    cache: Optional["ArtifactStore"] = None,
     cancel=None,
     faults=None,
-    lease_wait: Optional[float] = None,
+    crash_dir: Optional[str] = None,
     **overrides,
 ) -> CompiledProgram:
-    """``compile_minic`` with the disk cache wrapped around it.
+    """``compile_minic`` through the compile cache (``cache``, default
+    :func:`default_cache`).
 
     Sanitizer/differential configurations are never cached: their value
     is in the diagnostics, which re-running the passes produces and a
     cache hit would silently drop.  Fault-isolated compilations
-    (``on_pass_failure != 'raise'`` or an active ``REPRO_FAULTS`` plan)
-    bypass the cache too: a degraded program must not be revived as if
-    it were the full compilation, and a hit would lose its
-    ``pass_failures``.  The one exception is a plan made purely of
-    disk-fault kinds (``FaultPlan.disk_only()``): those faults target
-    the artifact store itself, so the cache stays ON and the plan is
-    armed *inside* the store instead.
+    (``on_pass_failure != 'raise'``, disabled passes, or a ``faults`` /
+    ``REPRO_FAULTS`` plan) bypass the cache too: a degraded program
+    must not be revived as if it were the full compilation, and a hit
+    would lose its ``pass_failures``.  A bypassing compile passes
+    ``faults``, ``crash_dir`` and ``cancel`` on to ``compile_minic``.
+    The one exception is a plan made purely of disk-fault kinds
+    (``FaultPlan.disk_only()``): those faults target the artifact store
+    itself, so the cache stays ON, the plan is armed *inside* the store,
+    and it never reaches the passes.
 
     Concurrent identical keys, from threads or processes, are deduped
-    by the store's lease protocol: the miss path runs through
-    ``ArtifactStore.fetch_or_compute``, so the first caller compiles
-    while the rest wait on its lease (stealing it if the holder dies)
-    and revive the published artifact.  ``lease_wait`` bounds that wait;
-    on exhaustion the compile happens locally — degraded to duplicate
-    work, never to an error.  ``cancel`` is the pipeline's cancellation
-    probe (checked at stage boundaries and at every lease poll); the
-    cache-hit path never reaches it.
+    by the store's lease protocol (``ArtifactStore.fetch_or_compute``):
+    the first caller compiles while the rest wait on its lease, up to
+    the store's ``wait_timeout`` (stealing it if the holder dies), and
+    revive the published artifact; on exhaustion the compile happens
+    locally — degraded to duplicate work, never to an error.
+    ``cancel`` is the pipeline's cancellation probe (checked at stage
+    boundaries and at every lease poll); the cache-hit path never
+    reaches it.
     """
     if isinstance(machine, str):
         machine = get_machine(machine)
@@ -436,35 +241,40 @@ def cached_compile_minic(
         cache = default_cache()
     plan = faults
     if plan is None and os.environ.get("REPRO_FAULTS"):
-        from repro.resilience.faults import FaultPlan
-
         try:
             plan = FaultPlan.from_env()
         except ReproError:
             # Unparseable plan: stay out of the cache and let the
             # compile path surface the configuration error.
             plan = object()
-    plan_blocks_cache = plan is not None and not (
-        hasattr(plan, "disk_only") and plan.disk_only()
-    )
+    disk_plan = isinstance(plan, FaultPlan) and plan.disk_only()
+    if disk_plan:
+        # Disk kinds act on the store, never on the passes: an empty
+        # plan keeps compile_minic from reading REPRO_FAULTS again.
+        faults = FaultPlan()
     if (
         cache is None or config.sanitize or config.differential
         or config.on_pass_failure != "raise"
         or config.disabled_passes
-        or plan_blocks_cache
+        or (plan is not None and not disk_plan)
     ):
-        return compile_minic(source, machine, config, cancel=cancel)
-    if plan is not None and cache.artifacts.faults is None:
-        cache.artifacts.faults = plan  # arm disk faults inside the store
+        return compile_minic(
+            source, machine, config, faults=faults, crash_dir=crash_dir,
+            cancel=cancel,
+        )
+    if disk_plan and cache.faults is None:
+        cache.faults = plan  # arm disk faults inside the store
 
     key = cache_key(source, machine.name, config)
 
     def produce():
-        compiled = compile_minic(source, machine, config, cancel=cancel)
+        compiled = compile_minic(
+            source, machine, config, faults=faults, cancel=cancel
+        )
         return compiled, json.dumps(serialize_program(compiled)).encode()
 
     def decode(data: bytes) -> CompiledProgram:
-        payload = CompileCache.validate_payload(json.loads(data))
+        payload = validate_payload(json.loads(data))
         revived = revive_program(payload, machine, config)
         if revived is None:
             raise ValueError("payload does not revive to a program")
@@ -472,22 +282,13 @@ def cached_compile_minic(
 
     with span("cache"):
         try:
-            program, role = cache.artifacts.fetch_or_compute(
-                key, produce, decode=decode,
-                wait_timeout=lease_wait, cancel=cancel,
+            program, _role = cache.fetch_or_compute(
+                key, produce, decode=decode, cancel=cancel,
             )
         except OSError:
             # Anything the store could not degrade internally (a dying
             # filesystem, a yanked cache directory): compile uncached.
-            return compile_minic(source, machine, config, cancel=cancel)
-        hit = role in ("hit", "dedup")
-        with cache.counts_lock:
-            if hit:
-                cache.hits += 1
-            else:
-                cache.misses += 1
-            if role == "dedup":
-                cache.dedups += 1
-        if not hit:
-            cache.prune()
+            return compile_minic(
+                source, machine, config, faults=faults, cancel=cancel
+            )
     return program

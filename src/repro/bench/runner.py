@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 import os
-import subprocess
 import time
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -120,21 +119,6 @@ def default_cell_timeout() -> float:
         )
     except ValueError:
         return DEFAULT_CELL_TIMEOUT
-
-
-def git_sha() -> str:
-    """The repository HEAD, or 'unknown' outside a git checkout."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True, text=True, timeout=10,
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-        )
-        if out.returncode == 0:
-            return out.stdout.strip()
-    except OSError:
-        pass
-    return "unknown"
 
 
 @dataclass(frozen=True, order=True)
@@ -314,6 +298,8 @@ def make_run_document(
     height: Optional[int] = None,
     sim_backend: Optional[str] = None,
 ) -> Dict[str, object]:
+    from repro.resilience.bundle import git_sha
+
     if sim_backend is None:
         # Derive from the records themselves so the document can never
         # disagree with its measurements; mixed backends (a fallback hit

@@ -125,7 +125,7 @@ def prune_bundles(
     return removed
 
 
-def _git_sha() -> str:
+def git_sha() -> str:
     """The repository HEAD, or 'unknown' outside a git checkout."""
     try:
         out = subprocess.run(
@@ -158,6 +158,43 @@ def failure_hash(
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
+def _publish_bundle(
+    directory: Union[str, Path],
+    digest: str,
+    manifest: dict,
+    files: dict,
+    max_bundles: Optional[int],
+) -> str:
+    """Write bundle ``digest`` under ``directory``; returns its path.
+
+    An existing bundle (its manifest is present) is kept.  Otherwise the
+    ``files`` (name -> text) are written, then the manifest, completed
+    with the schema and provenance fields, lands last through a temp
+    file and ``os.replace``, so a bundle with a manifest is complete;
+    then the directory is pruned to ``max_bundles``.
+    """
+    bundle = Path(directory) / f"{BUNDLE_PREFIX}{digest}"
+    if (bundle / "manifest.json").exists():
+        return str(bundle)
+    bundle.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (bundle / name).write_text(text)
+    manifest = {
+        "schema": BUNDLE_SCHEMA,
+        **manifest,
+        "git_sha": git_sha(),
+        "python": platform.python_version(),
+        "created_unix": int(time.time()),
+    }
+    tmp = bundle / "manifest.json.tmp"
+    with open(tmp, "w") as handle:
+        json.dump(manifest, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    os.replace(tmp, bundle / "manifest.json")
+    prune_bundles(directory, max_bundles)
+    return str(bundle)
+
+
 def write_bundle(
     failure: PassFailure,
     source: str,
@@ -177,13 +214,8 @@ def write_bundle(
     config_dict = asdict(config) if config is not None else {}
     config_json = json.dumps(config_dict, sort_keys=True)
     digest = failure_hash(source, machine_name, config_json, failure)
-    bundle = Path(directory) / f"{BUNDLE_PREFIX}{digest}"
-    if (bundle / "manifest.json").exists():
-        return str(bundle)
-    bundle.mkdir(parents=True, exist_ok=True)
-
+    name = f"{BUNDLE_PREFIX}{digest}"
     manifest = {
-        "schema": BUNDLE_SCHEMA,
         "machine": machine_name,
         "config": config_dict,
         "pass": failure.pass_name,
@@ -194,29 +226,22 @@ def write_bundle(
         "invocation": failure.invocation,
         "injected": failure.injected,
         "faults": faults,
-        "git_sha": _git_sha(),
-        "python": platform.python_version(),
-        "created_unix": int(time.time()),
     }
-    (bundle / "source.c").write_text(source)
-    (bundle / "pre_pass.rtl").write_text(failure.pre_pass_rtl)
-    (bundle / "traceback.txt").write_text(failure.traceback)
-    (bundle / "README.txt").write_text(
-        f"Recovered compilation failure: {failure.describe()}\n"
-        "\n"
-        "Replay (expects the same failure to recur):\n"
-        f"    python -m repro replay {bundle.name}\n"
-        "\n"
-        "Pin the failing pass set and shrink the source:\n"
-        f"    python -m repro bisect {bundle.name}\n"
-    )
-    tmp = bundle / "manifest.json.tmp"
-    with open(tmp, "w") as handle:
-        json.dump(manifest, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-    os.replace(tmp, bundle / "manifest.json")
-    prune_bundles(directory, max_bundles)
-    return str(bundle)
+    files = {
+        "source.c": source,
+        "pre_pass.rtl": failure.pre_pass_rtl,
+        "traceback.txt": failure.traceback,
+        "README.txt": (
+            f"Recovered compilation failure: {failure.describe()}\n"
+            "\n"
+            "Replay (expects the same failure to recur):\n"
+            f"    python -m repro replay {name}\n"
+            "\n"
+            "Pin the failing pass set and shrink the source:\n"
+            f"    python -m repro bisect {name}\n"
+        ),
+    }
+    return _publish_bundle(directory, digest, manifest, files, max_bundles)
 
 
 def write_quarantine_bundle(
@@ -242,13 +267,7 @@ def write_quarantine_bundle(
         reason,
     ))
     digest = hashlib.sha256(blob.encode()).hexdigest()[:12]
-    bundle = Path(directory) / f"{BUNDLE_PREFIX}{digest}"
-    if (bundle / "manifest.json").exists():
-        return str(bundle)
-    bundle.mkdir(parents=True, exist_ok=True)
-
     manifest = {
-        "schema": BUNDLE_SCHEMA,
         "kind": "quarantine",
         "machine": str(request.get("machine", "")),
         "config": {},
@@ -261,32 +280,25 @@ def write_quarantine_bundle(
         "injected": "",
         "worker": worker,
         "faults": str(request.get("faults", "") or ""),
-        "git_sha": _git_sha(),
-        "python": platform.python_version(),
-        "created_unix": int(time.time()),
     }
-    (bundle / "source.c").write_text(source)
-    (bundle / "request.json").write_text(
-        json.dumps(request, indent=1, sort_keys=True, default=str) + "\n"
-    )
-    (bundle / "README.txt").write_text(
-        f"Quarantined service request: {reason}\n"
-        "\n"
-        "This request crashed its fleet worker more than once and was\n"
-        "answered with a degraded local compile instead of a third try.\n"
-        "\n"
-        "Reproduce the crash by compiling the bundled source directly:\n"
-        f"    python -m repro compile {bundle.name}/source.c"
-        " --machine "
-        f"{request.get('machine', 'alpha')}\n"
-    )
-    tmp = bundle / "manifest.json.tmp"
-    with open(tmp, "w") as handle:
-        json.dump(manifest, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-    os.replace(tmp, bundle / "manifest.json")
-    prune_bundles(directory, max_bundles)
-    return str(bundle)
+    files = {
+        "source.c": source,
+        "request.json": json.dumps(
+            request, indent=1, sort_keys=True, default=str
+        ) + "\n",
+        "README.txt": (
+            f"Quarantined service request: {reason}\n"
+            "\n"
+            "This request crashed its fleet worker more than once and was\n"
+            "answered with a degraded local compile instead of a third try.\n"
+            "\n"
+            "Reproduce the crash by compiling the bundled source directly:\n"
+            f"    python -m repro compile {BUNDLE_PREFIX}{digest}/source.c"
+            " --machine "
+            f"{request.get('machine', 'alpha')}\n"
+        ),
+    }
+    return _publish_bundle(directory, digest, manifest, files, max_bundles)
 
 
 @dataclass

@@ -1,14 +1,12 @@
 """Crash-safe content-addressed artifact store with cross-process dedup.
 
-The fleet (``repro.service.fleet``) runs N compile workers as separate
-processes sharing one cache directory.  Before this module they shared
-*bytes* but not *work*: the same (source, machine, config) key could be
-compiled N times concurrently, and a worker dying mid-write could leave
-a torn entry that every later request trusts.  :class:`ArtifactStore`
-closes both gaps:
+An :class:`ArtifactStore` is the one object for a cache directory: the
+compile cache (:mod:`repro.bench.cache`), the compile server, the fleet
+and the chaos harness each open one on the same directory, and every
+read and write goes through :meth:`ArtifactStore.fetch_or_compute`.
 
-**Crash-safe publish.**  An artifact is a single file
-``<key>.json`` whose first line is an integrity header::
+**Crash-safe publish.**  An artifact is a single file ``<key>.json``
+whose first line is an integrity header::
 
     repro-artifact 1 sha256=<hex> bytes=<n>
     <payload bytes>
@@ -18,27 +16,31 @@ into place.  ``os.link`` never replaces an existing name, so publishing
 is first-writer-wins: a revived stale writer gets ``EEXIST``, never a
 clobber, and a reader can only ever observe *no* entry or a *complete*
 entry under the final name.  Every read re-verifies length and
-checksum; a mismatch (torn write, bit flip, hand truncation) is logged,
-the wreck unlinked, and the read reported as a miss — never served.
+checksum; a mismatch (torn write, bit flip, hand truncation) is
+journalled, the wreck unlinked, and the read reported as a miss —
+never served.
 
 **Lease-based single-flight.**  A cold key is guarded by
 ``<key>.lease``, created ``O_CREAT|O_EXCL`` and holding
 ``{pid, nonce, token, ttl, created}``.  The holder heartbeats the lease
-mtime from a daemon thread; waiters block-with-deadline until the
-artifact appears.  A waiter in the holder's own process (another
-worker thread of the same server) is woken the moment the lease is
-released; a waiter in another process polls.  If the holder dies
-(``os.kill(pid, 0)`` fails — a same-host check; the fleet shares one
-machine) or its heartbeat goes stale past the TTL, a waiter **steals**
-the lease: re-verify the observed nonce under a per-key ``flock``,
-unlink, re-create with ``token = old + 1`` (the fencing token).  A
-revived holder cannot harm the winner: its publish re-checks that the
-lease still carries *its* nonce under the same flock that serializes
-steals — and even a publish that skipped fencing (the plain ``store``
-API) is physically unable to replace an existing artifact, because
-link-once never overwrites.
+mtime from a daemon thread every TTL/4; waiters block-with-deadline
+until the artifact appears.  A waiter in the holder's own process
+(another worker thread of the same server) is woken the moment the
+lease is released; a waiter in another process polls.  If the holder
+dies (``os.kill(pid, 0)`` fails — a same-host check; the fleet shares
+one machine) or its heartbeat goes stale past the TTL, a waiter
+**steals** the lease: re-verify the observed nonce under a per-key
+``flock``, unlink, re-create with ``token = old + 1`` (the fencing
+token).  Only a lease holder publishes, and its publish re-checks that
+the lease still carries *its* nonce under the same flock that
+serializes steals, so a revived holder cannot harm the winner.
 Waiters that exhaust their deadline fall back to a local compile —
 degraded to duplicate work, never to an error.
+
+**Size cap.**  The store holds at most ``max_bytes`` of artifacts
+(``REPRO_CACHE_MAX_BYTES``, default 256 MiB), pruned oldest-mtime-first
+after every publish; a hit refreshes the artifact's mtime, so eviction
+is LRU.
 
 **Durable accounting.**  Every consequential transition — publish,
 hit, compile, steal, fence, corrupt-drop, disk-error, fallback, fired
@@ -47,7 +49,8 @@ small write per event), so counters survive process exit and aggregate
 *across* processes: ``cache --stats`` in a fresh process can report how
 many compiles the whole fleet deduplicated.  ``dedup_hits`` counts
 reads that saved another process's work: lease-waiters plus hits whose
-publisher was a different pid.
+publisher was a different pid.  Beside it, :attr:`ArtifactStore.tally`
+counts this process's own ``fetch_or_compute`` roles and evictions.
 
 **Fault injection.**  When armed with a :class:`FaultPlan`, the store
 draws at ``artifact:<op>:<key12>`` sites (alias ``artifact:<op>``) and
@@ -67,9 +70,10 @@ honours the disk kinds where they make physical sense:
                        re-acquisition, widening the race window
 =====================  ==================================================
 
-Any `OSError` from a real disk (not just injected ones) downgrades the
-operation to a miss / an unpublished compile with a diagnostic — the
-cache degrades, the compile never fails because of it.
+Any `OSError` from a real disk (not just injected ones) is journalled
+as ``disk-error`` and downgrades the operation to a miss or an
+unpublished compile — the cache degrades, the compile never fails
+because of it.
 """
 
 from __future__ import annotations
@@ -82,6 +86,7 @@ import os
 import tempfile
 import threading
 import time
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
@@ -93,6 +98,10 @@ HEADER_VERSION = 1
 #: presumed dead and its lease is stealable.  Heartbeats fire every
 #: TTL/4, so four beats must be lost before a steal.
 DEFAULT_LEASE_TTL = 5.0
+
+#: Default size cap of the artifacts in one store; REPRO_CACHE_MAX_BYTES
+#: overrides (0 or a negative value lifts the cap).
+DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 
 #: Cap on the event journal; appends stop (counters freeze, correctness
 #: is unaffected) rather than filling the disk the store is guarding.
@@ -113,6 +122,17 @@ def default_lease_ttl() -> float:
     except ValueError:
         return DEFAULT_LEASE_TTL
     return value if value > 0 else DEFAULT_LEASE_TTL
+
+
+def default_max_bytes() -> Optional[int]:
+    """The configured size cap (``REPRO_CACHE_MAX_BYTES``) in bytes, or
+    ``None`` for unbounded."""
+    raw = os.environ.get("REPRO_CACHE_MAX_BYTES", "").strip()
+    try:
+        value = int(raw) if raw else DEFAULT_MAX_BYTES
+    except ValueError:
+        return DEFAULT_MAX_BYTES
+    return value if value > 0 else None
 
 
 class Lease:
@@ -200,13 +220,18 @@ class ArtifactStore:
         self,
         directory: Union[str, Path],
         ttl: Optional[float] = None,
-        sink=None,
         faults=None,
+        max_bytes: Optional[int] = -1,
     ):
         self.directory = Path(directory)
         self.ttl = default_lease_ttl() if ttl is None else ttl
-        self.sink = sink
         self.faults = faults
+        # -1 means "use the configured default"; None lifts the cap.
+        self.max_bytes = default_max_bytes() if max_bytes == -1 else max_bytes
+        # This process's fetch_or_compute roles, and under 'evict' the
+        # artifacts its prunes removed (the journal is every process's).
+        self.tally: Counter = Counter()
+        self._tally_lock = threading.Lock()
         # Lease releases in this process: a waiter sleeps on the
         # condition and skips the sleep if the count moved since its
         # last read, so a release between read and wait is not missed.
@@ -287,24 +312,15 @@ class ArtifactStore:
         except OSError:
             pass
 
-    def _diagnose(self, message: str, hint: str = "") -> None:
-        if self.sink is None:
-            return
-        try:
-            self.sink.warning("artifact-store", message, hint=hint)
-        except Exception:  # noqa: BLE001 — reporting must never break I/O
-            pass
-
     def _disk_error(self, op: str, key: Optional[str], exc: OSError) -> None:
         self._event(
             "disk-error", key, op=op,
             errno=exc.errno if exc.errno is not None else 0,
         )
-        self._diagnose(
-            f"disk error during artifact {op}: {exc}",
-            hint="the cache is bypassed for this operation; the compile "
-                 "proceeds uncached",
-        )
+
+    def _count(self, outcome: str, n: int = 1) -> None:
+        with self._tally_lock:
+            self.tally[outcome] += n
 
     def _draw(self, op: str, key: str):
         """One fault-plan arrival at this operation's key-qualified
@@ -389,17 +405,12 @@ class ArtifactStore:
     def drop(self, key: str, reason: str) -> None:
         """Unlink a corrupt/unusable artifact and journal why."""
         self._event("corrupt-drop", key, reason=reason[:120])
-        self._diagnose(
-            f"dropping corrupt artifact {key[:12]}…: {reason}",
-            hint="the entry is recompiled; if this recurs, clear the "
-                 "cache directory (REPRO_CACHE_DIR)",
-        )
         try:
             os.unlink(self.artifact_path(key))
         except OSError:
             pass
 
-    def note_hit(self, key: str, waited: bool = False) -> None:
+    def _note_hit(self, key: str, waited: bool) -> None:
         """Journal a successful read and refresh LRU recency."""
         self._event("hit", key, waited=waited)
         try:
@@ -408,17 +419,16 @@ class ArtifactStore:
             pass
 
     # -- write side ----------------------------------------------------------
-    def publish(
-        self, key: str, payload: bytes, lease: Optional[Lease] = None
-    ) -> str:
-        """Write ``payload`` under ``key``; returns how it went:
+    def publish(self, key: str, payload: bytes, lease: Lease) -> str:
+        """Write ``payload`` under ``key`` as the holder of ``lease``;
+        returns how it went:
         ``published`` | ``exists`` | ``fenced`` | ``torn`` | ``error``.
 
         Link-once semantics: an existing artifact is never replaced.
-        With a ``lease``, the link happens under the per-key flock only
-        if the lease still carries the holder's nonce (the fencing
-        rule); a holder whose lease was stolen gets ``fenced`` and its
-        bytes never reach the final name.
+        The link happens under the per-key flock only if the lease
+        still carries the holder's nonce (the fencing rule); a holder
+        whose lease was stolen gets ``fenced`` and its bytes never
+        reach the final name.
         """
         spec = self._draw("publish", key)
         torn = spec is not None and spec.kind == "torn-write"
@@ -441,17 +451,11 @@ class ArtifactStore:
                     handle.write(blob)
                     handle.flush()
                     os.fsync(handle.fileno())
-                final = self.artifact_path(key)
-                if lease is not None:
-                    with self._key_lock(key):
-                        if not lease.still_mine():
-                            self._event(
-                                "publish-fenced", key, token=lease.token
-                            )
-                            return "fenced"
-                        os.link(tmp, final)
-                else:
-                    os.link(tmp, final)
+                with self._key_lock(key):
+                    if not lease.still_mine():
+                        self._event("publish-fenced", key, token=lease.token)
+                        return "fenced"
+                    os.link(tmp, self.artifact_path(key))
             finally:
                 try:
                     os.unlink(tmp)
@@ -469,11 +473,10 @@ class ArtifactStore:
         except OSError as exc:
             self._disk_error("publish", key, exc)
             return "error"
-        token = lease.token if lease is not None else 0
         if torn:
-            self._event("publish-torn", key, token=token)
+            self._event("publish-torn", key, token=lease.token)
             return "torn"
-        self._event("publish", key, token=token)
+        self._event("publish", key, token=lease.token)
         return "published"
 
     # -- leases --------------------------------------------------------------
@@ -625,11 +628,18 @@ class ArtifactStore:
         ``decode`` revives a value from stored bytes (raising
         ``ValueError`` drops the artifact as unusable and recompiles).
         Returns ``(value, role)`` with role one of :data:`ROLE_HIT`,
-        :data:`ROLE_DEDUP`, :data:`ROLE_COMPILE`, :data:`ROLE_FALLBACK`.
-        ``cancel`` is the request-deadline probe: polled every
-        iteration so a waiter honours its own deadline exactly like a
-        local compile would.
+        :data:`ROLE_DEDUP`, :data:`ROLE_COMPILE`, :data:`ROLE_FALLBACK`,
+        and counts the role in :attr:`tally`.  ``cancel`` is the
+        request-deadline probe: polled every iteration so a waiter
+        honours its own deadline exactly like a local compile would.
         """
+        value, role = self._single_flight(
+            key, produce, decode, wait_timeout, cancel
+        )
+        self._count(role)
+        return value, role
+
+    def _single_flight(self, key, produce, decode, wait_timeout, cancel):
         timeout = self.wait_timeout if wait_timeout is None else wait_timeout
         deadline = time.monotonic() + timeout
         waited = False
@@ -639,7 +649,7 @@ class ArtifactStore:
             releases = self._releases
             value = self._read_decoded(key, decode)
             if value is not None:
-                self.note_hit(key, waited=waited)
+                self._note_hit(key, waited)
                 return value, (ROLE_DEDUP if waited else ROLE_HIT)
             lease = self.acquire(key)
             if lease is None:
@@ -661,14 +671,16 @@ class ArtifactStore:
                 # have published between our read and our acquire.
                 value = self._read_decoded(key, decode)
                 if value is not None:
-                    self.note_hit(key, waited=waited)
+                    self._note_hit(key, waited)
                     return value, (ROLE_DEDUP if waited else ROLE_HIT)
                 self._event("compile", key, token=lease.token)
                 value, blob = produce()
-                self.publish(key, blob, lease=lease)
-                return value, ROLE_COMPILE
+                published = self.publish(key, blob, lease) == "published"
             finally:
                 lease.release()
+            if published:
+                self.prune()
+            return value, ROLE_COMPILE
 
     def _read_decoded(self, key: str, decode) -> Optional[object]:
         data = self.read(key)
@@ -747,16 +759,81 @@ class ArtifactStore:
                 counts["faults_injected"] += 1
         return counts
 
-    def clear(self) -> None:
-        """Remove leases, per-key locks, and the event journal (artifact
-        entries themselves are the cache layer's to manage)."""
-        for pattern in ("*.lease", "*.lock"):
-            for path in self.directory.glob(pattern):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
+    # -- the directory as a whole -------------------------------------------
+    def _artifacts(self) -> List[Tuple[float, int, Path]]:
+        """``(mtime, size, path)`` of every artifact on disk."""
+        found = []
+        if not self.directory.is_dir():
+            return found
+        for path in self.directory.glob("*.json"):
+            try:
+                stat = path.stat()
+            except OSError:
+                continue  # evicted or dropped under us
+            found.append((stat.st_mtime, stat.st_size, path))
+        return found
+
+    def __len__(self) -> int:
+        return len(self._artifacts())
+
+    def prune(self) -> int:
+        """Evict oldest-mtime artifacts until the store fits
+        ``max_bytes``; returns how many were evicted.
+
+        Called after every publish, so the artifact just published is
+        the newest and goes last.  Concurrent pruners racing on the
+        same file are harmless: a lost unlink is just a miss.
+        """
+        if self.max_bytes is None:
+            return 0
+        entries = sorted(self._artifacts())
+        total = sum(size for _, size, _ in entries)
+        evicted = 0
+        for _, size, path in entries:
+            if total <= self.max_bytes:
+                break
+            try:
+                path.unlink()
+            except OSError:
+                continue
+            total -= size
+            evicted += 1
+        if evicted:
+            self._count("evict", evicted)
+        return evicted
+
+    def stats(self) -> Dict[str, object]:
+        """On-disk shape, this process's :attr:`tally`, and the
+        journal's counters for every process that used the directory."""
+        entries = self._artifacts()
+        tally = self.tally
+        stats: Dict[str, object] = {
+            "directory": str(self.directory),
+            "entries": len(entries),
+            "bytes": sum(size for _, size, _ in entries),
+            "max_bytes": self.max_bytes,
+            "hits": tally[ROLE_HIT] + tally[ROLE_DEDUP],
+            "misses": tally[ROLE_COMPILE] + tally[ROLE_FALLBACK],
+            "evictions": tally["evict"],
+            "lease_ttl": self.ttl,
+        }
+        stats.update(self.counters())
+        return stats
+
+    def clear(self) -> int:
+        """Delete every artifact, stray temp file, lease, per-key lock
+        and the event journal; returns how many artifacts went."""
+        removed = 0
+        if self.directory.is_dir():
+            for pattern in ("*.json", "*.tmp", "*.lease", "*.lock"):
+                for path in self.directory.glob(pattern):
+                    try:
+                        path.unlink()
+                    except OSError:
+                        continue
+                    removed += pattern == "*.json"
         try:
             self.events_path.unlink()
         except OSError:
             pass
+        return removed

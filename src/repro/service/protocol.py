@@ -170,9 +170,10 @@ def request_over_socket(
 ) -> Optional[dict]:
     """One request/response round trip on a fresh connection.
 
-    The minimal client the fleet supervisor uses for worker heartbeats
-    and status scrapes (the full :class:`ServiceClient` retry loop would
-    mask exactly the failures a supervisor exists to notice).  Returns
+    Each attempt of :class:`ServiceClient` is one, and so is each
+    worker heartbeat and status scrape of the fleet supervisor (the
+    client's retry loop would mask exactly the failures a supervisor
+    exists to notice).  Returns
     the response, or ``None`` on EOF before one arrived; raises
     ``OSError`` on connect/send failures and ``socket.timeout`` when the
     worker goes quiet past ``timeout``.

@@ -61,6 +61,7 @@ from repro.pipeline import compile_minic, get_config
 from repro.resilience.classify import DEGRADE, classify_failure
 from repro.resilience.faults import FaultPlan
 from repro.service import protocol
+from repro.service.artifacts import ROLE_DEDUP, ArtifactStore
 from repro.service.breaker import (
     DEFAULT_COOLDOWN,
     DEFAULT_THRESHOLD,
@@ -378,11 +379,7 @@ class CompileServer(FrontEnd):
         cache_dir: Optional[str] = None,
         lease_ttl: Optional[float] = None,
     ):
-        from repro.bench.cache import (
-            CompileCache,
-            cache_enabled,
-            default_cache,
-        )
+        from repro.bench.cache import cache_enabled, default_cache
 
         super().__init__(socket_path, _Stats())
         self.workers = max(1, workers)
@@ -404,13 +401,13 @@ class CompileServer(FrontEnd):
             # when it differs from $REPRO_CACHE_DIR, still subject to
             # the REPRO_CACHE=off kill switch.
             self.cache = (
-                CompileCache(cache_dir, lease_ttl=lease_ttl)
+                ArtifactStore(cache_dir, ttl=lease_ttl)
                 if cache_enabled() else None
             )
         else:
             self.cache = default_cache()
         if self.cache is not None and lease_ttl is not None:
-            self.cache.artifacts.ttl = lease_ttl
+            self.cache.ttl = lease_ttl
         self.latency = LatencyRing()
         self.breakers = BreakerBoard(breaker_threshold, breaker_cooldown)
         # One long-lived plan shared by every compile, so arrival counts
@@ -435,7 +432,7 @@ class CompileServer(FrontEnd):
             # Disk-fault plans target the artifact store itself, so the
             # store draws from the same long-lived plan the server owns
             # (arrival counts span requests, as with pass sites).
-            self.cache.artifacts.faults = self.faults
+            self.cache.faults = self.faults
 
     # -- lifecycle ----------------------------------------------------------
     def start(self) -> None:
@@ -624,25 +621,19 @@ class CompileServer(FrontEnd):
                 "recovered_passes": list(failed),
             }
 
-        # Full pipeline (closed circuit, or the half-open probe).
+        # Full pipeline (closed circuit, or the half-open probe).  Pass
+        # faults are recovered in place, so an injected failure degrades
+        # the answer instead of failing it; such a compile bypasses the
+        # cache, while a disk-only plan is armed inside the store.
+        if plan is not None and not plan.disk_only():
+            config = replace(config, on_pass_failure="fallback")
         try:
-            if plan is None or plan.disk_only():
-                # A disk-only plan keeps the cached path: its faults
-                # live inside the artifact store, and bypassing the
-                # cache would bypass exactly what they exercise.
-                from repro.bench.cache import cached_compile_minic
+            from repro.bench.cache import cached_compile_minic
 
-                program = cached_compile_minic(
-                    request["source"], machine, config,
-                    cache=self.cache, cancel=self._cancel, faults=plan,
-                )
-            else:
-                program = compile_minic(
-                    request["source"], machine, config,
-                    faults=plan, cancel=self._cancel,
-                    crash_dir=self.crash_dir,
-                    on_pass_failure="fallback",
-                )
+            program = cached_compile_minic(
+                request["source"], machine, config, cache=self.cache,
+                cancel=self._cancel, faults=plan, crash_dir=self.crash_dir,
+            )
         except Exception as exc:  # noqa: BLE001 — classified below
             if mode == MODE_PROBE:
                 breaker.release_probe()
@@ -793,7 +784,7 @@ class CompileServer(FrontEnd):
             # Requests that waited on another worker's lease and then
             # read its artifact instead of compiling (role 'dedup').
             "single_flight_shared": (
-                self.cache.dedups if self.cache is not None else 0
+                self.cache.tally[ROLE_DEDUP] if self.cache is not None else 0
             ),
             "latency": self.latency.snapshot(),
         }

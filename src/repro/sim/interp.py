@@ -179,12 +179,6 @@ class Interpreter:
                 self.memory.write_bytes(addr, var.init)
             self.global_addrs[var.name] = addr
 
-    def place_global(self, name: str, addr: int) -> None:
-        """Override a global's address (tests use this for misalignment)."""
-        if name not in self.module.globals:
-            raise SimulationError(f"unknown global {name!r}")
-        self.global_addrs[name] = addr
-
     def _layout_code(self) -> Dict[Tuple[str, str], List[int]]:
         """Assign code addresses; returns I-cache line list per block."""
         return layout_code(self.module, self.machine)

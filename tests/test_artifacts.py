@@ -2,6 +2,9 @@
 publish, the lease protocol (heartbeats, staleness, fenced steals),
 disk-fault injection, and the latency ring.
 
+A publish always carries its holder's lease: :func:`publish` below takes
+and releases one around it, as ``fetch_or_compute`` does.
+
 These are the single-process halves of the guarantees; the true
 multi-process races live in ``test_cache_concurrency.py`` and the
 ``chaos --disk`` harness.
@@ -23,6 +26,7 @@ from repro.service.artifacts import (
     ROLE_FALLBACK,
     ROLE_HIT,
     ArtifactStore,
+    Lease,
     default_lease_ttl,
 )
 from repro.service.server import LatencyRing
@@ -36,21 +40,31 @@ def make_store(tmp_path, **kwargs) -> ArtifactStore:
     return ArtifactStore(tmp_path / "store", **kwargs)
 
 
+def publish(store: ArtifactStore, key: str, payload: bytes) -> str:
+    """One leased publish of ``payload``; returns its status."""
+    lease = store.acquire(key)
+    assert lease is not None, "the key's lease is held elsewhere"
+    try:
+        return store.publish(key, payload, lease)
+    finally:
+        lease.release()
+
+
 # -- integrity framing -------------------------------------------------------
 class TestFraming:
     def test_round_trip(self, tmp_path):
         store = make_store(tmp_path)
-        assert store.publish(KEY, b"payload bytes") == "published"
+        assert publish(store, KEY, b"payload bytes") == "published"
         assert store.read(KEY) == b"payload bytes"
 
     def test_empty_payload_round_trips(self, tmp_path):
         store = make_store(tmp_path)
-        assert store.publish(KEY, b"") == "published"
+        assert publish(store, KEY, b"") == "published"
         assert store.read(KEY) == b""
 
     def test_truncated_artifact_is_dropped(self, tmp_path):
         store = make_store(tmp_path)
-        store.publish(KEY, b"x" * 100)
+        publish(store, KEY, b"x" * 100)
         path = store.artifact_path(KEY)
         path.write_bytes(path.read_bytes()[:-10])
         assert store.read(KEY) is None
@@ -59,7 +73,7 @@ class TestFraming:
 
     def test_flipped_byte_is_dropped(self, tmp_path):
         store = make_store(tmp_path)
-        store.publish(KEY, b"x" * 100)
+        publish(store, KEY, b"x" * 100)
         path = store.artifact_path(KEY)
         blob = bytearray(path.read_bytes())
         blob[-1] ^= 0xFF
@@ -84,21 +98,21 @@ class TestFraming:
 class TestLinkOnce:
     def test_second_publish_cannot_replace(self, tmp_path):
         store = make_store(tmp_path)
-        assert store.publish(KEY, b"first") == "published"
-        assert store.publish(KEY, b"second") == "exists"
+        assert publish(store, KEY, b"first") == "published"
+        assert publish(store, KEY, b"second") == "exists"
         assert store.read(KEY) == b"first"
 
     def test_no_temp_litter(self, tmp_path):
         store = make_store(tmp_path)
-        store.publish(KEY, b"first")
-        store.publish(KEY, b"second")
+        publish(store, KEY, b"first")
+        publish(store, KEY, b"second")
         assert list(store.directory.glob("*.tmp")) == []
 
     def test_republish_after_drop(self, tmp_path):
         store = make_store(tmp_path)
-        store.publish(KEY, b"first")
+        publish(store, KEY, b"first")
         store.drop(KEY, "test says so")
-        assert store.publish(KEY, b"second") == "published"
+        assert publish(store, KEY, b"second") == "published"
         assert store.read(KEY) == b"second"
 
 
@@ -202,7 +216,7 @@ class TestFetchOrCompute:
 
     def test_decode_failure_drops_and_recompiles(self, tmp_path):
         store = make_store(tmp_path)
-        store.publish(KEY, b"stale generation")
+        publish(store, KEY, b"stale generation")
 
         def decode(data):
             if data == b"stale generation":
@@ -239,8 +253,18 @@ class TestFetchOrCompute:
         def never():  # the waiter must not compile
             raise AssertionError("waiter compiled")
 
-        release.set()
-        value, role = rival.fetch_or_compute(KEY, never, wait_timeout=10)
+        polls = []
+
+        def cancel():
+            # The rival's second poll: it has found the lease held and
+            # waited once, so the holder may publish now.
+            polls.append(1)
+            if len(polls) == 2:
+                release.set()
+
+        value, role = rival.fetch_or_compute(
+            KEY, never, wait_timeout=10, cancel=cancel
+        )
         thread.join(timeout=10)
         assert outcome["holder"] == (b"slow", ROLE_COMPILE)
         assert (value, role) == (b"slow", ROLE_DEDUP)
@@ -284,6 +308,8 @@ class TestFetchOrCompute:
         assert len(produced) == 1
         assert sorted(roles) == sorted([ROLE_COMPILE] + [ROLE_DEDUP] * 7)
         assert store.counters()["compiles"] == 1
+        # The per-process tally saw every racer (no lost update).
+        assert store.tally == {ROLE_COMPILE: 1, ROLE_DEDUP: 7}
 
     def test_wait_deadline_degrades_to_local_compile(self, tmp_path):
         store = make_store(tmp_path)
@@ -322,7 +348,7 @@ class TestDiskFaults:
     def test_torn_write_is_caught_by_the_reader(self, tmp_path):
         plan = FaultPlan.parse("artifact:publish=torn-write@1")
         store = make_store(tmp_path, faults=plan)
-        assert store.publish(KEY, b"p" * 200) == "torn"
+        assert publish(store, KEY, b"p" * 200) == "torn"
         clean = make_store(tmp_path)
         assert clean.read(KEY) is None  # dropped, never served
         counters = clean.counters()
@@ -331,7 +357,7 @@ class TestDiskFaults:
 
     def test_corrupt_artifact_fault_damages_then_drops(self, tmp_path):
         store = make_store(tmp_path)
-        store.publish(KEY, b"good bytes")
+        publish(store, KEY, b"good bytes")
         store.faults = FaultPlan.parse("artifact:read=corrupt-artifact@1")
         assert store.read(KEY) is None
         assert store.counters()["corruption_drops"] == 1
@@ -341,7 +367,7 @@ class TestDiskFaults:
     def test_enospc_fault_degrades_to_error(self, tmp_path):
         plan = FaultPlan.parse("artifact:publish=enospc@1")
         store = make_store(tmp_path, faults=plan)
-        assert store.publish(KEY, b"payload") == "error"
+        assert publish(store, KEY, b"payload") == "error"
         assert store.read(KEY) is None
         counters = store.counters()
         assert counters["disk_errors"] == 1
@@ -352,8 +378,8 @@ class TestDiskFaults:
             f"artifact:publish:{KEY[:12]}=torn-write@1"
         )
         store = make_store(tmp_path, faults=plan)
-        assert store.publish(OTHER, b"other") == "published"  # untargeted
-        assert store.publish(KEY, b"mine") == "torn"
+        assert publish(store, OTHER, b"other") == "published"  # untargeted
+        assert publish(store, KEY, b"mine") == "torn"
 
     def test_disk_kinds_refuse_to_execute_at_pass_sites(self, tmp_path):
         from repro.errors import ReproError
@@ -388,8 +414,10 @@ class TestDiskErrorBypass:
         blocker.write_text("not a directory")
         store = ArtifactStore(blocker, ttl=0.5)
         assert store.read(KEY) is None
-        assert store.publish(KEY, b"payload") == "error"
         assert store.acquire(KEY) is None
+        # A lease object as a holder would have it; the disk fails first.
+        lease = Lease(store, KEY, "nonce", token=1, ttl=store.ttl)
+        assert store.publish(KEY, b"payload", lease) == "error"
         assert store.events() == []
         assert store.counters()["publishes"] == 0
 
@@ -412,7 +440,7 @@ class TestDiskErrorBypass:
             raise OSError(errno.ENOSPC, "no space left on device")
 
         monkeypatch.setattr(_tempfile, "mkstemp", full_disk)
-        assert store.publish(KEY, b"payload") == "error"
+        assert publish(store, KEY, b"payload") == "error"
         events = store.events()
         assert any(
             e["ev"] == "disk-error" and e.get("errno") == errno.ENOSPC
@@ -420,14 +448,15 @@ class TestDiskErrorBypass:
         )
 
     def test_cached_compile_survives_dead_cache_dir(self, tmp_path):
-        from repro.bench.cache import CompileCache, cached_compile_minic
+        from repro.bench.cache import cached_compile_minic
 
         blocker = tmp_path / "blocked"
         blocker.write_text("not a directory")
-        cache = CompileCache(blocker, lease_ttl=0.2)
+        cache = ArtifactStore(blocker, ttl=0.2)
+        cache.wait_timeout = 0.3
         program = cached_compile_minic(
             "int add(int a, int b) { return a + b; }",
-            "alpha", "coalesce-all", cache=cache, lease_wait=0.3,
+            "alpha", "coalesce-all", cache=cache,
         )
         assert program is not None
         assert not program.cache_hit
@@ -447,7 +476,7 @@ class TestJournal:
 
     def test_torn_journal_lines_are_skipped(self, tmp_path):
         store = make_store(tmp_path)
-        store.publish(KEY, b"v")
+        publish(store, KEY, b"v")
         with open(store.events_path, "ab") as handle:
             handle.write(b'{"t": 1, "pid": 2, "ev": "hi')  # cut mid-write
         events = store.events()
@@ -463,17 +492,6 @@ class TestJournal:
         ):
             assert counters[field] == 0
 
-    def test_clear_removes_protocol_state_only(self, tmp_path):
-        store = make_store(tmp_path)
-        store.fetch_or_compute(KEY, lambda: (b"v", b"v"))
-        lease = store.acquire(OTHER)
-        lease.stop()
-        store.clear()
-        assert store.read(KEY) == b"v"  # artifacts are the cache's
-        assert not store.lease_path(OTHER).exists()
-        assert list(store.directory.glob("*.lock")) == []
-        assert store.events() == []
-
 
 # -- configuration -----------------------------------------------------------
 class TestConfig:
@@ -488,9 +506,7 @@ class TestConfig:
         assert default_lease_ttl() == 5.0
 
     def test_cache_stats_include_journal_counters(self, tmp_path):
-        from repro.bench.cache import CompileCache
-
-        cache = CompileCache(tmp_path, max_bytes=None, lease_ttl=0.7)
+        cache = ArtifactStore(tmp_path, max_bytes=None, ttl=0.7)
         stats = cache.stats()
         assert stats["lease_ttl"] == 0.7
         assert stats["dedup_hits"] == 0

@@ -14,7 +14,6 @@ import pytest
 from repro.bench import cache as cache_mod
 from repro.bench import harness, runner
 from repro.bench.cache import (
-    CompileCache,
     cache_key,
     cached_compile_minic,
     revive_program,
@@ -23,6 +22,7 @@ from repro.bench.cache import (
 from repro.bench.programs import get_benchmark
 from repro.ir import format_module
 from repro.pipeline import compile_minic, get_config
+from repro.service.artifacts import ArtifactStore
 
 DOT = get_benchmark("dotproduct").source
 
@@ -41,16 +41,16 @@ def _run_dot(program):
 
 class TestCompileCache:
     def test_hit_on_identical_source(self, tmp_path):
-        cache = CompileCache(tmp_path)
+        cache = ArtifactStore(tmp_path)
         first = cached_compile_minic(DOT, "alpha", "vpo", cache=cache)
         second = cached_compile_minic(DOT, "alpha", "vpo", cache=cache)
         assert not first.cache_hit
         assert second.cache_hit
-        assert cache.hits == 1 and cache.misses == 1
+        assert (cache.stats()["hits"], cache.stats()["misses"]) == (1, 1)
         assert format_module(first.module) == format_module(second.module)
 
     def test_revived_program_simulates_identically(self, tmp_path):
-        cache = CompileCache(tmp_path)
+        cache = ArtifactStore(tmp_path)
         cold = cached_compile_minic(
             DOT, "alpha", "coalesce-all", cache=cache
         )
@@ -65,17 +65,17 @@ class TestCompileCache:
         assert warm.pass_stats == {}
 
     def test_miss_on_config_change(self, tmp_path):
-        cache = CompileCache(tmp_path)
+        cache = ArtifactStore(tmp_path)
         cached_compile_minic(DOT, "alpha", "vpo", cache=cache)
         other = cached_compile_minic(
             DOT, "alpha", "vpo", cache=cache, unroll_factor=2
         )
         assert not other.cache_hit
-        assert cache.hits == 0 and cache.misses == 2
+        assert (cache.stats()["hits"], cache.stats()["misses"]) == (0, 2)
         assert len(cache) == 2
 
     def test_miss_on_machine_change(self, tmp_path):
-        cache = CompileCache(tmp_path)
+        cache = ArtifactStore(tmp_path)
         cached_compile_minic(DOT, "alpha", "vpo", cache=cache)
         other = cached_compile_minic(DOT, "m88100", "vpo", cache=cache)
         assert not other.cache_hit
@@ -83,17 +83,17 @@ class TestCompileCache:
     def test_miss_on_pass_list_fingerprint_change(
         self, tmp_path, monkeypatch
     ):
-        cache = CompileCache(tmp_path)
+        cache = ArtifactStore(tmp_path)
         cached_compile_minic(DOT, "alpha", "vpo", cache=cache)
         monkeypatch.setattr(
             cache_mod, "pass_fingerprint", lambda: "0" * 16
         )
         other = cached_compile_minic(DOT, "alpha", "vpo", cache=cache)
         assert not other.cache_hit
-        assert cache.hits == 0 and cache.misses == 2
+        assert (cache.stats()["hits"], cache.stats()["misses"]) == (0, 2)
 
     def test_corrupted_cache_file_recovery(self, tmp_path):
-        cache = CompileCache(tmp_path)
+        cache = ArtifactStore(tmp_path)
         cached_compile_minic(DOT, "alpha", "vpo", cache=cache)
         key = cache_key(DOT, "alpha", get_config("vpo"))
         entry = tmp_path / f"{key}.json"
@@ -108,22 +108,23 @@ class TestCompileCache:
         ).cache_hit
 
     def test_unrevivable_payload_falls_back_to_compile(self, tmp_path):
-        cache = CompileCache(tmp_path)
+        cache = ArtifactStore(tmp_path)
         cached_compile_minic(DOT, "alpha", "vpo", cache=cache)
         key = cache_key(DOT, "alpha", get_config("vpo"))
         entry = tmp_path / f"{key}.json"
         # Re-frame the poisoned payload with a valid checksum: the
         # integrity check must pass so the *revive* path is what fails.
-        payload = json.loads(cache.artifacts.read(key))
+        payload = json.loads(cache.read(key))
         payload["module"] = "r[0] = garbage !!!"
         blob = json.dumps(payload).encode("utf-8")
-        entry.write_bytes(cache.artifacts._encode(blob))
+        entry.write_bytes(cache._encode(blob))
         program = cached_compile_minic(DOT, "alpha", "vpo", cache=cache)
         assert not program.cache_hit
         assert _run_dot(program)
+        assert cache.stats()["corruption_drops"] == 1
 
     def test_sanitize_configs_are_never_cached(self, tmp_path):
-        cache = CompileCache(tmp_path)
+        cache = ArtifactStore(tmp_path)
         program = cached_compile_minic(
             DOT, "alpha", "vpo", cache=cache, sanitize=True
         )
@@ -143,11 +144,62 @@ class TestCompileCache:
             r.applied for r in program.coalesce_reports
         ]
 
-    def test_cache_disabled_by_env(self, monkeypatch):
+    def test_cache_disabled_by_env(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         monkeypatch.setenv("REPRO_CACHE", "off")
         assert cache_mod.default_cache() is None
         monkeypatch.setenv("REPRO_CACHE", "on")
-        assert cache_mod.default_cache() is not None
+        assert cache_mod.default_cache().directory == tmp_path
+
+    def test_import_leaves_the_service_package_out(self):
+        # The store is imported when a cache is first opened, so timing
+        # an import of the bench layer does not pay for the service.
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.bench; print(sorted(m for m in sys.modules"
+             " if m.split('.')[:2] == ['repro', 'service']))"],
+            capture_output=True, text=True, timeout=60,
+            env={"PYTHONPATH": str(REPO_ROOT / "src"),
+                 "PATH": "/usr/bin:/bin"},
+        )
+        assert probe.returncode == 0, probe.stderr
+        assert probe.stdout.strip() == "[]"
+
+    def test_entry_written_the_parents_way_is_a_hit(self, tmp_path):
+        """Bytes on disk are the cache's compatibility surface: an entry
+        framed and keyed as earlier releases wrote it (``CACHE_SCHEMA``
+        2, the ``repro-artifact 1`` header, the SHA-256 key over schema,
+        fingerprint, machine, config and source) must revive as a hit,
+        without a compile."""
+        import hashlib
+        from dataclasses import asdict
+
+        config = get_config("coalesce-all")
+        program = compile_minic(DOT, "alpha", config)
+        payload = json.dumps({
+            "schema": 2,
+            "module_name": program.module.name,
+            "module": format_module(program.module),
+            "machine": "alpha",
+            "coalesce_reports": [asdict(r) for r in program.coalesce_reports],
+        }).encode()
+        key = hashlib.sha256("\x00".join((
+            "schema=2",
+            f"passes={cache_mod.pass_fingerprint()}",
+            "machine=alpha",
+            f"config={json.dumps(asdict(config), sort_keys=True)}",
+            DOT,
+        )).encode()).hexdigest()
+        digest = hashlib.sha256(payload).hexdigest()
+        (tmp_path / f"{key}.json").write_bytes(
+            f"repro-artifact 1 sha256={digest} bytes={len(payload)}\n"
+            .encode() + payload
+        )
+        cache = ArtifactStore(tmp_path)
+        warm = cached_compile_minic(DOT, "alpha", config, cache=cache)
+        assert warm.cache_hit
+        assert format_module(warm.module) == format_module(program.module)
+        assert cache.counters()["compiles"] == 0
 
 
 def _record(program="dotproduct", machine="alpha", variant="vpo",

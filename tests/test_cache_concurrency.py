@@ -5,9 +5,12 @@ processes (several servers, CI shards, a human running ``bench`` at the
 same time).  These tests pin the two guarantees that sharing relies on:
 
 * a reader never observes a torn entry, no matter how many writers are
-  racing on the same key (``store`` is write-to-temp + atomic rename);
+  racing on the same key (a publish is write-to-temp + fsync + link);
 * the cache stays bounded: LRU eviction by ``max_bytes``, with hits
   refreshing recency.
+
+Every entry is written the one way the store has, a
+``fetch_or_compute`` whose ``produce`` returns the payload.
 """
 
 import json
@@ -17,12 +20,17 @@ import sys
 
 from repro.bench.cache import (
     CACHE_SCHEMA,
-    CompileCache,
     cache_key,
     cached_compile_minic,
-    default_max_bytes,
+    validate_payload,
 )
 from repro.pipeline import get_config
+from repro.service.artifacts import (
+    ROLE_COMPILE,
+    ROLE_HIT,
+    ArtifactStore,
+    default_max_bytes,
+)
 
 SRC = """
 int dot(short *a, short *b, int n) {
@@ -35,40 +43,63 @@ int dot(short *a, short *b, int n) {
 """
 
 
-def payload_for(tag: str, filler: int = 2048) -> dict:
-    """A minimal well-formed cache payload ``lookup`` accepts."""
-    return {
+def payload_for(tag: str, filler: int = 2048, **fields) -> bytes:
+    """A minimal well-formed cache payload, serialized."""
+    return json.dumps({
         "schema": CACHE_SCHEMA,
         "module": f"; module for {tag}\n" + "x" * filler,
         "machine": "alpha",
         "tag": tag,
-    }
+        **fields,
+    }).encode()
+
+
+def put(store: ArtifactStore, key: str, data: bytes) -> str:
+    """Write ``data`` under ``key`` if it is absent; returns the role."""
+    return store.fetch_or_compute(key, lambda: (data, data))[1]
+
+
+def decode(data: bytes) -> dict:
+    """The compile cache's shape check, without reviving a module."""
+    return validate_payload(json.loads(data))
 
 
 # -- cross-process atomicity -------------------------------------------------
 HAMMER = r"""
 import json, sys
 sys.path.insert(0, {src_dir!r})
-from repro.bench.cache import CompileCache, CACHE_SCHEMA
+from repro.bench.cache import CACHE_SCHEMA
+from repro.service.artifacts import ArtifactStore
 
-cache = CompileCache({cache_dir!r}, max_bytes=None)
+store = ArtifactStore({cache_dir!r}, max_bytes=None)
 tag = sys.argv[1]
-payload = {{
+payload = json.dumps({{
     "schema": CACHE_SCHEMA,
     "module": "; module from " + tag + "\n" + tag * 4096,
     "machine": "alpha",
     "tag": tag,
-}}
-for round in range(60):
-    cache.store("sharedkey", payload)
-    seen = cache.lookup("sharedkey")
-    if seen is None:
-        continue  # a racing unlink/replace window: a miss is fine
-    # What must NEVER happen is a half-written or interleaved entry.
+}}).encode()
+
+def decode(data):
+    # What must NEVER happen is a half-written or interleaved entry; an
+    # AssertionError is not a ValueError, so it is not dropped quietly.
+    try:
+        seen = json.loads(data)
+    except ValueError:
+        raise AssertionError("unparseable payload served")
     assert seen["schema"] == CACHE_SCHEMA, seen
     assert seen["module"].startswith("; module from "), seen["module"][:40]
     assert seen["tag"] in ("one", "two"), seen
     assert seen["module"].count(seen["tag"]) >= 4096, "torn payload"
+    return seen
+
+for round in range(60):
+    store.fetch_or_compute(
+        "sharedkey", lambda: (decode(payload), payload), decode=decode
+    )
+    if round % 6 == 2:
+        # Force a rewrite, so the two processes race publishes too.
+        store.drop("sharedkey", "hammer: republish")
 print("clean")
 """
 
@@ -90,19 +121,19 @@ class TestCrossProcess:
             for tag in ("one", "two")
         ]
         # Race a reader in this process against both writers.
-        cache = CompileCache(tmp_path / "shared", max_bytes=None)
+        store = ArtifactStore(tmp_path / "shared", max_bytes=None)
         while any(p.poll() is None for p in procs):
-            seen = cache.lookup("sharedkey")
-            if seen is not None:
-                assert seen["schema"] == CACHE_SCHEMA
+            data = store.read("sharedkey")
+            if data is not None:
+                seen = decode(data)
                 assert seen["tag"] in ("one", "two")
         for proc in procs:
             out, err = proc.communicate(timeout=60)
             assert proc.returncode == 0, err
             assert "clean" in out
         # The surviving entry is complete and loadable.
-        final = cache.lookup("sharedkey")
-        assert final is not None and final["tag"] in ("one", "two")
+        final = decode(store.read("sharedkey"))
+        assert final["tag"] in ("one", "two")
         # No stray temp files once the writers are done.
         assert list((tmp_path / "shared").glob("*.tmp")) == []
 
@@ -116,9 +147,9 @@ class TestCrossProcess:
         )
         script = (
             "import sys; sys.path.insert(0, {src!r})\n"
-            "from repro.bench.cache import CompileCache, "
-            "cached_compile_minic\n"
-            "cache = CompileCache({cache!r})\n"
+            "from repro.bench.cache import cached_compile_minic\n"
+            "from repro.service.artifacts import ArtifactStore\n"
+            "cache = ArtifactStore({cache!r})\n"
             "program = cached_compile_minic({source!r}, 'alpha', "
             "'coalesce-all', cache=cache)\n"
             "print('coalesced', program.coalesced_loops)\n"
@@ -136,13 +167,13 @@ class TestCrossProcess:
             out, err = proc.communicate(timeout=120)
             assert proc.returncode == 0, err
             assert "coalesced 1" in out
-        cache = CompileCache(tmp_path / "cc")
+        store = ArtifactStore(tmp_path / "cc")
         key = cache_key(SRC, "alpha", get_config("coalesce-all"))
         revived = cached_compile_minic(
-            SRC, "alpha", "coalesce-all", cache=cache
+            SRC, "alpha", "coalesce-all", cache=store
         )
         assert revived.cache_hit
-        assert cache.lookup(key) is not None
+        assert decode(store.read(key))["machine"] == "alpha"
 
 
 # -- cross-process single-flight ---------------------------------------------
@@ -155,8 +186,9 @@ def _src_dir() -> str:
 COMPILER = """
 import sys
 sys.path.insert(0, {src!r})
-from repro.bench.cache import CompileCache, cached_compile_minic
-cache = CompileCache({cache!r}, lease_ttl=1.0)
+from repro.bench.cache import cached_compile_minic
+from repro.service.artifacts import ArtifactStore
+cache = ArtifactStore({cache!r}, ttl=1.0)
 program = cached_compile_minic(
     {source!r}, 'alpha', 'coalesce-all', cache=cache,
 )
@@ -181,8 +213,6 @@ class TestCrossProcessSingleFlight:
     holder's lease is stolen — never waited on forever."""
 
     def events(self, cache_dir):
-        from repro.service.artifacts import ArtifactStore
-
         return ArtifactStore(cache_dir).events()
 
     def test_racing_processes_compile_exactly_once(self, tmp_path):
@@ -211,8 +241,6 @@ class TestCrossProcessSingleFlight:
 
     def test_sigkilled_holder_is_stolen_and_completed(self, tmp_path):
         import signal
-
-        from repro.service.artifacts import ArtifactStore
 
         cache_dir = str(tmp_path / "steal")
         key = cache_key(SRC, "alpha", get_config("coalesce-all"))
@@ -255,77 +283,83 @@ class TestCrossProcessSingleFlight:
 # -- torn-entry recovery -----------------------------------------------------
 class TestCorruptEntries:
     def test_truncated_entry_is_dropped_not_crashed(self, tmp_path):
-        cache = CompileCache(tmp_path)
-        cache.store("key", payload_for("good"))
-        path = cache._path("key")
+        store = ArtifactStore(tmp_path)
+        put(store, "key", payload_for("good"))
+        path = store.artifact_path("key")
         path.write_text(path.read_text()[:37])  # simulate a torn write
-        assert cache.lookup("key") is None
-        assert not path.exists()  # the wreck was removed
+        value, role = store.fetch_or_compute(
+            "key", lambda: ("fresh", payload_for("fresh")), decode=decode
+        )
+        assert (value, role) == ("fresh", ROLE_COMPILE)  # never served
+        assert store.counters()["corruption_drops"] == 1
+        assert decode(store.read("key"))["tag"] == "fresh"
 
     def test_wrong_schema_is_dropped(self, tmp_path):
-        cache = CompileCache(tmp_path)
-        bad = payload_for("old")
-        bad["schema"] = CACHE_SCHEMA + 1
-        cache.store("key", bad)
-        assert cache.lookup("key") is None
+        store = ArtifactStore(tmp_path)
+        put(store, "key", payload_for("old", schema=CACHE_SCHEMA + 1))
+        value, role = store.fetch_or_compute(
+            "key", lambda: ("fresh", payload_for("fresh")), decode=decode
+        )
+        assert (value, role) == ("fresh", ROLE_COMPILE)
+        drops = [e for e in store.events() if e["ev"] == "corrupt-drop"]
+        assert [e["reason"] for e in drops] == ["schema mismatch"]
 
 
 # -- LRU size cap ------------------------------------------------------------
 class TestSizeCap:
     def entry_bytes(self, tmp_path) -> int:
-        probe = CompileCache(tmp_path / "probe", max_bytes=None)
-        probe.store("probe", payload_for("probe"))
-        return probe._path("probe").stat().st_size
+        probe = ArtifactStore(tmp_path / "probe", max_bytes=None)
+        put(probe, "probe", payload_for("probe"))
+        return probe.artifact_path("probe").stat().st_size
 
     def test_store_evicts_oldest_beyond_max_bytes(self, tmp_path):
         size = self.entry_bytes(tmp_path)
-        cache = CompileCache(tmp_path / "c", max_bytes=2 * size + size // 2)
+        store = ArtifactStore(tmp_path / "c", max_bytes=2 * size + size // 2)
         for index, tag in enumerate(("a", "b", "c")):
-            cache.store(tag, payload_for(tag))
+            put(store, tag, payload_for(tag))
             # Distinct mtimes make the LRU order deterministic even on
             # coarse-resolution filesystems.
-            os.utime(cache._path(tag), (1000 + index, 1000 + index))
-        cache.store("d", payload_for("d"))
-        assert not cache._path("a").exists()
-        assert not cache._path("b").exists()
-        assert cache._path("c").exists()
-        assert cache._path("d").exists()
-        assert cache.evictions == 2
+            os.utime(store.artifact_path(tag), (1000 + index, 1000 + index))
+        put(store, "d", payload_for("d"))
+        assert not store.artifact_path("a").exists()
+        assert not store.artifact_path("b").exists()
+        assert store.artifact_path("c").exists()
+        assert store.artifact_path("d").exists()
+        assert store.stats()["evictions"] == 2
 
     def test_lookup_refreshes_recency(self, tmp_path):
         size = self.entry_bytes(tmp_path)
-        cache = CompileCache(tmp_path / "c", max_bytes=2 * size + size // 2)
-        cache.store("a", payload_for("a"))
-        cache.store("b", payload_for("b"))
-        os.utime(cache._path("a"), (1000, 1000))
-        os.utime(cache._path("b"), (1001, 1001))
-        assert cache.lookup("a") is not None  # bumps a's mtime to "now"
-        cache.store("c", payload_for("c"))
-        assert cache._path("a").exists()   # recently used: kept
-        assert not cache._path("b").exists()  # LRU victim
+        store = ArtifactStore(tmp_path / "c", max_bytes=2 * size + size // 2)
+        put(store, "a", payload_for("a"))
+        put(store, "b", payload_for("b"))
+        os.utime(store.artifact_path("a"), (1000, 1000))
+        os.utime(store.artifact_path("b"), (1001, 1001))
+        assert put(store, "a", b"unused") == ROLE_HIT  # a's mtime: "now"
+        put(store, "c", payload_for("c"))
+        assert store.artifact_path("a").exists()   # recently used: kept
+        assert not store.artifact_path("b").exists()  # LRU victim
 
     def test_unbounded_cache_never_evicts(self, tmp_path):
-        cache = CompileCache(tmp_path, max_bytes=None)
+        store = ArtifactStore(tmp_path, max_bytes=None)
         for index in range(8):
-            cache.store(f"k{index}", payload_for(str(index)))
-        assert len(cache) == 8
-        assert cache.evictions == 0
+            put(store, f"k{index}", payload_for(str(index)))
+        assert len(store) == 8
+        assert store.stats()["evictions"] == 0
 
     def test_default_max_bytes_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "12345")
         assert default_max_bytes() == 12345
-        assert CompileCache("/tmp/unused").max_bytes == 12345
+        assert ArtifactStore("/tmp/unused").max_bytes == 12345
         monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "0")
         assert default_max_bytes() is None  # 0 lifts the cap
         monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "garbage")
         assert default_max_bytes() is not None  # falls back to default
 
     def test_stats_reports_shape(self, tmp_path):
-        cache = CompileCache(tmp_path, max_bytes=None)
-        cache.store("k", payload_for("k"))
-        cache.lookup("k")
-        cache.lookup("missing")
-        stats = cache.stats()
+        store = ArtifactStore(tmp_path, max_bytes=None)
+        put(store, "k", payload_for("k"))   # a miss: compiled
+        put(store, "k", payload_for("k"))   # a hit
+        stats = store.stats()
         assert stats["entries"] == 1
         assert stats["bytes"] > 0
         assert stats["hits"] == 1
@@ -338,9 +372,9 @@ class TestCacheCLI:
     def test_stats_and_clear(self, tmp_path, capsys):
         from repro.__main__ import main
 
-        cache = CompileCache(tmp_path, max_bytes=None)
-        cache.store("k1", payload_for("k1"))
-        cache.store("k2", payload_for("k2"))
+        store = ArtifactStore(tmp_path, max_bytes=None)
+        put(store, "k1", payload_for("k1"))
+        put(store, "k2", payload_for("k2"))
 
         assert main(["cache", "--dir", str(tmp_path), "--stats"]) == 0
         out = capsys.readouterr().out
@@ -353,4 +387,4 @@ class TestCacheCLI:
 
         assert main(["cache", "--dir", str(tmp_path), "--clear"]) == 0
         assert "removed 2" in capsys.readouterr().out
-        assert len(cache) == 0
+        assert len(store) == 0

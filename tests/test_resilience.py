@@ -456,38 +456,58 @@ class TestBenchFaultTolerance:
 # -- compile-cache corruption hardening -------------------------------------
 class TestCacheHardening:
     def _cache(self, tmp_path):
-        from repro.bench.cache import CompileCache
+        from repro.service.artifacts import ArtifactStore
 
-        return CompileCache(tmp_path)
+        return ArtifactStore(tmp_path)
 
     @staticmethod
-    def _payload(module):
+    def _payload(module) -> bytes:
         from repro.bench.cache import CACHE_SCHEMA
 
-        return {"schema": CACHE_SCHEMA, "module": module, "machine": "alpha"}
+        return json.dumps(
+            {"schema": CACHE_SCHEMA, "module": module, "machine": "alpha"}
+        ).encode()
 
-    def test_truncated_entry_is_a_logged_miss(self, tmp_path):
-        cache = self._cache(tmp_path)
-        cache.store("k", self._payload("m"))
-        path = cache._path("k")
-        path.write_text(path.read_text()[:10])  # torn write
-        assert cache.lookup("k") is None
-        assert not path.exists()
-        assert any(
-            d.check == "artifact-store" for d in cache.sink
+    @staticmethod
+    def _fetch(cache, key, fresh):
+        """One compile-cache read of ``key``: the cache's shape check
+        on a hit, ``fresh`` published on a miss."""
+        from repro.bench.cache import validate_payload
+
+        return cache.fetch_or_compute(
+            key, lambda: (fresh, fresh),
+            decode=lambda data: validate_payload(json.loads(data)),
         )
 
-    def test_wrong_shape_entry_is_dropped(self, tmp_path):
+    def test_truncated_entry_is_a_logged_miss(self, tmp_path):
+        from repro.service.artifacts import ROLE_COMPILE
+
         cache = self._cache(tmp_path)
-        cache.store("k", self._payload(42))
-        assert cache.lookup("k") is None
+        self._fetch(cache, "k", self._payload("m"))
+        path = cache.artifact_path("k")
+        path.write_text(path.read_text()[:10])  # torn write
+        fresh = self._payload("fresh")
+        assert self._fetch(cache, "k", fresh) == (fresh, ROLE_COMPILE)
+        drops = [e for e in cache.events() if e["ev"] == "corrupt-drop"]
+        assert len(drops) == 1 and drops[0]["key"] == "k"
+
+    def test_wrong_shape_entry_is_dropped(self, tmp_path):
+        from repro.service.artifacts import ROLE_COMPILE
+
+        cache = self._cache(tmp_path)
+        self._fetch(cache, "k", self._payload(42))
+        fresh = self._payload("m")
+        assert self._fetch(cache, "k", fresh) == (fresh, ROLE_COMPILE)
+        assert cache.counters()["corruption_drops"] == 1
 
     def test_clear_removes_stray_temp_files(self, tmp_path):
         cache = self._cache(tmp_path)
-        cache.store("k", self._payload("m"))
+        self._fetch(cache, "k", self._payload("m"))
         (tmp_path / "orphan.tmp").write_text("partial")
+        lease = cache.acquire("other")
+        lease.stop()  # a dead holder's lease and lock stay behind
         assert cache.clear() == 1
-        assert list(tmp_path.glob("*.tmp")) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
 
     def test_faulty_compiles_bypass_cache(self, tmp_path, monkeypatch):
         from repro.bench.cache import cached_compile_minic
@@ -500,6 +520,28 @@ class TestCacheHardening:
         assert program.degraded
         assert not program.cache_hit
         assert list(tmp_path.glob("*.json")) == []
+
+    def test_disk_only_plan_never_reaches_the_passes(
+        self, tmp_path, monkeypatch
+    ):
+        # A pass-level plan turns check elision off; a plan of disk
+        # kinds must not, or the cache would keep the weaker program
+        # under the key every clean run reads.
+        from repro.bench.cache import cached_compile_minic
+        from repro.bench.programs import get_benchmark
+        from repro.ir import format_module
+
+        source = get_benchmark("blockstage").source
+        clean = compile_minic(source, "alpha", "coalesce-all")
+        assert clean.checks_elided > 0
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_FAULTS", "artifact:read=corrupt-artifact@99")
+        cold = cached_compile_minic(source, "alpha", "coalesce-all")
+        monkeypatch.delenv("REPRO_FAULTS")
+        warm = cached_compile_minic(source, "alpha", "coalesce-all")
+        assert (cold.cache_hit, warm.cache_hit) == (False, True)
+        assert warm.checks_elided == clean.checks_elided
+        assert format_module(warm.module) == format_module(clean.module)
 
 
 # -- CLI surfaces ------------------------------------------------------------

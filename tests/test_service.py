@@ -7,13 +7,13 @@ the real :class:`ServiceClient` — the same code paths ``python -m repro
 serve`` / ``submit`` exercise.
 """
 
+import json
 import os
 import threading
 import time
 
 import pytest
 
-from repro.bench.cache import CompileCache
 from repro.errors import DeadlineExceeded, FaultInjected, ParseError
 from repro.pipeline import compile_minic
 from repro.resilience import (
@@ -25,6 +25,7 @@ from repro.resilience import (
     is_retryable,
 )
 from repro.service import protocol
+from repro.service.artifacts import ArtifactStore
 from repro.service.breaker import (
     CLOSED,
     HALF_OPEN,
@@ -324,7 +325,7 @@ def service(tmp_path):
         kwargs.setdefault(
             "socket_path", str(tmp_path / f"srv{len(servers)}.sock")
         )
-        kwargs.setdefault("cache", CompileCache(tmp_path / "cache"))
+        kwargs.setdefault("cache", ArtifactStore(tmp_path / "cache"))
         server = CompileServer(**kwargs)
         server.start()
         assert wait_until_ready(server.socket_path, timeout=10.0)
@@ -514,7 +515,7 @@ class TestDedupAndFrontEnd:
         for thread in threads:
             thread.join(timeout=30)
         assert [r["status"] for r in responses] == ["ok", "ok"]
-        assert server.cache.artifacts.counters()["compiles"] == 1
+        assert server.cache.counters()["compiles"] == 1
         assert client_for(server).status()["single_flight_shared"] == 1
 
     def test_closed_reader_ends_the_connection_like_eof(self, tmp_path):
@@ -524,7 +525,7 @@ class TestDedupAndFrontEnd:
 
         server = CompileServer(
             socket_path=str(tmp_path / "unused.sock"),
-            cache=CompileCache(tmp_path / "cache"),
+            cache=ArtifactStore(tmp_path / "cache"),
         )
         ours, theirs = socket.socketpair()
         try:
@@ -537,15 +538,13 @@ class TestDedupAndFrontEnd:
     def test_lease_ttl_without_cache_dir_sets_both_waits(
         self, tmp_path, monkeypatch
     ):
-        from repro.service.artifacts import ArtifactStore
-
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "default"))
         monkeypatch.delenv("REPRO_CACHE", raising=False)
         for ttl in (30.0, 0.2):
             server = CompileServer(
                 socket_path=str(tmp_path / "unused.sock"), lease_ttl=ttl,
             )
-            store = server.cache.artifacts
+            store = server.cache
             fresh = ArtifactStore(tmp_path / "fresh", ttl=ttl)
             assert store.ttl == ttl
             assert (store.wait_timeout, store.poll_interval) == (
@@ -907,7 +906,7 @@ class TestServiceCLI:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cli-cache"))
         server = CompileServer(
             socket_path=str(tmp_path / "cli.sock"),
-            cache=CompileCache(tmp_path / "cli-cache"),
+            cache=ArtifactStore(tmp_path / "cli-cache"),
         )
         server.start()
         assert wait_until_ready(server.socket_path, timeout=10.0)
@@ -995,6 +994,48 @@ class TestServiceCLI:
             "--socket", str(tmp_path / "nobody.sock"),
             "--retries", "1", "--backoff-base", "0.001",
         ]) == 3
+
+    #: What ``cache --stats --json`` and a status's ``cache`` carry:
+    #: the shape, this process's tally and the journal's counters.
+    STATS_KEYS = {
+        "directory", "entries", "bytes", "max_bytes", "hits", "misses",
+        "evictions", "lease_ttl", "publishes", "compiles", "log_hits",
+        "dedup_hits", "steals", "fenced_publishes", "corruption_drops",
+        "disk_errors", "fallbacks", "torn_publishes", "faults_injected",
+    }
+
+    def test_status_and_cache_stats_keep_the_keys_readers_use(
+        self, served, tmp_path, capsys
+    ):
+        # CI and the service benchmark read these by name.
+        from repro.__main__ import main
+
+        source = tmp_path / "add.c"
+        source.write_text(ADD_SRC)
+        for _ in range(2):  # one compile, one hit
+            assert main([
+                "submit", str(source), "--socket", served.socket_path,
+            ]) == 0
+        capsys.readouterr()
+        assert main([
+            "status", "--socket", served.socket_path, "--json",
+        ]) == 0
+        status = json.loads(capsys.readouterr().out)
+        assert status["single_flight_shared"] == 0
+        assert status["server"]["rejected"] == 0
+        assert status["server"]["completed"] == 2
+        assert set(status["cache"]) == self.STATS_KEYS
+        assert status["cache"]["publishes"] == 1
+        assert (status["cache"]["hits"], status["cache"]["misses"]) == (1, 1)
+
+        assert main([
+            "cache", "--dir", str(served.cache.directory), "--stats",
+            "--json",
+        ]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert set(stats) == self.STATS_KEYS | {"enabled"}
+        assert (stats["dedup_hits"], stats["publishes"]) == (0, 1)
+        assert (stats["corruption_drops"], stats["steals"]) == (0, 0)
 
     def test_status_and_shutdown(self, served, capsys):
         import json
