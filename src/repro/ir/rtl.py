@@ -162,6 +162,11 @@ class Instr:
 
     __slots__ = ("notes",)
 
+    #: Whether the instruction ends a block: a class constant, ``True``
+    #: on :class:`Jump`, :class:`CondJump` and :class:`Ret` only (the
+    #: verifier, DCE and the scheduler ask it of every instruction).
+    is_terminator = False
+
     def __init__(self) -> None:
         self.notes: Dict[str, object] = {}
 
@@ -184,10 +189,6 @@ class Instr:
         """Rewrite every defined register through ``mapping``."""
 
     # -- classification helpers ---------------------------------------------
-    @property
-    def is_terminator(self) -> bool:
-        return isinstance(self, (Jump, CondJump, Ret))
-
     @property
     def is_memory(self) -> bool:
         return isinstance(self, (Load, Store))
@@ -560,6 +561,7 @@ class Jump(Instr):
     """Unconditional jump to a block label."""
 
     __slots__ = ("target",)
+    is_terminator = True
 
     def __init__(self, target: str):
         super().__init__()
@@ -578,6 +580,7 @@ class CondJump(Instr):
     """
 
     __slots__ = ("rel", "a", "b", "iftrue", "iffalse")
+    is_terminator = True
 
     def __init__(
         self, rel: str, a: Operand, b: Operand, iftrue: str, iffalse: str
@@ -606,6 +609,7 @@ class Ret(Instr):
     """Return from the function, optionally with a value."""
 
     __slots__ = ("value",)
+    is_terminator = True
 
     def __init__(self, value: Optional[Operand] = None):
         super().__init__()

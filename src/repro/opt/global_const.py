@@ -14,7 +14,8 @@ so a whole chain ``a = 3; b = a; c = b`` retires in one invocation
 instead of one fixpoint round per link.  The old implementation re-solved
 reaching definitions and re-walked a block prefix per use
 (``O(instructions²)``); this one touches each use a constant number of
-times.
+times.  A function that moves no constant gives the worklist no seed,
+so the pass returns ``False`` without asking for the chains at all.
 
 When a merge of *conflicting* constants blocks propagation the pass
 reports a note through ``ctx.sink`` (when the sanitizer is listening), so
@@ -38,6 +39,14 @@ from repro.opt.pass_manager import PassContext, function_pass
 # chains do not — this pass consumes the uses it rewrites.)
 @function_pass(preserves={"reaching", "dominators"})
 def global_const_prop(func: Function, ctx: PassContext) -> bool:
+    # No constant-moving definition, no seed: the worklist would start
+    # empty, so skip the reaching definitions and chains it never reads.
+    if not any(
+        isinstance(instr, Mov) and isinstance(instr.src, Const)
+        for block in func.blocks
+        for instr in block.instrs
+    ):
+        return False
     analyses = getattr(ctx, "analyses", None)
     chains: DefUseChains = (
         analyses.defuse(func) if analyses is not None

@@ -216,8 +216,10 @@ def _find_candidate(
 ) -> Optional[_Candidate]:
     """Find an address register with an affine form worth reducing."""
     def_counts = _loop_def_counts(func, loop)
-    for label in loop.blocks:
-        block = func.block(label)
+    # Layout order, not set order: which candidate comes first must not
+    # depend on string hashing.
+    for block in [b for b in func.blocks if b.label in loop.blocks]:
+        label = block.label
         resolver = _Resolver(func, block, ivs, def_counts)
         # Candidate address registers: bases of memory references whose
         # defining instruction lives in this block.
