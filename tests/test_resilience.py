@@ -543,6 +543,28 @@ class TestCacheHardening:
         assert warm.checks_elided == clean.checks_elided
         assert format_module(warm.module) == format_module(clean.module)
 
+    def test_environment_disk_plan_counts_arrivals_per_call(
+        self, tmp_path, monkeypatch
+    ):
+        # REPRO_FAULTS is parsed afresh for each call, so an unnumbered
+        # corrupt-artifact is every call's first read: each warm hit is
+        # corrupted, dropped and recompiled.
+        from repro.bench.cache import cached_compile_minic
+
+        store = self._cache(tmp_path)
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        assert not cached_compile_minic(DOT, cache=store).cache_hit
+        assert cached_compile_minic(DOT, cache=store).cache_hit
+        monkeypatch.setenv("REPRO_FAULTS", "artifact:read=corrupt-artifact")
+        for _ in range(3):
+            assert not cached_compile_minic(DOT, cache=store).cache_hit
+        monkeypatch.delenv("REPRO_FAULTS")
+        assert cached_compile_minic(DOT, cache=store).cache_hit
+        events = [e["ev"] for e in store.events()]
+        assert events.count("fault") == 3
+        assert store.counters()["corruption_drops"] == 3
+        assert store.counters()["compiles"] == 4
+
 
 # -- CLI surfaces ------------------------------------------------------------
 class TestResilienceCLI:
