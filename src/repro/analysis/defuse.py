@@ -14,7 +14,7 @@ is the usual ``(block_label, instr_index)`` pair of
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import AbstractSet, Dict, List, Optional, Tuple
 
 from repro.analysis.reaching import DefSite, ReachingDefs, \
     reaching_definitions
@@ -39,14 +39,19 @@ class DefUseChains:
         self.defs_for = defs_for
 
 
-def def_use_chains(func: Function) -> DefUseChains:
+def def_use_chains(
+    func: Function, registers: Optional[AbstractSet[int]] = None
+) -> DefUseChains:
     """Build def-use and use-def chains in one pass over ``func``.
 
     Only the registers a block reads before defining them are looked up
     in the reaching solution; every other use is reached by the block's
-    own latest definition.
+    own latest definition.  With ``registers`` (a set of register
+    indices) only their uses are recorded, over a reaching solve
+    restricted to them: the result is the full chains restricted to
+    those registers.
     """
-    reaching = reaching_definitions(func)
+    reaching = reaching_definitions(func, registers)
     uses_of: Dict[DefSite, List[UseSite]] = {}
     defs_for: Dict[UseSite, Tuple[DefSite, ...]] = {}
     for label in reaching.reach_in_bits:
@@ -54,7 +59,9 @@ def def_use_chains(func: Function) -> DefUseChains:
         for index, instr in enumerate(reaching.blocks[label].instrs):
             seen = set()
             for reg in instr.uses():
-                if reg.index in seen:
+                if reg.index in seen or (
+                    registers is not None and reg.index not in registers
+                ):
                     continue
                 seen.add(reg.index)
                 sites = current.get(reg.index)

@@ -18,8 +18,6 @@ Registered analyses:
 
 ``reaching``
     :func:`repro.analysis.reaching.reaching_definitions`
-``defuse``
-    :func:`repro.analysis.defuse.def_use_chains`
 ``liveness``
     :func:`repro.analysis.liveness.liveness`
 ``dominators``
@@ -45,7 +43,6 @@ from repro.ir.function import Function
 #: imports back into analysis, so eager imports would cycle).
 _REGISTRY: Dict[str, str] = {
     "reaching": "repro.analysis.reaching:reaching_definitions",
-    "defuse": "repro.analysis.defuse:def_use_chains",
     "liveness": "repro.analysis.liveness:liveness",
     "dominators": "repro.analysis.dominators:immediate_dominators",
     "memdep": "repro.analysis.alias:memory_dependence",
@@ -100,9 +97,6 @@ class AnalysisManager:
 
     def reaching(self, func: Function):
         return self.get(func, "reaching")
-
-    def defuse(self, func: Function):
-        return self.get(func, "defuse")
 
     def liveness(self, func: Function):
         return self.get(func, "liveness")

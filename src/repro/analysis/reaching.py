@@ -17,12 +17,18 @@ block prefix, so a full-function sweep of queries is
 
 Site tuples come out in site-number order (reverse postorder of the
 blocks, then instruction order); callers treat them as sets.
+
+A solve may be restricted to a set of registers: only the sites that
+define one of them are numbered, and only their masks are built.  The
+problem is per register (a definition kills only definitions of its own
+registers), so every answer about a register in the set is the full
+solve's, and the sites keep their relative order.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, List, Optional, Set, Tuple
 
 from repro.analysis.cfgutil import predecessors, reachable_labels, \
     reverse_postorder
@@ -103,8 +109,11 @@ class ReachingDefs:
         return None
 
 
-def reaching_definitions(func: Function) -> ReachingDefs:
-    """Solve the forward reaching-definitions dataflow problem."""
+def reaching_definitions(
+    func: Function, registers: Optional[AbstractSet[int]] = None
+) -> ReachingDefs:
+    """Solve the forward reaching-definitions dataflow problem, for every
+    register or only for the register indices in ``registers``."""
     blocks = {block.label: block for block in func.blocks}
     reachable = reachable_labels(func)
     order = [l for l in reverse_postorder(func) if l in reachable]
@@ -121,6 +130,8 @@ def reaching_definitions(func: Function) -> ReachingDefs:
         last_def: Dict[int, int] = {}  # reg -> site number
         for index, instr in enumerate(blocks[label].instrs):
             regs = instr.defs()
+            if registers is not None and regs:
+                regs = [reg for reg in regs if reg.index in registers]
             if not regs:
                 continue
             number = len(sites)

@@ -157,9 +157,14 @@ class Function:
 
     def max_reg_index(self) -> int:
         highest = max((p.index for p in self.params), default=-1)
-        for instr in self.iter_instrs():
-            for reg in instr.uses() + instr.defs():
-                highest = max(highest, reg.index)
+        for block in self.blocks:
+            for instr in block.instrs:
+                for reg in instr.uses():
+                    if reg.index > highest:
+                        highest = reg.index
+                for reg in instr.defs():
+                    if reg.index > highest:
+                        highest = reg.index
         return highest
 
     def __repr__(self) -> str:

@@ -25,7 +25,7 @@ code never needs to know concrete classes.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import IRError
 
@@ -151,6 +151,14 @@ def _subst(value: Operand, mapping: Dict[Reg, Operand]) -> Operand:
     return value
 
 
+def _subst_reg(value: Reg, mapping: Dict[Reg, Operand], what: str) -> Reg:
+    """:func:`_subst` for a slot in ``register_slots``."""
+    new = _subst(value, mapping)
+    if not isinstance(new, Reg):
+        raise IRError(f"cannot substitute {what} with a constant")
+    return new
+
+
 class Instr:
     """Base class for all RTL instructions.
 
@@ -166,6 +174,13 @@ class Instr:
     #: on :class:`Jump`, :class:`CondJump` and :class:`Ret` only (the
     #: verifier, DCE and the scheduler ask it of every instruction).
     is_terminator = False
+
+    #: The operand slots that must hold a register, a class constant:
+    #: ``base`` on :class:`Load` and :class:`Store`, ``src`` on
+    #: :class:`Extract`.  ``substitute_uses`` raises ``IRError`` when a
+    #: mapping would put a constant there, so constant propagation
+    #: leaves the registers these slots read alone.
+    register_slots: Tuple[str, ...] = ()
 
     def __init__(self) -> None:
         self.notes: Dict[str, object] = {}
@@ -187,6 +202,10 @@ class Instr:
 
     def substitute_defs(self, mapping: Dict[Reg, Reg]) -> None:
         """Rewrite every defined register through ``mapping``."""
+
+    def register_only_uses(self) -> List[Reg]:
+        """The registers read through :attr:`register_slots`."""
+        return [getattr(self, slot) for slot in self.register_slots]
 
     # -- classification helpers ---------------------------------------------
     @property
@@ -302,6 +321,7 @@ class Load(Instr):
     """
 
     __slots__ = ("dst", "base", "disp", "width", "signed", "unaligned")
+    register_slots = ("base",)
 
     def __init__(
         self,
@@ -335,10 +355,7 @@ class Load(Instr):
         )
 
     def substitute_uses(self, mapping: Dict[Reg, Operand]) -> None:
-        new_base = _subst(self.base, mapping)
-        if not isinstance(new_base, Reg):
-            raise IRError("cannot substitute Load.base with a constant")
-        self.base = new_base
+        self.base = _subst_reg(self.base, mapping, "Load.base")
 
     def substitute_defs(self, mapping: Dict[Reg, Reg]) -> None:
         self.dst = mapping.get(self.dst, self.dst)
@@ -353,6 +370,7 @@ class Store(Instr):
     """
 
     __slots__ = ("base", "disp", "src", "width", "unaligned")
+    register_slots = ("base",)
 
     def __init__(
         self,
@@ -386,10 +404,7 @@ class Store(Instr):
         )
 
     def substitute_uses(self, mapping: Dict[Reg, Operand]) -> None:
-        new_base = _subst(self.base, mapping)
-        if not isinstance(new_base, Reg):
-            raise IRError("cannot substitute Store.base with a constant")
-        self.base = new_base
+        self.base = _subst_reg(self.base, mapping, "Store.base")
         self.src = _subst(self.src, mapping)
 
 
@@ -405,6 +420,7 @@ class Extract(Instr):
     """
 
     __slots__ = ("dst", "src", "pos", "width", "signed")
+    register_slots = ("src",)
 
     def __init__(
         self, dst: Reg, src: Reg, pos: Operand, width: int, signed: bool
@@ -429,10 +445,7 @@ class Extract(Instr):
         return Extract(self.dst, self.src, self.pos, self.width, self.signed)
 
     def substitute_uses(self, mapping: Dict[Reg, Operand]) -> None:
-        new_src = _subst(self.src, mapping)
-        if not isinstance(new_src, Reg):
-            raise IRError("cannot substitute Extract.src with a constant")
-        self.src = new_src
+        self.src = _subst_reg(self.src, mapping, "Extract.src")
         self.pos = _subst(self.pos, mapping)
 
     def substitute_defs(self, mapping: Dict[Reg, Reg]) -> None:

@@ -2,7 +2,9 @@
 
 Within a block, after ``dst = src`` every use of ``dst`` can read ``src``
 instead, until either register is redefined.  Constants propagate the same
-way.  A complementary *copy coalescing* rewrite handles the front end's
+way, except into a register an instruction reads through one of its
+``register_slots`` (an address base, an extract's source word).  A
+complementary *copy coalescing* rewrite handles the front end's
 ``tmp = a + b; x = tmp`` pattern by renaming the producer's destination
 when the temporary dies at the copy; it solves liveness only for a
 function, and live-after sets only for a block, that holds a copy it
@@ -39,6 +41,12 @@ def _propagate_in_block(block) -> bool:
         for reg in instr.uses():
             if reg.index in copies:
                 mapping[reg] = copies[reg.index]
+        if mapping:
+            # A register-only slot keeps its register: no constant
+            # replaces that register anywhere in the instruction.
+            for reg in instr.register_only_uses():
+                if isinstance(mapping.get(reg), Const):
+                    del mapping[reg]
         if mapping:
             instr.substitute_uses(mapping)
             changed = True

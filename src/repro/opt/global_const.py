@@ -5,9 +5,8 @@ zeroed in the entry block and consumed in a loop preheader; this pass
 closes that gap: a use is replaced when *every* definition reaching it
 moves the same constant.
 
-The engine is a sparse worklist over the cached def-use chains
-(:mod:`repro.analysis.defuse`, via the context's
-:class:`repro.analysis.manager.AnalysisManager`): constant-moving
+The engine is a sparse worklist over def-use chains
+(:mod:`repro.analysis.defuse`): constant-moving
 definitions seed the worklist, each one visits only its recorded uses,
 and a copy whose source collapses to a constant re-enters the worklist —
 so a whole chain ``a = 3; b = a; c = b`` retires in one invocation
@@ -16,6 +15,14 @@ reaching definitions and re-walked a block prefix per use
 (``O(instructions²)``); this one touches each use a constant number of
 times.  A function that moves no constant gives the worklist no seed,
 so the pass returns ``False`` without asking for the chains at all.
+
+Only a few registers can ever receive a constant: the destinations of
+constant ``Mov``s and, transitively, of register copies of them (a copy
+is the only instruction this pass can turn into a new constant source).
+The scan that looks for a seed collects them, and the chains are solved
+for those registers alone.  Reaching definitions are per register, so
+those chains are exactly the full chains' entries for them; they are
+built per call and not cached.
 
 When a merge of *conflicting* constants blocks propagation the pass
 reports a note through ``ctx.sink`` (when the sanitizer is listening), so
@@ -26,12 +33,36 @@ points that decided what it did and did not rewrite.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Optional, Set
+from typing import Dict, List, Set
 
-from repro.analysis.defuse import DefUseChains, def_use_chains
+from repro.analysis.defuse import def_use_chains
 from repro.ir.function import Function
-from repro.ir.rtl import Const, Load, Mov, Reg, Store
+from repro.ir.rtl import Const, Mov, Reg
 from repro.opt.pass_manager import PassContext, function_pass
+
+
+def constant_reachable(func: Function) -> Set[int]:
+    """Indices of the registers a constant can reach: constant ``Mov``
+    destinations, closed over register-to-register ``Mov``s."""
+    reached: List[int] = []
+    copies_of: Dict[int, List[int]] = {}  # source -> copy destinations
+    for block in func.blocks:
+        for instr in block.instrs:
+            if type(instr) is Mov:
+                source = instr.src
+                if type(source) is Const:
+                    reached.append(instr.dst.index)
+                else:
+                    copies_of.setdefault(source.index, []).append(
+                        instr.dst.index
+                    )
+    found = set(reached)
+    while reached:
+        for dst in copies_of.get(reached.pop(), ()):
+            if dst not in found:
+                found.add(dst)
+                reached.append(dst)
+    return found
 
 
 # Rewrites operands in place: definition sites, the CFG, and therefore
@@ -41,17 +72,10 @@ from repro.opt.pass_manager import PassContext, function_pass
 def global_const_prop(func: Function, ctx: PassContext) -> bool:
     # No constant-moving definition, no seed: the worklist would start
     # empty, so skip the reaching definitions and chains it never reads.
-    if not any(
-        isinstance(instr, Mov) and isinstance(instr.src, Const)
-        for block in func.blocks
-        for instr in block.instrs
-    ):
+    registers = constant_reachable(func)
+    if not registers:
         return False
-    analyses = getattr(ctx, "analyses", None)
-    chains: DefUseChains = (
-        analyses.defuse(func) if analyses is not None
-        else def_use_chains(func)
-    )
+    chains = def_use_chains(func, registers)
 
     # Seed: every definition site that moves a constant.
     blocks = chains.reaching.blocks
@@ -89,11 +113,11 @@ def global_const_prop(func: Function, ctx: PassContext) -> bool:
                     )
                     continue
                 instr = blocks[label].instrs[index]
-                if (
-                    isinstance(instr, (Load, Store))
-                    and instr.base.index == reg_index
+                if any(
+                    reg.index == reg_index
+                    for reg in instr.register_only_uses()
                 ):
-                    continue  # an address must stay in a register
+                    continue  # e.g. an address must stay in a register
                 instr.substitute_uses(
                     {Reg(reg_index): Const(values[0])}
                 )

@@ -128,7 +128,9 @@ class Simulator:
         elif resolved == "compiled":
             from repro.sim.translate import CompiledEngine
 
-            with span("sim.translate"):  # every block, at construction
+            # Registers every block; a closure is translated when
+            # control first enters it, under the call's sim.exec.
+            with span("sim.translate"):
                 self.engine = CompiledEngine(
                     module,
                     machine,

@@ -332,10 +332,10 @@ class TestAnalysisManager:
     def test_invalidate_keeps_preserved(self):
         func = next(iter(parse_module(TWO_SLOTS)))
         manager = AnalysisManager()
-        chains = manager.defuse(func)
+        chains = manager.reaching(func)
         summary = manager.memdep(func)
-        manager.invalidate(func, preserved={"defuse"})
-        assert manager.defuse(func) is chains
+        manager.invalidate(func, preserved={"reaching"})
+        assert manager.reaching(func) is chains
         assert manager.memdep(func) is not summary
 
     def test_function_pass_honours_declaration(self):
@@ -345,7 +345,7 @@ class TestAnalysisManager:
         func = next(iter(parse_module(TWO_SLOTS)))
         ctx = PassContext(get_machine("alpha"))
         summary = ctx.analyses.memdep(func)
-        chains = ctx.analyses.defuse(func)
+        chains = ctx.analyses.reaching(func)
 
         @function_pass()
         def untouched_pass(f, c):
@@ -361,7 +361,7 @@ class TestAnalysisManager:
         assert rewriting_pass.__name__ == "rewriting_pass"
         rewriting_pass(func, ctx)
         assert ctx.analyses.memdep(func) is summary
-        assert ctx.analyses.defuse(func) is not chains
+        assert ctx.analyses.reaching(func) is not chains
 
     def test_guard_stage_retires_analyses(self):
         from repro.machine import get_machine

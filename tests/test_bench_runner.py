@@ -386,6 +386,20 @@ class TestCellTiming:
         assert not COMPILE_SPANS & _span_names(warm.timing)
         assert warm.sim_instrs_per_sec is not None
 
+    def test_first_entry_translation_is_timed_under_exec(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        result = harness.run_benchmark(*self.CELL, width=8, height=8,
+                                       sim_backend="compiled")
+        (run,) = [n for n in _nodes(result.timing) if n["name"] == "sim.exec"]
+        (translate,) = [c for c in run.get("children", ())
+                        if c["name"] == "sim.translate"]
+        assert translate["calls"] > 0
+        # The rate is of execution: translation is not part of it.
+        assert result.sim_instrs_per_sec == pytest.approx(
+            result.instr_count / (run["seconds"] - translate["seconds"]))
+
 
 @pytest.mark.bench_quick
 class TestCliAndWarmCache:

@@ -3,7 +3,8 @@ bit-for-bit, including dynamic counts."""
 
 import pytest
 
-from repro.bench.programs import get_benchmark
+from repro.bench.harness import COLUMN_CONFIGS, COLUMNS, machine_overrides
+from repro.bench.programs import BENCHMARKS, get_benchmark
 from repro.errors import AlignmentTrap, SimulationError
 from repro.ir import parse_module
 from repro.machine import get_machine, lower_module
@@ -279,17 +280,26 @@ class TestDynamicFieldShift:
 
 
 def _all_block_sources(machine):
+    """The source of every closure of every Table I program under every
+    column.  Asking for a block's source translates its closure through
+    the path first entry takes, ``compile()`` included, so a generated
+    source error in a loop version that no run enters still fails
+    here."""
     sources = set()
-    for name in ("blockstage", "dotproduct", "eqntott", "image_add16",
-                 "mirror", "translate", "spmv_csr", "strided_copy"):
-        program = get_benchmark(name)
-        for config in ("vpo", "coalesce-all"):
-            compiled = compile_minic(program.source, machine, config,
-                                     force_coalesce=True)
+    for name in BENCHMARKS:
+        for column in COLUMNS:
+            preset, overrides = COLUMN_CONFIGS[column]
+            compiled = compile_minic(
+                BENCHMARKS[name].source, machine, preset,
+                **{**machine_overrides(machine), **overrides},
+            )
             engine = CompiledEngine(compiled.module, compiled.machine)
             for func in compiled.module:
                 for block in func.blocks:
                     sources.add(engine.block_source(func.name, block.label))
+            stats = engine.translation_stats()
+            assert stats["translated"] + stats["cache_hits"] == (
+                stats["blocks"])
     return sources
 
 
