@@ -301,21 +301,23 @@ def cmd_lint(args) -> int:
 
 
 def cmd_tables(args) -> int:
+    """Print Table I, then one table per machine, a blank line between
+    tables; ``--machine`` picks one.  Exits 1 when a row's output is
+    wrong (the row is flagged ``[OUTPUT MISMATCH]``)."""
     from repro.bench.tables import format_table, format_table1, table_rows
 
+    tables, ok = [], True
     if args.machine_filter in (None, "table1"):
-        print(format_table1())
-        print()
-    machines = (
-        [args.machine_filter]
-        if args.machine_filter in MACHINE_NAMES
-        else sorted(MACHINE_NAMES)
-    )
-    for machine in machines:
-        rows = table_rows(machine, width=args.size, height=args.size)
-        print(format_table(machine, rows))
-        print()
-    return 0
+        tables.append(format_table1())
+    if args.machine_filter != "table1":
+        for machine in (
+            [args.machine_filter] if args.machine_filter else MACHINE_NAMES
+        ):
+            rows = table_rows(machine, width=args.size, height=args.size)
+            tables.append(format_table(machine, rows))
+            ok = ok and all(row.output_ok for row in rows)
+    print("\n\n".join(tables))
+    return 0 if ok else 1
 
 
 def _select_matrix(args, machines):
@@ -1293,7 +1295,11 @@ def main(argv=None) -> int:
     p_lint.set_defaults(func=cmd_lint)
 
     p_tables = sub.add_parser("tables", help="regenerate paper tables")
-    p_tables.add_argument("--machine", dest="machine_filter", default=None)
+    p_tables.add_argument(
+        "--machine", dest="machine_filter", default=None,
+        choices=("table1",) + MACHINE_NAMES,
+        help="print only Table I or this machine's table (default: all)",
+    )
     p_tables.add_argument("--size", type=int, default=48)
     p_tables.set_defaults(func=cmd_tables)
 

@@ -11,7 +11,8 @@ Notes on fidelity:
   percentage results are size-independent once the loop dominates — the
   test suite verifies that).  Widths that are multiples of 8 keep every
   image row quadword-aligned, which the run-time alignment checks reward;
-  the ablation benchmark measures the paper's 500-wide case too.
+  the row-width ablation (EXPERIMENTS E8) also measures a width that is
+  4 mod 8, like the paper's 500.
 * ``abs``/clamp operations are written branchlessly (shift-mask idiom), as
   1990s DSP code did — MiniC's coalescer, like vpo's, wants single-block
   inner loops.

@@ -481,20 +481,16 @@ class TestCliAndWarmCache:
 
 @pytest.mark.bench_full
 class TestPaperTablesWarmCache:
-    """The acceptance criterion verbatim: a warm compile-session cache
-    cuts a repeat ``paper_tables.py 48`` run's wall-clock by >= 2x."""
+    """A warm compile-session cache cuts a repeat ``python -m repro
+    tables --size 48`` run's wall-clock by >= 2x."""
 
-    def test_paper_tables_48_twice(self, tmp_path):
+    def test_tables_48_twice(self, tmp_path):
         env = {
             "PYTHONPATH": str(REPO_ROOT / "src"),
             "REPRO_CACHE_DIR": str(tmp_path / "cache"),
             "PATH": "/usr/bin:/bin",
         }
-        cmd = [
-            sys.executable,
-            str(REPO_ROOT / "examples" / "paper_tables.py"),
-            "48",
-        ]
+        cmd = [sys.executable, "-m", "repro", "tables", "--size", "48"]
 
         def timed():
             started = time.perf_counter()

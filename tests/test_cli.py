@@ -105,6 +105,48 @@ def test_tables_single_machine(capsys):
     assert "convolution" in out
 
 
+@pytest.fixture
+def unmeasured_tables(monkeypatch):
+    """``repro.bench.tables`` with measuring a machine table forbidden."""
+    from repro.bench import tables
+
+    def no_rows(*_, **__):
+        raise AssertionError("a machine table was measured")
+
+    monkeypatch.setattr(tables, "table_rows", no_rows)
+    return tables
+
+
+def test_tables_table1_measures_nothing(unmeasured_tables, capsys):
+    assert main(["tables", "--machine", "table1"]) == 0
+    expected = unmeasured_tables.format_table1() + "\n"
+    assert capsys.readouterr().out == expected
+
+
+def test_tables_rejects_an_unknown_machine(unmeasured_tables, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["tables", "--machine", "bogus"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert "invalid choice: 'bogus'" in captured.err
+    assert captured.out == ""
+
+
+def test_tables_output_mismatch_exits_1(monkeypatch, capsys):
+    from repro.bench import tables
+    from repro.bench.harness import BenchResult
+
+    def wrong_output(name, machine, column, **_):
+        return BenchResult(name, machine, column, cycles=100,
+                           output_ok=name != "mirror")
+
+    monkeypatch.setattr(tables, "run_benchmark", wrong_output)
+    assert main(["tables", "--machine", "alpha", "--size", "8"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("[OUTPUT MISMATCH]") == 1
+    assert "mirror" in out.splitlines()[-1]
+
+
 # ---------------------------------------------------------------------------
 # lint
 # ---------------------------------------------------------------------------
