@@ -62,6 +62,19 @@ from repro.ir import format_module
 from repro.pipeline import stage_names
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of an image size: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--machine", default="alpha", choices=sorted(MACHINE_NAMES),
@@ -1300,7 +1313,7 @@ def main(argv=None) -> int:
         choices=("table1",) + MACHINE_NAMES,
         help="print only Table I or this machine's table (default: all)",
     )
-    p_tables.add_argument("--size", type=int, default=48)
+    p_tables.add_argument("--size", type=_positive_int, default=48)
     p_tables.set_defaults(func=cmd_tables)
 
     p_bench = sub.add_parser(
@@ -1321,7 +1334,7 @@ def main(argv=None) -> int:
              "(cc,vpo,coalesce-loads,coalesce-all) or 'all'",
     )
     p_bench.add_argument(
-        "--size", type=int, default=None,
+        "--size", type=_positive_int, default=None,
         help="image width=height (default 48; 16 with --quick)",
     )
     p_bench.add_argument(
@@ -1397,7 +1410,7 @@ def main(argv=None) -> int:
         help="comma-separated column names or 'all' (default: all)",
     )
     p_simdiff.add_argument(
-        "--size", type=int, default=32,
+        "--size", type=_positive_int, default=32,
         help="image width=height for every cell (default 32)",
     )
     p_simdiff.add_argument(
@@ -1648,7 +1661,7 @@ def main(argv=None) -> int:
         help="run a benchmark program instead of compiling a file",
     )
     p_submit.add_argument("--variant", default="coalesce-all")
-    p_submit.add_argument("--size", type=int, default=16)
+    p_submit.add_argument("--size", type=_positive_int, default=16)
     p_submit.add_argument("--rtl", action="store_true",
                           help="include the final RTL in the response")
     p_submit.add_argument(

@@ -18,7 +18,7 @@ keeping the profitability prediction consistent with the measurement.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.ir.function import Function, Module
 from repro.machine.machine import MachineDescription, classify_instr
@@ -79,13 +79,28 @@ def function_cycles(
 
 
 def module_block_cycles(
-    module: Module, machine: MachineDescription
+    module: Module,
+    machine: MachineDescription,
+    keys: Optional[Iterable[Tuple[str, str]]] = None,
 ) -> Dict[Tuple[str, str], int]:
-    """Static cycles of every block in ``module``."""
+    """Static cycles of every block in ``module``, or only of the
+    ``(function, label)`` blocks named in ``keys``."""
     table: Dict[Tuple[str, str], int] = {}
-    for func in module:
-        for block in func.blocks:
-            table[(func.name, block.label)] = block_cycles(block, machine)
+    if keys is None:
+        for func in module:
+            for block in func.blocks:
+                table[(func.name, block.label)] = block_cycles(block, machine)
+        return table
+    blocks: Dict[str, Dict[str, object]] = {}
+    for key in keys:
+        func_name, label = key
+        by_label = blocks.get(func_name)
+        if by_label is None:
+            by_label = blocks[func_name] = {
+                block.label: block
+                for block in module.function(func_name).blocks
+            }
+        table[key] = block_cycles(by_label[label], machine)
     return table
 
 

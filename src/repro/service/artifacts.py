@@ -35,7 +35,10 @@ token).  Only a lease holder publishes, and its publish re-checks that
 the lease still carries *its* nonce under the same flock that
 serializes steals, so a revived holder cannot harm the winner.
 Waiters that exhaust their deadline fall back to a local compile —
-degraded to duplicate work, never to an error.
+degraded to duplicate work, never to an error.  The flock's
+``<key>.lock`` file is unlinked, under that flock, once the key has
+neither an artifact nor a lease, so the directory holds one lock file
+per artifact or live lease.
 
 **Size cap.**  The store holds at most ``max_bytes`` of artifacts
 (``REPRO_CACHE_MAX_BYTES``, default 256 MiB), pruned oldest-mtime-first
@@ -209,6 +212,7 @@ class Lease:
             with self.store._key_lock(self.key):
                 if self.still_mine():
                     os.unlink(self.path)
+                    self.store._unlink_lock_if_unused(self.key)
         except OSError:
             pass
         with self.store._released:
@@ -262,6 +266,9 @@ class ArtifactStore:
     def lease_path(self, key: str) -> Path:
         return self.directory / f"{key}.lease"
 
+    def lock_path(self, key: str) -> Path:
+        return self.directory / f"{key}.lock"
+
     @property
     def events_path(self) -> Path:
         return self.directory / "events.log"
@@ -272,14 +279,49 @@ class ArtifactStore:
         """A per-key ``flock`` serializing lease mutations and fenced
         publishes across processes.  The kernel drops the lock when the
         fd closes — including by SIGKILL — so a dead holder can never
-        wedge its rivals."""
-        path = self.directory / f"{key}.lock"
-        fd = os.open(path, os.O_CREAT | os.O_RDWR, 0o644)
+        wedge its rivals.
+
+        The lock file goes when the key has neither an artifact nor a
+        lease left (:meth:`_unlink_lock_if_unused`), so a process may
+        lock an inode that was unlinked while it waited.  After
+        ``flock`` the path must still name the locked inode, or the
+        lock is taken again on the file now there: two processes never
+        hold the key's lock on different inodes."""
+        path = self.lock_path(key)
+        while True:
+            fd = os.open(path, os.O_CREAT | os.O_RDWR, 0o644)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX)
+                try:
+                    current = os.path.samestat(os.fstat(fd), os.stat(path))
+                except FileNotFoundError:
+                    current = False
+            except BaseException:
+                os.close(fd)
+                raise
+            if current:
+                break
+            os.close(fd)
         try:
-            fcntl.flock(fd, fcntl.LOCK_EX)
             yield
         finally:
             os.close(fd)
+
+    def _unlink_lock_if_unused(self, key: str) -> None:
+        """Unlink ``key``'s lock file if neither its artifact nor its
+        lease exists; the caller holds the key's lock."""
+        if not (self.artifact_path(key).exists()
+                or self.lease_path(key).exists()):
+            os.unlink(self.lock_path(key))
+
+    def _forget_key(self, key: str) -> None:
+        """After ``key``'s artifact is unlinked: drop its lock file too,
+        under its own flock, unless a lease or a new artifact needs it."""
+        try:
+            with self._key_lock(key):
+                self._unlink_lock_if_unused(key)
+        except OSError:
+            pass
 
     def _event(self, ev: str, key: Optional[str] = None, **extra) -> None:
         """Append one JSON line to the durable event journal.
@@ -410,7 +452,8 @@ class ArtifactStore:
         try:
             os.unlink(self.artifact_path(key))
         except OSError:
-            pass
+            return
+        self._forget_key(key)
 
     def _note_hit(self, key: str, waited: bool) -> None:
         """Journal a successful read and refresh LRU recency."""
@@ -827,6 +870,7 @@ class ArtifactStore:
                 path.unlink()
             except OSError:
                 continue
+            self._forget_key(path.stem)
             total -= size
             evicted += 1
         if evicted:

@@ -546,8 +546,10 @@ class CompileServer(FrontEnd):
                 elapsed=round(time.monotonic() - enqueued_at, 6),
             )
         except ReproError as exc:
+            # A bench request is classified like a simulate request:
+            # both run what the request names, so a bad input is fatal.
             cls = classify_failure(
-                exc, "simulate" if op == "simulate" else "compile"
+                exc, "compile" if op == "compile" else "simulate"
             )
             self.stats.bump("errors")
             return protocol.make_response(
@@ -730,7 +732,9 @@ class CompileServer(FrontEnd):
             raise ReproError(
                 f"unknown variant {variant!r}; known: {', '.join(COLUMNS)}"
             )
-        size = int(request.get("size", 16))
+        size = request.get("size", 16)
+        if type(size) is not int or size < 1:
+            raise ReproError(f"bad size {size!r}: want an integer >= 1")
         result = run_benchmark(
             request["program"],
             request.get("machine", "alpha"),

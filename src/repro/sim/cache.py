@@ -13,20 +13,19 @@ Two unrelated kinds of cache live here:
 
 * :class:`BlockCache` is a host-side translation cache for the
   block-compiling simulator backend (:mod:`repro.sim.translate`): it
-  maps a basic block's *fingerprint* — a digest of the specialized
-  Python source the translator emits for it, which captures the machine
-  word model, endianness, the exact instruction sequence and the
-  accounting configuration — to the compiled code object, so a block is
-  lowered to CPython bytecode at most once per process no matter how
-  many engines, benchmark cells or repeated compiles execute it.
+  maps a closure's *structural key* — its RTL and the engine's
+  accounting configuration, exactly what the translator reads (see
+  ``CompiledEngine._closure_key``) — to the compiled code object, so a
+  closure is emitted and lowered to CPython bytecode at most once per
+  process no matter how many engines, benchmark cells or repeated
+  compiles execute it.
 """
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Optional
+from typing import Dict, Hashable, List, Optional
 
 from repro.machine.machine import CacheGeometry
 
@@ -122,16 +121,18 @@ class CellCountedCache(DirectMappedCache):
 
 
 class BlockCache:
-    """LRU cache of compiled block code objects, keyed by fingerprint.
+    """LRU cache of compiled closures, keyed by structural key.
 
-    The fingerprint is a content hash of the generated block source, so
-    two blocks share an entry exactly when their specialized closures
-    would be byte-identical: same machine word model and endianness,
-    same instruction sequence, same number of I-cache line probes, same
-    accounting configuration (caches on/off, cancel probe present).
-    Everything that varies between instantiations — counter cells,
-    I-cache line addresses, global addresses, successor closures — is
-    bound through the closure's namespace, never baked into the code.
+    The compiled engine's key holds a closure's RTL (registers by
+    index, constants by value, labels and globals by number) and the
+    engine's accounting configuration (word model and endianness,
+    D-cache geometry, caches and cancel probe on or off, memoryview
+    widths), so two closures share an entry exactly when their emitted
+    sources would be byte-identical.  Everything that varies between
+    instantiations — counter cells, I-cache line addresses, global
+    addresses, successor closures — is bound through the closure's
+    namespace, never baked into the code.  The cache does not look
+    inside keys or entries.
 
     Thread-safe: the compile service translates from worker threads.
     ``invalidations`` counts entries dropped for any reason (explicit
@@ -143,38 +144,33 @@ class BlockCache:
             raise ValueError("block cache capacity must be >= 1")
         self.capacity = capacity
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[str, object]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
 
-    @staticmethod
-    def fingerprint(source: str) -> str:
-        """Content hash of one block's generated Python source."""
-        return hashlib.sha256(source.encode()).hexdigest()
-
-    def get(self, fingerprint: str) -> Optional[object]:
+    def get(self, key: Hashable) -> Optional[object]:
         with self._lock:
-            code = self._entries.get(fingerprint)
-            if code is not None:
-                self._entries.move_to_end(fingerprint)
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
                 self.hits += 1
             else:
                 self.misses += 1
-            return code
+            return entry
 
-    def put(self, fingerprint: str, code: object) -> None:
+    def put(self, key: Hashable, entry: object) -> None:
         with self._lock:
-            self._entries[fingerprint] = code
-            self._entries.move_to_end(fingerprint)
+            self._entries[key] = entry
+            self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.invalidations += 1
 
-    def invalidate(self, fingerprint: str) -> bool:
+    def invalidate(self, key: Hashable) -> bool:
         """Drop one entry; returns whether it was present."""
         with self._lock:
-            present = self._entries.pop(fingerprint, None) is not None
+            present = self._entries.pop(key, None) is not None
             if present:
                 self.invalidations += 1
             return present
@@ -191,9 +187,9 @@ class BlockCache:
         with self._lock:
             return len(self._entries)
 
-    def __contains__(self, fingerprint: str) -> bool:
+    def __contains__(self, key: Hashable) -> bool:
         with self._lock:
-            return fingerprint in self._entries
+            return key in self._entries
 
     def stats(self) -> Dict[str, int]:
         with self._lock:

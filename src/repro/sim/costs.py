@@ -74,10 +74,13 @@ def cycle_report(
     dcache: Optional[DirectMappedCache] = None,
     block_cycle_table: Optional[Dict[Tuple[str, str], int]] = None,
 ) -> CycleReport:
-    """Convert dynamic counts into a :class:`CycleReport`."""
+    """Convert dynamic counts into a :class:`CycleReport`.
+
+    Without a ``block_cycle_table`` only the blocks that executed (the
+    keys of ``stats.block_counts``) are priced."""
     table = block_cycle_table
     if table is None:
-        table = module_block_cycles(module, machine)
+        table = module_block_cycles(module, machine, stats.block_counts)
     base = 0
     for key, count in stats.block_counts.items():
         base += count * table[key]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 import struct
+import weakref
 from typing import Dict, Optional, Sequence
 
 from repro.errors import SimulationError
@@ -68,6 +69,10 @@ class Simulator:
     direct-threaded engine, bit-identical on all accounted quantities).
     When it is not given the ``REPRO_SIM_BACKEND`` environment default
     applies.
+
+    A compiled engine lives as long as its Simulator: dropping the
+    Simulator closes the engine (:meth:`CompiledEngine.close`), which
+    frees the memory arena at once.
 
     The compiled backend silently degrades to the interpreter whenever
     observation hooks are installed (``fault_hook``/``trace_hook``) or
@@ -140,6 +145,10 @@ class Simulator:
                     cancel=cancel,
                     block_cache=block_cache,
                 )
+            # The engine's closures refer to each other in cycles:
+            # closing it when this Simulator goes frees the arena at
+            # once instead of whenever the cyclic GC runs.
+            weakref.finalize(self, self.engine.close).atexit = False
         else:
             raise SimulationError(
                 f"unknown simulator backend {resolved!r} "

@@ -12,17 +12,22 @@ over the same programs.
 :class:`CompiledEngine` lowers each *basic block* once into a
 straight-line closure with operand accessors resolved and memory/cache
 accounting inlined at translate time, caches the compiled closure by
-fingerprint in :class:`repro.sim.cache.BlockCache`, and dispatches
+structural key in :class:`repro.sim.cache.BlockCache`, and dispatches
 block-to-block with a direct-threaded loop: each closure returns its
 successor's closure, so the driver never consults a label table.
 
 First entry: building an engine registers every block (its counter,
 static mix and I-cache lines) and every closure, whose record stands in
-for it until then.  A closure is emitted, fingerprinted and compiled
-only when control first enters it (or
-:meth:`CompiledEngine.block_source` asks for it), and is then rebound
-wherever its stand-in was referenced, so loop versions, checks and
-epilogues a run never enters cost nothing.
+for it until then.  A closure is keyed, fetched from the cache (or, on
+a miss, emitted and compiled) and bound only when control first enters
+it (or :meth:`CompiledEngine.block_source` asks for it), and is then
+rebound wherever its stand-in was referenced, so loop versions, checks
+and epilogues a run never enters cost nothing.
+
+Structural key: a closure's :class:`~repro.sim.cache.BlockCache` key is
+built from exactly what :class:`_BlockTranslator` reads (see
+:meth:`CompiledEngine._closure_key`), so equal keys emit equal source
+and a hit binds the cached code without emitting anything.
 
 Loop chains: a loop header H that reaches itself through
 H -> B1 -> ... -> Bk -> H, where every Bi's only predecessor is B(i-1)
@@ -174,6 +179,107 @@ def _derive_stats(keys, counts, mixes) -> RunStats:
     return stats
 
 
+#: BinOp/UnOp operations whose emitted expression masks to, shifts
+#: within or sign-extends over the machine word.
+_WORD_OPS = frozenset({
+    "add", "sub", "mul", "shl", "shrl", "shra",
+    "neg", "not", "sext1", "sext2", "sext4",
+})
+
+
+class _KeyBuilder:
+    """Builds one closure's BlockCache key from exactly what
+    :class:`_BlockTranslator` reads (see
+    :meth:`CompiledEngine._closure_key`).
+
+    Per instruction: its class and fields, with registers by index,
+    constants by their word-masked value (the text the translator
+    emits), branch targets and global names by their number in
+    :attr:`labels`/:attr:`names` (numbered on first reference, the
+    members' own labels first), frame slots by index and call targets by
+    name.  A memory access also records whether its width has a
+    memoryview.  The machine's word size, its endianness and the D-cache
+    geometry enter the key only if some instruction's emission reads
+    them (:attr:`word`, :attr:`endian`, :attr:`memory`), so a closure
+    whose source is the same on every machine keys the same too."""
+
+    def __init__(self, engine: "CompiledEngine", func: Function,
+                 members: List):
+        self.mask = engine.machine.word_mask
+        self.word_bytes = engine.machine.word_bytes
+        self.mviews = engine._mviews
+        self.func = func
+        self.labels = {member.label: j for j, member in enumerate(members)}
+        self.names: Dict[str, int] = {}
+        self.word = self.endian = self.memory = False
+
+    def operand(self, op: Operand):
+        """A register as its index, a constant as a 1-tuple of its
+        word-masked value."""
+        return op.index if type(op) is Reg else (op.value & self.mask,)
+
+    def label(self, label: str) -> int:
+        labels = self.labels
+        return labels.setdefault(label, len(labels))
+
+    def instr(self, instr) -> tuple:
+        operand = self.operand
+        kind = type(instr)
+        if kind is BinOp:
+            self.word |= instr.op in _WORD_OPS
+            return (kind, instr.op, instr.dst.index, operand(instr.a),
+                    operand(instr.b))
+        if kind is Load:
+            width = instr.width
+            narrow_signed = instr.signed and width < self.word_bytes
+            self.word |= instr.unaligned or instr.disp != 0 or narrow_signed
+            self.memory = True
+            return (kind, instr.dst.index, instr.base.index, instr.disp,
+                    width, narrow_signed, instr.unaligned,
+                    width in self.mviews)
+        if kind is Mov:
+            return (kind, instr.dst.index, operand(instr.src))
+        if kind is Store:
+            width = instr.width
+            self.word |= instr.unaligned or instr.disp != 0
+            self.memory = True
+            return (kind, instr.base.index, instr.disp, operand(instr.src),
+                    width, width == self.word_bytes, instr.unaligned,
+                    width in self.mviews)
+        if kind is CondJump:
+            self.word |= instr.rel in _SIGNED_RELS
+            return (kind, instr.rel, operand(instr.a), operand(instr.b),
+                    self.label(instr.iftrue), self.label(instr.iffalse))
+        if kind is Jump:
+            return (kind, self.label(instr.target))
+        if kind is Extract:
+            self.word = self.endian = True
+            return (kind, instr.dst.index, instr.src.index,
+                    operand(instr.pos), instr.width, instr.signed)
+        if kind is Insert:
+            self.word = self.endian = True
+            return (kind, instr.dst.index, operand(instr.acc),
+                    operand(instr.src), operand(instr.pos), instr.width)
+        if kind is UnOp:
+            self.word |= instr.op in _WORD_OPS
+            return (kind, instr.op, instr.dst.index, operand(instr.a))
+        if kind is Ret:
+            value = instr.value
+            return (kind, None if value is None else operand(value))
+        if kind is GlobalAddr:
+            names = self.names
+            return (kind, instr.dst.index,
+                    names.setdefault(instr.name, len(names)))
+        if kind is FrameAddr:
+            slots = {slot: i for i, slot in enumerate(self.func.frame_slots)}
+            return (kind, instr.dst.index, slots.get(instr.slot, instr.slot))
+        if kind is Call:
+            self.word |= instr.dst is not None
+            return (kind, None if instr.dst is None else instr.dst.index,
+                    instr.func, tuple(operand(a) for a in instr.args))
+        raise SimulationError(f"cannot translate {kind.__name__}")
+
+
 def loop_chains(func: Function) -> Dict[str, List]:
     """The loop chains of ``func``: header label -> ``[H, B1, ..., Bk]``.
 
@@ -273,9 +379,10 @@ class _BlockTranslator:
     block ``j``'s execution-counter cell ``_n{j}``, label ``_BL{j}`` and
     I-cache lines ``_ln{j}_{i}``/``_li{j}_{i}``, global addresses
     ``_gN``, successor closures ``_sN``, the function name ``_FN`` — is
-    bound through the exec namespace, so the emitted source (and
-    therefore the :class:`~repro.sim.cache.BlockCache` fingerprint) is
-    shared by every structurally identical closure.
+    bound through the exec namespace, so the emitted source is shared
+    by every structurally identical closure.  What the emission does
+    read is what :meth:`CompiledEngine._closure_key` puts in the
+    :class:`~repro.sim.cache.BlockCache` key.
     """
 
     def __init__(self, blocks, func: Function, engine: "CompiledEngine",
@@ -638,25 +745,6 @@ class _BlockTranslator:
             self._translate_block()
         return "\n".join(self.lines)
 
-    def _resident_icache(self) -> bool:
-        """Do the chain's I-cache lines stay resident for a whole entry?
-
-        When its distinct lines map to distinct tag slots and nothing
-        else runs between iterations (chains hold no calls), a line once
-        probed in an entry stays in the cache until the entry ends, so
-        every later probe of it is a hit, and hits are derived.  Each
-        block then probes its lines only on its first execution per
-        entry.  A chain whose lines collide in a slot (or that is bigger
-        than the whole I-cache) probes every block every iteration."""
-        icache = self.engine.icache
-        if icache is None:
-            return False
-        lines = set()
-        for block in self.blocks:
-            lines.update(self.engine.block_lines(self.func.name, block.label))
-        slots = {line // icache.line_bytes % icache.lines for line in lines}
-        return len(slots) == len(lines)
-
     def _translate_chain(self) -> None:
         """A loop chain as one ``while True``: registers, block counts
         and the step count stay in locals across iterations and the
@@ -665,7 +753,7 @@ class _BlockTranslator:
         interpreter's order, so all counts stay bit-identical."""
         count = len(self.blocks)
         self._emit_fill(1, self._fill_registers())
-        resident = self._resident_icache()
+        resident = self.engine.resident_lines(self.func.name, self.blocks)
         if resident:
             # The header's first execution is the entry itself.
             self._emit_icache_probes(1, 0)
@@ -845,7 +933,7 @@ class _Closure:
     allocates for it."""
 
     __slots__ = ("engine", "func", "head", "chain", "table", "run",
-                 "referrers", "source", "fingerprint")
+                 "referrers")
 
     def __init__(self, engine: "CompiledEngine", func: Function, head,
                  chain: Optional[List], table: Dict[str, object]):
@@ -860,8 +948,6 @@ class _Closure:
         self.run = None
         #: (namespace, variable) pairs still bound to this object
         self.referrers: Optional[List[Tuple[Dict, str]]] = None
-        self.source: Optional[str] = None
-        self.fingerprint: Optional[str] = None
 
     @property
     def members(self) -> List:
@@ -877,7 +963,7 @@ class CompiledEngine:
     Each basic block is lowered once into a straight-line closure, and
     each loop chain (:func:`loop_chains`) into one looping closure (see
     :class:`_BlockTranslator`); compiled CPython code objects are cached
-    process-wide by source fingerprint in a
+    process-wide by structural key (:meth:`_closure_key`) in a
     :class:`~repro.sim.cache.BlockCache`, and per-function drivers
     dispatch closure-to-closure by calling whatever closure the previous
     one returned — no label table, no per-instruction dispatch.  A
@@ -898,6 +984,12 @@ class CompiledEngine:
     mid-flight, derived instruction/load/store totals still count the
     whole aborted block (the interpreter counts up to the faulting
     instruction).  Successful runs are exact.
+
+    The translated closures, their namespaces and the closure tables
+    refer to each other in cycles, so an engine left alone is freed by
+    the cyclic GC.  :meth:`close` breaks the cycles; a :class:`~repro.sim.Simulator`
+    calls it when it is dropped, and nothing an engine holds refers to
+    its Simulator.
     """
 
     def __init__(
@@ -941,7 +1033,7 @@ class CompiledEngine:
         # the target's byte order matches the host's (the views are
         # host-endian by definition); other targets go through the
         # machine-endian struct accessors bound in _environment.
-        self._mviews: Dict[int, object] = {}
+        self._mviews: Dict[int, memoryview] = {}
         if machine.endian == sys.byteorder:
             flat = memoryview(self.memory.data)
             for width, code in ((2, "H"), (4, "I"), (8, "Q")):
@@ -957,6 +1049,9 @@ class CompiledEngine:
         #: (function, label) -> the closure that runs the block
         self._closures: Dict[Tuple[str, str], _Closure] = {}
         self._drivers: Dict[str, object] = {}
+        #: the exec namespace of every closure translated so far
+        self._namespaces: List[Dict[str, object]] = []
+        self._closed = False
         #: translation-cache traffic attributable to this engine
         self.blocks_translated = 0
         self.block_cache_hits = 0
@@ -964,51 +1059,81 @@ class CompiledEngine:
         for func in module:
             self._register_function(func)
         if self.icache is not None:
-            self.icache.derive_hits = self._icache_probe_total
-            self.dcache.derive_hits = self._dcache_probe_total
+            # Closures over the tables, not bound methods: the caches
+            # must not refer back to the engine.
+            cells, line_counts = self._cells, self._block_line_counts
+            mixes = self._block_mix
+            self.icache.derive_hits = lambda: sum(
+                cell[0] * lines
+                for cell, lines in zip(cells.values(), line_counts)
+            )
+            self.dcache.derive_hits = lambda: sum(
+                cell[0] * (mix[1] + mix[2])
+                for cell, mix in zip(cells.values(), mixes)
+            )
 
     # -- layout & registration ----------------------------------------------
     def block_lines(self, func_name: str, label: str) -> List[int]:
         return self._lines[(func_name, label)]
 
+    def _check_open(self) -> None:
+        if self._closed:
+            raise SimulationError(
+                "compiled engine is closed: its Simulator was dropped"
+            )
+
+    def _closure_of(self, func_name: str, label: str) -> _Closure:
+        self._check_open()
+        return self._closures[(func_name, label)]
+
     def block_source(self, func_name: str, label: str) -> str:
         """Generated Python source of the closure that runs one block:
         its own, or its loop chain's (debugging/tests).  Translates the
-        closure if control has not entered it yet."""
-        closure = self._closures[(func_name, label)]
+        closure if control has not entered it yet, then emits its source
+        afresh (a cache hit emits nothing)."""
+        closure = self._closure_of(func_name, label)
         self._translate(closure)
-        return closure.source
+        return _BlockTranslator(
+            closure.members, closure.func, self,
+            loop=closure.chain is not None,
+        ).translate()
 
-    def block_fingerprint(self, func_name: str, label: str) -> str:
-        closure = self._closures[(func_name, label)]
-        self._translate(closure)
-        return closure.fingerprint
+    def block_key(self, func_name: str, label: str) -> tuple:
+        """The :class:`~repro.sim.cache.BlockCache` key of the closure
+        that runs one block (see :meth:`_closure_key`)."""
+        closure = self._closure_of(func_name, label)
+        return self._closure_key(closure.func, closure.members,
+                                 closure.chain is not None)[0]
 
     def mem_view(self, width: int):
         """Host-endian memoryview cast for ``width``, or None."""
         return self._mviews.get(width)
+
+    def resident_lines(self, func_name: str, blocks) -> bool:
+        """Do a loop chain's I-cache lines stay resident for a whole
+        entry?
+
+        When its distinct lines map to distinct tag slots and nothing
+        else runs between iterations (chains hold no calls), a line once
+        probed in an entry stays in the cache until the entry ends, so
+        every later probe of it is a hit, and hits are derived.  Each
+        block then probes its lines only on its first execution per
+        entry.  A chain whose lines collide in a slot (or that is bigger
+        than the whole I-cache) probes every block every iteration."""
+        icache = self.icache
+        if icache is None:
+            return False
+        lines = set()
+        for block in blocks:
+            lines.update(self._lines[(func_name, block.label)])
+        slots = {line // icache.line_bytes % icache.lines for line in lines}
+        return len(slots) == len(lines)
 
     def _register_block(self, func_name: str, block) -> None:
         key = (func_name, block.label)
         self._cells[key] = [0]
         self._block_mix.append(_static_block_mix(block))
         self._block_line_counts.append(len(self._lines[key]))
-
-    def _icache_probe_total(self) -> int:
-        """Probes issued so far: every execution touches every line."""
-        return sum(
-            cell[0] * lines
-            for cell, lines in zip(
-                self._cells.values(), self._block_line_counts
-            )
-        )
-
-    def _dcache_probe_total(self) -> int:
-        """Probes issued so far: one per executed load or store."""
-        return sum(
-            cell[0] * (mix[1] + mix[2])
-            for cell, mix in zip(self._cells.values(), self._block_mix)
-        )
 
     def _register_function(self, func: Function) -> None:
         """Register every block of ``func`` and each of its closures, to
@@ -1066,26 +1191,79 @@ class CompiledEngine:
             })
         return environment
 
+    def _closure_key(self, func: Function, members: List,
+                     loop: bool) -> Tuple[tuple, Dict[str, int],
+                                          Dict[str, int]]:
+        """The BlockCache key of one closure, with the numbering of its
+        labels and global names: ``(key, labels, names)``.
+
+        The key holds exactly what :class:`_BlockTranslator` reads, so
+        two closures with equal keys emit equal source:
+
+        * whether the I-cache probes and the cancel probe are emitted;
+        * the loop flag and the resident-lines verdict;
+        * per member block, its instruction count and (with the I-cache
+          on) its I-cache line count;
+        * per instruction, what :class:`_KeyBuilder` records;
+        * the word size, endianness and D-cache geometry, each where an
+          instruction's emission reads it.
+
+        What the source leaves to the namespace (counter cells, labels,
+        line numbers, addresses, successor closures) is left out, so
+        structurally identical closures of different functions, modules
+        and engines share one entry."""
+        builder = _KeyBuilder(self, func, members)
+        icache = self.icache is not None
+        parts: List[object] = [
+            icache, self.cancel is not None, loop,
+            loop and self.resident_lines(func.name, members),
+        ]
+        for member in members:
+            instrs = member.instrs
+            parts.append(len(instrs))
+            if icache:
+                parts.append(len(self._lines[(func.name, member.label)]))
+            for instr in instrs:
+                parts.append(builder.instr(instr))
+        machine = self.machine
+        parts.append(machine.word_bytes if builder.word else None)
+        parts.append(machine.endian if builder.endian else None)
+        dcache = self.dcache
+        parts.append(
+            (dcache.line_bytes, dcache.lines)
+            if builder.memory and dcache is not None else None
+        )
+        return tuple(parts), builder.labels, builder.names
+
     def _translate(self, closure: _Closure):
-        """Emit, fingerprint, compile (or fetch from the BlockCache) and
-        bind ``closure`` once, then rebind it wherever its record stood
-        in for it; returns the translated closure."""
+        """Key ``closure``, fetch its code from the BlockCache (emitting
+        and compiling it on a miss), bind it once, then rebind it
+        wherever its record stood in for it; returns the translated
+        closure."""
         if closure.run is not None:
             return closure.run
         with span("sim.translate"):
             func, members = closure.func, closure.members
-            translator = _BlockTranslator(
-                members, func, self, loop=closure.chain is not None
-            )
-            source = translator.translate()
-            fingerprint = BlockCache.fingerprint(source)
-            code = self.block_cache.get(fingerprint)
-            if code is None:
-                code = compile(source, "<rtl-block>", "exec")
-                self.block_cache.put(fingerprint, code)
+            loop = closure.chain is not None
+            key, labels, names = self._closure_key(func, members, loop)
+            entry = self.block_cache.get(key)
+            if entry is None:
+                translator = _BlockTranslator(members, func, self, loop=loop)
+                code = compile(translator.translate(), "<rtl-block>", "exec")
+                # The variables bind in emission order: _sI and _gI name
+                # the labels and globals numbered here.
+                entry = (
+                    code,
+                    tuple(labels[label]
+                          for label in translator.successors.values()),
+                    tuple(names[name]
+                          for name in translator.globals_used.values()),
+                )
+                self.block_cache.put(key, entry)
                 self.blocks_translated += len(members)
             else:
                 self.block_cache_hits += len(members)
+            code, successors, global_names = entry
             namespace = dict(self._environment)
             namespace["_FN"] = func.name
             for j, member in enumerate(members):
@@ -1099,17 +1277,21 @@ class CompiledEngine:
                         line_no = line // line_bytes
                         namespace[f"_ln{j}_{i}"] = line_no
                         namespace[f"_li{j}_{i}"] = line_no % cache_lines
-            for var, name in translator.globals_used.items():
-                namespace[var] = self.global_addrs[name]
+            if global_names:
+                by_number = list(names)
+                for i, number in enumerate(global_names):
+                    namespace[f"_g{i}"] = self.global_addrs[by_number[number]]
             exec(code, namespace)  # noqa: S102 - our own generated code
+            self._namespaces.append(namespace)
             run = closure.run = namespace["_blk"]
-            closure.source, closure.fingerprint = source, fingerprint
             table = closure.table
             table[members[0].label] = run
             # Successors bind to whatever stands for them now; one not
             # yet translated is rebound when it is.
-            for var, label in translator.successors.items():
-                namespace[var] = target = table[label]
+            by_number = list(labels)
+            for i, number in enumerate(successors):
+                var = f"_s{i}"
+                namespace[var] = target = table[by_number[number]]
                 if type(target) is _Closure:
                     if target.referrers is None:
                         target.referrers = []
@@ -1146,6 +1328,32 @@ class CompiledEngine:
 
         return _driver
 
+    def close(self) -> None:
+        """Break the engine's reference cycles and let go of its memory.
+
+        Clears every translated closure's namespace, the closure tables
+        and the per-function entry points, and releases the memoryview
+        casts, so the arena is freed as soon as the last reference to its
+        :class:`~repro.sim.memory.SimMemory` goes, without waiting for
+        the cyclic GC.  The counts stay readable; running, translating
+        or keying raises :class:`SimulationError` afterwards."""
+        if self._closed:
+            return
+        self._closed = True
+        for namespace in self._namespaces:
+            namespace.clear()
+        self._namespaces.clear()
+        for closure in self._closures.values():
+            closure.table.clear()
+            closure.run = closure.referrers = None
+        self._closures.clear()
+        self._drivers.clear()
+        self._environment.clear()
+        for view in self._mviews.values():
+            view.release()
+        self._mviews.clear()
+        self.memory = None
+
     # -- public API ----------------------------------------------------------
     @property
     def stats(self) -> RunStats:
@@ -1167,6 +1375,7 @@ class CompiledEngine:
     def call(self, name: str, *args: int):
         driver = self._drivers.get(name)
         if driver is None:
+            self._check_open()
             raise SimulationError(f"no function {name!r}")
         func = self.module.function(name)
         if len(args) != len(func.params):
@@ -1175,4 +1384,3 @@ class CompiledEngine:
             )
         mask = self.machine.word_mask
         return driver(*[a & mask for a in args])
-

@@ -119,6 +119,30 @@ class TestLinkOnce:
 
 
 # -- the lease protocol ------------------------------------------------------
+class TestKeyLock:
+    def test_a_waiter_relocks_a_lock_file_unlinked_under_it(self, tmp_path):
+        # The waiter opens the lock file and blocks in flock; the holder
+        # unlinks the file (as a dropped key's last user does) and lets
+        # go.  The waiter must end up holding the file at the path, not
+        # the unlinked inode a newcomer could no longer contend for.
+        store = make_store(tmp_path)
+        store.directory.mkdir(parents=True)
+        path = store.lock_path(KEY)
+        seen = {}
+
+        def waiter():
+            with store._key_lock(KEY):
+                seen["at_path"] = path.exists()
+
+        with store._key_lock(KEY):
+            thread = threading.Thread(target=waiter)
+            thread.start()
+            time.sleep(0.2)  # let the waiter open the file and block
+            os.unlink(path)
+        thread.join(timeout=5)
+        assert seen == {"at_path": True}
+
+
 class TestLeases:
     def test_acquire_is_exclusive(self, tmp_path):
         store = make_store(tmp_path)

@@ -339,6 +339,26 @@ class TestSizeCap:
         assert store.artifact_path("a").exists()   # recently used: kept
         assert not store.artifact_path("b").exists()  # LRU victim
 
+    def test_lock_files_go_with_their_artifacts(self, tmp_path):
+        size = self.entry_bytes(tmp_path)
+        store = ArtifactStore(tmp_path / "c", max_bytes=2 * size + size // 2)
+        for index, tag in enumerate("abcde"):
+            put(store, tag, payload_for(tag))
+            os.utime(store.artifact_path(tag), (1000 + index, 1000 + index))
+
+        def stems(pattern):
+            return sorted(path.stem
+                          for path in store.directory.glob(pattern))
+
+        held = store.acquire("held")  # a live lease keeps its lock
+        assert stems("*.json") == ["d", "e"]
+        assert stems("*.lock") == ["d", "e", "held"]
+        held.release()  # nothing was published under it
+        assert stems("*.lock") == ["d", "e"]
+        for tag in ("d", "e"):
+            store.drop(tag, "test says so")
+        assert stems("*.lock") == []
+
     def test_unbounded_cache_never_evicts(self, tmp_path):
         store = ArtifactStore(tmp_path, max_bytes=None)
         for index in range(8):

@@ -132,6 +132,23 @@ def test_tables_rejects_an_unknown_machine(unmeasured_tables, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["tables", "bench", "simdiff",
+                                     "submit"])
+@pytest.mark.parametrize("size, complaint", [
+    ("0", "must be at least 1, got 0"),
+    ("-3", "must be at least 1, got -3"),
+    ("x", "invalid int value: 'x'"),
+])
+def test_size_below_one_is_rejected(command, size, complaint,
+                                    unmeasured_tables, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--size", size])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument --size: {complaint}" in captured.err
+    assert captured.out == ""
+
+
 def test_tables_output_mismatch_exits_1(monkeypatch, capsys):
     from repro.bench import tables
     from repro.bench.harness import BenchResult

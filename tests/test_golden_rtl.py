@@ -15,13 +15,14 @@ and explains every changed cell in CHANGES.md.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from pathlib import Path
 from typing import Dict, Iterator, Tuple
 
 from repro.bench.harness import COLUMN_CONFIGS, COLUMNS, machine_overrides
 from repro.bench.programs import BENCHMARKS
-from repro.ir import format_module
+from repro.ir import format_module, parse_module
 from repro.pipeline import compile_minic
 
 TABLE = Path(__file__).resolve().parent / "data" / "golden_rtl.txt"
@@ -38,8 +39,11 @@ HEADER = """\
 """
 
 
-def cell_digests() -> Iterator[Tuple[str, str]]:
-    """``("<program> <machine> <column>", digest)`` for every cell."""
+@functools.lru_cache(maxsize=1)
+def cell_texts() -> Tuple[Tuple[str, str], ...]:
+    """``("<program> <machine> <column>", RTL text)`` for every cell,
+    compiled once per process (the simulator tests reuse the texts)."""
+    texts = []
     for machine in MACHINES:
         for column in COLUMNS:
             preset, overrides = COLUMN_CONFIGS[column]
@@ -50,9 +54,15 @@ def cell_digests() -> Iterator[Tuple[str, str]]:
                     compile_minic(bench.source, machine, preset,
                                   **merged).module
                 )
-                digest = hashlib.sha256(text.encode()).hexdigest()
-                yield (f"{program} {machine} {column}",
-                       digest[:DIGEST_CHARS])
+                texts.append((f"{program} {machine} {column}", text))
+    return tuple(texts)
+
+
+def cell_digests() -> Iterator[Tuple[str, str]]:
+    """``("<program> <machine> <column>", digest)`` for every cell."""
+    for cell, text in cell_texts():
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        yield cell, digest[:DIGEST_CHARS]
 
 
 def read_table(path: Path = TABLE) -> Dict[str, str]:
@@ -74,6 +84,12 @@ def test_every_cell_prints_its_golden_rtl():
     assert not changed, (
         f"RTL changed in {len(changed)} cell(s): {', '.join(changed)}"
     )
+
+
+def test_every_cell_round_trips_through_the_parser():
+    # Revival and pass snapshots parse what format_module printed.
+    for cell, text in cell_texts():
+        assert format_module(parse_module(text)) == text, cell
 
 
 def main() -> None:

@@ -409,6 +409,22 @@ class TestServerBasics:
             assert complaint in response["error"], response
         assert server.cache.stats()["misses"] == 0  # no compile lookup
 
+    def test_bench_size_below_one_is_rejected_before_any_work(
+        self, service
+    ):
+        server = service()
+        client = client_for(server)
+        for size in (0, -4, "16", True, 2.5):
+            response = client.request(
+                "bench", program="image_add", size=size,
+            )
+            assert response["status"] == "error", response
+            assert response["error_type"] == "ReproError", response
+            assert response["classification"] == "fatal", response
+            assert response["retryable"] is False
+            assert f"bad size {size!r}" in response["error"], response
+        assert server.cache.stats()["misses"] == 0  # no compile lookup
+
     def test_parse_error_is_fatal_not_retryable(self, service):
         server = service()
         client = client_for(server)

@@ -1,10 +1,14 @@
 """The block-compiling ``compiled`` simulator backend.
 
-Four concerns, mirroring the ISSUE's parity contract:
+Five concerns:
 
-* the fingerprint-keyed :class:`BlockCache` (hits, invalidations, LRU
-  eviction, cross-engine reuse) and first-entry translation (a closure
-  control never enters is never emitted or compiled);
+* the :class:`BlockCache` (hits, invalidations, LRU eviction,
+  cross-engine reuse), its structural key (equal keys emit equal
+  source, over the whole quick matrix) and first-entry translation (a
+  closure control never enters is never emitted or compiled);
+* an engine's lifetime (dropping its Simulator frees the arena without
+  the cyclic GC) and the cycle report, which prices only the blocks
+  that executed;
 * the runner's fallback policy — hooks and ``REPRO_FAULTS`` silently
   route a ``compiled`` request to the interpreter, recorded in
   ``backend_requested``/``backend``/``fallback_reason``;
@@ -24,6 +28,7 @@ import pytest
 from repro.bench import runner as bench_runner
 from repro.bench.harness import run_benchmark
 from repro.bench.programs import get_benchmark
+from repro.bench.workloads import make_plan
 from repro.errors import DeadlineExceeded, SimulationError, SimulationTimeout
 from repro.ir import parse_module
 from repro.machine import get_machine
@@ -33,6 +38,7 @@ from repro.sanitize.differential import BUFFER_BYTES, make_fixtures
 from repro.sim import Simulator, default_sim_backend
 from repro.sim.cache import BlockCache
 from repro.sim.interp import Interpreter
+from repro.sim.plan import check as check_plan, run_plan
 from repro.sim.translate import CompiledEngine, loop_chains
 
 LOOP_TEXT = (
@@ -57,20 +63,14 @@ def _compiled_engine(text, machine_name="alpha", **kwargs):
 
 
 class TestBlockCache:
-    def test_fingerprint_is_content_hash(self):
-        a = BlockCache.fingerprint("x = 1\n")
-        assert a == BlockCache.fingerprint("x = 1\n")
-        assert a != BlockCache.fingerprint("x = 2\n")
-        assert len(a) == 64
-
     def test_hit_and_miss_counters(self):
         cache = BlockCache()
-        fp = BlockCache.fingerprint("x = 1\n")
-        assert cache.get(fp) is None
+        key = ("x", 1)
+        assert cache.get(key) is None
         code = compile("x = 1\n", "<blk>", "exec")
-        cache.put(fp, code)
-        assert cache.get(fp) is code
-        assert fp in cache and len(cache) == 1
+        cache.put(key, code)
+        assert cache.get(key) is code
+        assert key in cache and len(cache) == 1
         assert cache.stats() == {
             "entries": 1, "capacity": cache.capacity,
             "hits": 1, "misses": 1, "invalidations": 0,
@@ -78,20 +78,20 @@ class TestBlockCache:
 
     def test_invalidate_and_clear(self):
         cache = BlockCache()
-        fp = BlockCache.fingerprint("y = 2\n")
-        cache.put(fp, object())
-        assert cache.invalidate(fp) is True
-        assert cache.invalidate(fp) is False
-        assert cache.get(fp) is None
-        cache.put(fp, object())
-        cache.put(BlockCache.fingerprint("z = 3\n"), object())
+        key = ("y", 2)
+        cache.put(key, object())
+        assert cache.invalidate(key) is True
+        assert cache.invalidate(key) is False
+        assert cache.get(key) is None
+        cache.put(key, object())
+        cache.put(("z", 3), object())
         assert cache.clear() == 2
         assert len(cache) == 0
         assert cache.invalidations == 3
 
     def test_lru_eviction(self):
         cache = BlockCache(capacity=2)
-        fps = [BlockCache.fingerprint(f"v = {i}\n") for i in range(3)]
+        fps = [("v", i) for i in range(3)]
         cache.put(fps[0], "a")
         cache.put(fps[1], "b")
         cache.get(fps[0])  # freshen: fps[1] is now the LRU victim
@@ -129,35 +129,56 @@ class TestTranslationCache:
             "blocks": 3, "translated": 0, "cache_hits": 3,
         }
 
-    def test_fingerprint_matches_generated_source(self):
-        engine = _compiled_engine(FIB_TEXT, block_cache=BlockCache())
-        source = engine.block_source("fib", "rec")
-        assert engine.block_fingerprint("fib", "rec") == \
-            BlockCache.fingerprint(source)
+    def test_equal_keys_emit_equal_source(self):
+        # Labels are bound through the namespace, so a relabelled copy
+        # of fib shares every key (and a hit binds its own successors);
+        # a changed constant does not.
+        cache = BlockCache()
+        engine = _compiled_engine(FIB_TEXT, block_cache=cache)
+        assert engine.call("fib", 10) == 55
+        relabelled = FIB_TEXT.replace("base", "leaf").replace("rec", "walk")
+        twin = _compiled_engine(relabelled, block_cache=cache)
+        for label, twin_label in (("entry", "entry"), ("base", "leaf"),
+                                  ("rec", "walk")):
+            key = engine.block_key("fib", label)
+            assert isinstance(key, tuple) and key in cache
+            assert twin.block_key("fib", twin_label) == key
+            assert twin.block_source("fib", twin_label) == (
+                engine.block_source("fib", label))
+        assert twin.call("fib", 10) == 55
+        assert twin.translation_stats() == {
+            "blocks": 3, "translated": 0, "cache_hits": 3,
+        }
+        changed = _compiled_engine(
+            FIB_TEXT.replace("sub r0, 2", "sub r0, 3"), block_cache=cache
+        )
+        assert changed.block_key("fib", "rec") != engine.block_key(
+            "fib", "rec")
 
     def test_invalidation_forces_one_retranslation(self):
         cache = BlockCache()
         engine = _compiled_engine(FIB_TEXT, block_cache=cache)
         assert engine.call("fib", 10) == 55
-        assert cache.invalidate(engine.block_fingerprint("fib", "rec"))
+        assert cache.invalidate(engine.block_key("fib", "rec"))
         fresh = _compiled_engine(FIB_TEXT, block_cache=cache)
         assert fresh.call("fib", 10) == 55
         assert fresh.translation_stats() == {
             "blocks": 3, "translated": 1, "cache_hits": 2,
         }
 
-    def test_accounting_config_changes_the_fingerprint(self):
-        # Cache probes are compiled into the block body, so the same RTL
-        # with caches off must not reuse a caches-on entry.
+    def test_accounting_config_changes_the_key(self):
+        # Cache probes and the cancel probe are compiled into the block
+        # body, so the same RTL with caches off, or with a probe, must
+        # not reuse a caches-on, probe-less entry.
         cache = BlockCache()
         assert _compiled_engine(FIB_TEXT, block_cache=cache).call(
             "fib", 6) == 8
-        plain = _compiled_engine(
-            FIB_TEXT, block_cache=cache, simulate_caches=False
-        )
-        assert plain.call("fib", 6) == 8
-        assert plain.translation_stats()["cache_hits"] == 0
-        assert plain.translation_stats()["translated"] == 3
+        for config in ({"simulate_caches": False},
+                       {"cancel": lambda: None}):
+            other = _compiled_engine(FIB_TEXT, block_cache=cache, **config)
+            assert other.call("fib", 6) == 8
+            assert other.translation_stats()["cache_hits"] == 0
+            assert other.translation_stats()["translated"] == 3
 
 
 class TestFirstEntryTranslation:
@@ -207,6 +228,116 @@ class TestFirstEntryTranslation:
         (translate_node,) = exec_node["children"]
         assert translate_node["name"] == "sim.translate"
         assert translate_node["calls"] == 3
+
+
+def _quick_matrix():
+    """``(cell, program, machine, module)`` for the 156 quick-matrix
+    cells, parsed from the golden-RTL test's compiles."""
+    from tests.test_golden_rtl import cell_texts
+
+    for cell, text in cell_texts():
+        program, machine, _column = cell.split()
+        yield cell, program, get_machine(machine), parse_module(text)
+
+
+class TestKeyContract:
+    """DESIGN §7c: the BlockCache key holds exactly what the translator
+    reads, so equal keys emit equal source."""
+
+    def test_equal_keys_emit_equal_source_over_the_quick_matrix(self):
+        # 1,248 engines share one cache: every cell at sizes 16 and 13,
+        # caches on and off, with and without a cancel probe.  Every run
+        # must check out (a wrong hit binds another closure's code), and
+        # every closure's key must name one source.  Dropping the
+        # resident verdict or the line counts from the key fails here.
+        cache = BlockCache()
+        sources = {}
+        engines = 0
+        for cell, program, machine, module in _quick_matrix():
+            plans = [make_plan(program, size, size) for size in (16, 13)]
+            for caches in (True, False):
+                for cancel in (None, lambda: None):
+                    for plan in plans:
+                        sim = Simulator(
+                            module, machine, backend="compiled",
+                            simulate_caches=caches, cancel=cancel,
+                            block_cache=cache,
+                        )
+                        assert check_plan(sim, plan, run_plan(sim, plan)), (
+                            cell, caches, cancel)
+                        engines += 1
+                    engine = sim.engine
+                    for func in module:
+                        for block in func.blocks:
+                            key = engine.block_key(func.name, block.label)
+                            source = engine.block_source(
+                                func.name, block.label)
+                            assert sources.setdefault(key, source) == (
+                                source), (cell, func.name, block.label)
+        assert engines == 1248
+        assert len(sources) > 1000
+        # No two matrix closures differ only in the resident verdict, so
+        # each loop chain is also keyed on an I-cache that holds its
+        # lines and on a one-line cache of the same line size.
+        small = get_machine("alpha")
+        line = small.icache.line_bytes
+        small.icache = CacheGeometry(line, line, small.icache.miss_penalty)
+        for text in CHAIN_TEXTS.values():
+            for machine in (get_machine("alpha"), small):
+                engine = CompiledEngine(parse_module(text), machine,
+                                        block_cache=cache)
+                key = engine.block_key("walk", "head")
+                source = engine.block_source("walk", "head")
+                assert sources.setdefault(key, source) == source
+
+
+class TestEngineLifetime:
+    def test_dropped_simulator_frees_its_arena_without_the_gc(self):
+        import gc
+        import weakref
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            sim = Simulator(parse_module(LOOP_TEXT), get_machine("alpha"),
+                            backend="compiled", block_cache=BlockCache())
+            assert sim.call("spin", 10) == 10
+            memory = weakref.ref(sim.memory)
+            engine = sim.engine
+            del sim
+            assert memory() is None
+            with pytest.raises(SimulationError, match="closed"):
+                engine.call("spin", 3)
+            with pytest.raises(SimulationError, match="closed"):
+                engine.block_source("spin", "loop")
+            assert engine.stats.block_counts[("spin", "loop")] == 10
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_standalone_engine_is_not_closed(self):
+        engine = _compiled_engine(LOOP_TEXT, block_cache=BlockCache())
+        assert engine.call("spin", 4) == 4
+        assert engine.call("spin", 5) == 5
+
+
+class TestExecutedBlockReport:
+    @pytest.mark.parametrize("backend", ["interp", "compiled"])
+    def test_equals_the_full_table_report(self, backend):
+        from repro.sched.block_cost import module_block_cycles
+        from repro.sim.costs import cycle_report
+
+        for cell, program, machine, module in _quick_matrix():
+            sim = Simulator(module, machine, backend=backend)
+            plan = make_plan(program, 16, 16)
+            run_plan(sim, plan)
+            engine = sim.engine
+            full = cycle_report(
+                module, machine, engine.stats, icache=engine.icache,
+                dcache=engine.dcache,
+                block_cycle_table=module_block_cycles(module, machine),
+            )
+            assert sim.report() == full, cell
 
 
 class TestBackendFallback:
