@@ -361,6 +361,8 @@ def _select_matrix(args, machines):
 
 
 def cmd_bench(args) -> int:
+    from collections import Counter
+
     from repro.bench import runner
     from repro.errors import ReproError
 
@@ -462,23 +464,30 @@ def cmd_bench(args) -> int:
         return 1
 
     if args.compare:
-        tolerance = (
-            args.tolerance if args.tolerance is not None
-            else runner.default_tolerance()
-        )
         try:
             baseline = runner.load_run(args.compare)
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        if not args.allow_backend_mismatch:
-            mismatch = runner.backend_mismatch(records, baseline)
-            if mismatch:
-                print(f"error: {mismatch}", file=sys.stderr)
-                return 1
-        rows = runner.compare_runs(records, baseline, tolerance)
-        print(runner.format_compare_table(rows, tolerance))
-        if not runner.gate_passed(rows):
+        # An anchor cell this run did not measure is skipped, so a slice
+        # of the matrix (the quick tier's one machine) can be gated.
+        failing = (runner.DIVERGED, runner.FAILED, runner.ACTUAL_ONLY)
+        diffs = runner.diff_runs(baseline["records"], records)
+        counts = Counter(diff.outcome for diff in diffs)
+        for diff in diffs:
+            if diff.outcome != runner.EQUAL:
+                verdict = "FAIL" if diff.outcome in failing else "skip"
+                print(f"{verdict} {diff.describe('anchor', 'run')}")
+        bad = sum(counts[outcome] for outcome in failing)
+        print(
+            f"gate: {'FAIL' if bad else 'PASS'} ("
+            f"{counts[runner.EQUAL]} equal, "
+            f"{counts[runner.DIVERGED]} diverged, "
+            f"{counts[runner.FAILED]} failed, "
+            f"{counts[runner.ACTUAL_ONLY]} missing from the anchor, "
+            f"{counts[runner.EXPECTED_ONLY]} skipped)"
+        )
+        if bad:
             return 1
     elif failed:
         print(
@@ -511,10 +520,11 @@ def _emit_json(payload) -> None:
 def cmd_simdiff(args) -> int:
     """Differential interp-vs-compiled gate over the benchmark matrix.
 
-    Runs every requested cell on both simulator backends and fails on
-    any divergence in outputs, cycles, loads/stores or cache misses —
-    the parity contract, enforced end to end.  ``--expect-speedup``
-    additionally asserts the compiled backend's throughput advantage.
+    Runs every requested cell on both simulator backends and fails
+    unless each cell's records are equal in every simulated field
+    (``runner.diff_runs``) — the parity contract, enforced end to end.
+    ``--expect-speedup`` additionally asserts the compiled backend's
+    throughput advantage.
     """
     import json
 
@@ -545,7 +555,11 @@ def cmd_simdiff(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    problems = runner.compare_backends(runs["interp"], runs["compiled"])
+    problems = [
+        diff.describe("interp", "compiled")
+        for diff in runner.diff_runs(runs["interp"], runs["compiled"])
+        if diff.outcome != runner.EQUAL
+    ]
     for record in runs["compiled"]:
         if (
             record.get("status", "ok") == "ok"
@@ -1355,13 +1369,9 @@ def main(argv=None) -> int:
     )
     p_bench.add_argument(
         "--compare", default=None, metavar="BASELINE.json",
-        help="diff against a stored baseline; non-zero exit on "
-             "regression past the tolerance",
-    )
-    p_bench.add_argument(
-        "--tolerance", type=float, default=None,
-        help="allowed cycle growth in percent "
-             "(default: $BENCH_TOLERANCE or 2.0)",
+        help="diff against a stored baseline; non-zero exit when a "
+             "measured cell differs from it in any simulated field, "
+             "failed, or is missing from it",
     )
     p_bench.add_argument(
         "--stats", action="store_true",
@@ -1384,11 +1394,6 @@ def main(argv=None) -> int:
         "--min-sim-rate", type=float, default=None, metavar="INSTRS_PER_SEC",
         help="fail unless the fastest compiled-backend cell simulates at "
              "least this many instructions per second",
-    )
-    p_bench.add_argument(
-        "--allow-backend-mismatch", action="store_true",
-        help="compare against a baseline measured with a different "
-             "simulator backend instead of failing",
     )
     p_bench.set_defaults(func=cmd_bench)
 

@@ -8,8 +8,8 @@ and revives finished compilations in the shared artifact store
 (``cached_compile_minic``; the store is ``ArtifactStore`` from
 ``repro/service/artifacts.py``, imported only once a cache is opened),
 and ``runner`` fans the measurement matrix out over worker processes,
-stores ``BENCH_<tag>.json`` baselines and implements the CI regression
-gate.
+stores ``BENCH_<tag>.json`` baselines and diffs two runs' records, for
+the CI anchor gate and the backend differential.
 """
 
 from repro.bench.programs import BENCHMARKS, BenchmarkProgram, get_benchmark
@@ -22,10 +22,8 @@ from repro.bench.harness import (
 )
 from repro.bench.runner import (
     BenchSpec,
-    ComparisonRow,
-    compare_runs,
-    format_compare_table,
-    gate_passed,
+    CellDiff,
+    diff_runs,
     load_run,
     make_run_document,
     run_matrix,
@@ -44,13 +42,11 @@ __all__ = [
     "BenchSpec",
     "BenchmarkProgram",
     "COLUMN_CONFIGS",
-    "ComparisonRow",
+    "CellDiff",
     "TableRow",
     "cached_compile_minic",
-    "compare_runs",
-    "format_compare_table",
+    "diff_runs",
     "format_table",
-    "gate_passed",
     "get_benchmark",
     "load_run",
     "machine_overrides",

@@ -104,7 +104,6 @@ def run_benchmark(
     column: str,
     width: int = 64,
     height: int = 64,
-    check: bool = True,
     sim_backend: Optional[str] = None,
     **extra,
 ) -> BenchResult:
@@ -125,7 +124,7 @@ def run_benchmark(
         call = workloads.make_plan(name, width, height)
         sim = compiled.simulator(backend=sim_backend)
         result = run_plan(sim, call)
-        ok = not check or check_plan(sim, call, result)
+        ok = check_plan(sim, call, result)
         report = sim.report()
     recorded = tree.to_dict()
     exec_seconds = _execution_seconds(recorded)

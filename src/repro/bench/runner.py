@@ -1,4 +1,4 @@
-"""Parallel benchmark runner, persisted baselines, and the regression gate.
+"""Parallel benchmark runner, persisted baselines, and the comparison of runs.
 
 Three layers on top of :mod:`repro.bench.harness`:
 
@@ -14,10 +14,10 @@ Three layers on top of :mod:`repro.bench.harness`:
   variant eliminated vs ``vpo``), cache misses, the cell's host-time
   span tree (:mod:`repro.timing`), plus run-level metadata (git SHA,
   image size, jobs).
-* :func:`compare_runs` diffs a fresh run against a stored baseline and
-  :func:`format_compare_table` renders the regression table the CI gate
-  prints; cycles past the tolerance (or a record missing from the
-  baseline) make the gate fail.
+* :func:`diff_runs` compares two record sets cell by cell, exactly, on
+  every field that is neither the cell's name nor a host measurement.
+  Both the anchor gate (``bench --compare``) and the backend
+  differential (``simdiff``) call it; each decides which outcomes fail.
 
 Workers share the on-disk compile-session cache (:mod:`repro.bench.cache`),
 so a warm matrix run spends its time simulating, not recompiling.
@@ -45,35 +45,13 @@ RUN_SCHEMA = 2
 
 #: Record fields that describe the *host measurement*, not the simulated
 #: program: they differ run-to-run and backend-to-backend by design and
-#: are never part of any regression or differential comparison.
+#: are never compared (:func:`diff_runs`).
 HOST_METRIC_FIELDS = (
     "timing",
     "sim_instrs_per_sec",
     "sim_backend",
     "compile_cache_hit",
 )
-
-#: Record fields the interp and compiled backends must agree on exactly
-#: (the parity contract): everything the simulated machine observed.
-DIFF_FIELDS = (
-    "result",
-    "output_ok",
-    "cycles",
-    "base_cycles",
-    "dcache_miss_cycles",
-    "icache_miss_cycles",
-    "dcache_misses",
-    "icache_misses",
-    "instr_count",
-    "loads",
-    "stores",
-    "memory_accesses",
-)
-
-#: Default regression tolerance, percent of baseline cycles.  Simulated
-#: cycles are deterministic, so this only needs to absorb intentional
-#: noise-level changes; BENCH_TOLERANCE overrides it.
-DEFAULT_TOLERANCE = 2.0
 
 #: The quick tier CI smokes on: every program, the Alpha only, small
 #: images.  The full tier covers all three machines at 48×48.
@@ -95,13 +73,6 @@ def default_jobs() -> int:
         return max(1, int(os.environ.get("BENCH_JOBS", "1")))
     except ValueError:
         return 1
-
-
-def default_tolerance() -> float:
-    try:
-        return float(os.environ.get("BENCH_TOLERANCE", DEFAULT_TOLERANCE))
-    except ValueError:
-        return DEFAULT_TOLERANCE
 
 
 #: Per-cell wall-clock budget (seconds) before a parallel run gives up on
@@ -303,7 +274,7 @@ def make_run_document(
     if sim_backend is None:
         # Derive from the records themselves so the document can never
         # disagree with its measurements; mixed backends (a fallback hit
-        # some cells) are recorded as 'mixed' and always flagged later.
+        # some cells) are recorded as 'mixed'.
         backends = sorted({
             str(r.get("sim_backend", "interp")) for r in records
         }) or ["interp"]
@@ -338,143 +309,84 @@ def load_run(path: str) -> Dict[str, object]:
     return document
 
 
-# -- regression gate --------------------------------------------------------
-@dataclass
-class ComparisonRow:
-    """One record of the current run diffed against the baseline."""
+# -- comparing runs ---------------------------------------------------------
+#: Record fields that name a cell.  Every record field that neither names
+#: the cell nor measures the host is compared exactly.
+CELL_FIELDS = ("program", "machine", "variant", "width", "height")
 
-    program: str
-    machine: str
-    variant: str
-    baseline_cycles: Optional[int]
-    # None for a baseline record the current run did not measure.
-    current_cycles: Optional[int]
-    # 'ok' | 'improved' | 'regression' | 'missing' | 'failed' | 'skipped'
-    status: str
+#: What :func:`diff_runs` finds for one cell.
+EQUAL = "equal"
+DIVERGED = "diverged"
+FAILED = "failed"
+EXPECTED_ONLY = "expected only"
+ACTUAL_ONLY = "actual only"
 
-    @property
-    def delta_percent(self) -> Optional[float]:
-        if not self.baseline_cycles or self.current_cycles is None:
-            return None
-        return (
-            (self.current_cycles - self.baseline_cycles)
-            * 100.0 / self.baseline_cycles
+
+@dataclass(frozen=True)
+class CellDiff:
+    """One cell of two record sets, compared field by field."""
+
+    #: The record's :data:`CELL_FIELDS` values.
+    cell: Tuple
+    outcome: str
+    #: ``(field, expected, actual)`` for each field that differs; for a
+    #: failed cell, its ``status`` and ``error`` on both sides.
+    fields: Tuple[Tuple[str, object, object], ...] = ()
+
+    def describe(self, expected: str, actual: str) -> str:
+        """One line naming the cell and what differs, with the two
+        record sets called ``expected`` and ``actual``."""
+        name = "{}/{}/{}@{}x{}".format(*self.cell)
+        if self.outcome == EXPECTED_ONLY:
+            return f"{name}: only in {expected}"
+        if self.outcome == ACTUAL_ONLY:
+            return f"{name}: only in {actual}"
+        return f"{name}: {self.outcome}: " + "; ".join(
+            f"{field} {expected}={a!r} {actual}={b!r}"
+            for field, a, b in self.fields
         )
 
 
-def compare_runs(
-    current: List[Dict[str, object]],
-    baseline: Dict[str, object],
-    tolerance: Optional[float] = None,
-) -> List[ComparisonRow]:
-    """Diff current records against a baseline document.
+def diff_runs(
+    expected: Iterable[Dict[str, object]],
+    actual: Iterable[Dict[str, object]],
+) -> List[CellDiff]:
+    """Diff two record sets cell by cell, in cell order.
 
-    A record whose cycles exceed the baseline by more than ``tolerance``
-    percent is a regression; one absent from the baseline is 'missing'
-    (the baseline needs regenerating) — both fail the gate, as does a
-    cell whose measurement itself failed (``status='failed'``).  Only
-    simulated *cycles* are toleranced: host-side measurement fields
-    (:data:`HOST_METRIC_FIELDS` — wall clocks, rates, backend tags)
-    never participate.
-    A baseline record with no current counterpart becomes a 'skipped'
-    row: the gate may legitimately measure a subset (e.g. ``--quick``),
-    but the table must say what the subset left uncovered rather than
-    silently shrinking.  Skipped rows never fail the gate.
+    Simulated results are deterministic and backend-independent, so
+    every field outside :data:`CELL_FIELDS` and
+    :data:`HOST_METRIC_FIELDS` must be equal: outputs, cycles,
+    loads/stores, cache misses and the compile facts.  A cell that
+    failed on either side is never compared field by field.  The caller
+    decides which outcomes fail it.
     """
-    if tolerance is None:
-        tolerance = default_tolerance()
-    by_key = {
-        (
-            r["program"], r["machine"], r["variant"],
-            r.get("width"), r.get("height"),
-        ): r
-        for r in baseline.get("records", [])
-    }
-    rows: List[ComparisonRow] = []
-    measured = set()
-    for record in current:
-        key = (
-            record["program"], record["machine"], record["variant"],
-            record.get("width"), record.get("height"),
-        )
-        measured.add(key)
-        base = by_key.get(key)
-        if record.get("status", "ok") != "ok":
-            base_cycles = base["cycles"] if base is not None else None
-            status = "failed"
-        elif base is None:
-            status, base_cycles = "missing", None
+
+    def by_cell(records):
+        return {tuple(r.get(f) for f in CELL_FIELDS): r for r in records}
+
+    left, right = by_cell(expected), by_cell(actual)
+    diffs: List[CellDiff] = []
+    for cell in sorted(left.keys() | right.keys(), key=str):
+        a, b = left.get(cell), right.get(cell)
+        if b is None:
+            diffs.append(CellDiff(cell, EXPECTED_ONLY))
+        elif a is None:
+            diffs.append(CellDiff(cell, ACTUAL_ONLY))
+        elif a.get("status", "ok") != "ok" or b.get("status", "ok") != "ok":
+            diffs.append(CellDiff(cell, FAILED, tuple(
+                (f, a.get(f), b.get(f)) for f in ("status", "error")
+            )))
         else:
-            base_cycles = base["cycles"]
-            delta = (
-                (record["cycles"] - base_cycles) * 100.0 / base_cycles
-                if base_cycles else 0.0
+            fields = tuple(
+                (f, a.get(f), b.get(f))
+                for f in sorted(a.keys() | b.keys())
+                if f not in CELL_FIELDS and f not in HOST_METRIC_FIELDS
+                and a.get(f) != b.get(f)
             )
-            if delta > tolerance:
-                status = "regression"
-            elif delta < 0:
-                status = "improved"
-            else:
-                status = "ok"
-        rows.append(
-            ComparisonRow(
-                program=record["program"],
-                machine=record["machine"],
-                variant=record["variant"],
-                baseline_cycles=base_cycles,
-                current_cycles=record["cycles"],
-                status=status,
+            diffs.append(
+                CellDiff(cell, DIVERGED if fields else EQUAL, fields)
             )
-        )
-    for key in sorted(set(by_key) - measured, key=str):
-        base = by_key[key]
-        rows.append(
-            ComparisonRow(
-                program=base["program"],
-                machine=base["machine"],
-                variant=base["variant"],
-                baseline_cycles=base["cycles"],
-                current_cycles=None,
-                status="skipped",
-            )
-        )
-    return rows
-
-
-def gate_passed(rows: Iterable[ComparisonRow]) -> bool:
-    return all(
-        row.status in ("ok", "improved", "skipped") for row in rows
-    )
-
-
-def backend_mismatch(
-    records: List[Dict[str, object]],
-    baseline: Dict[str, object],
-) -> Optional[str]:
-    """A message when current records and baseline used different
-    simulator backends, else None.
-
-    Cycle counts are backend-independent by the parity contract, but a
-    silent mismatch hides exactly the bugs the differential gate exists
-    to catch — so ``--compare`` refuses unless explicitly overridden
-    (``--allow-backend-mismatch``).  Baselines predating the
-    ``sim_backend`` field count as ``interp`` measurements.
-    """
-    base_backend = str(baseline.get("sim_backend", "interp"))
-    current = sorted({
-        str(r.get("sim_backend", "interp"))
-        for r in records
-        if r.get("status", "ok") == "ok"
-    })
-    mismatched = [b for b in current if b != base_backend]
-    if not mismatched:
-        return None
-    return (
-        f"baseline {baseline.get('tag', '?')!r} was measured with the "
-        f"{base_backend!r} simulator backend but the current run used "
-        f"{', '.join(repr(b) for b in current)}; regenerate the baseline "
-        "or pass --allow-backend-mismatch to compare anyway"
-    )
+    return diffs
 
 
 def check_sim_rate(
@@ -511,95 +423,6 @@ def check_sim_rate(
             f"below the {floor:,.0f} instrs/sec floor"
         )
     return problems
-
-
-def compare_backends(
-    a_records: List[Dict[str, object]],
-    b_records: List[Dict[str, object]],
-) -> List[str]:
-    """Differential interp-vs-compiled check over two record sets.
-
-    Returns one message per divergence in any :data:`DIFF_FIELDS` value
-    (outputs, cycles, loads/stores, cache misses) between records of the
-    same (program, machine, variant, size) cell, plus one per cell that
-    exists on only one side or failed on either.  Empty means the
-    backends are observationally identical on this matrix.
-    """
-
-    def key(r: Dict[str, object]) -> Tuple:
-        return (
-            r["program"], r["machine"], r["variant"],
-            r.get("width"), r.get("height"),
-        )
-
-    def name(k: Tuple) -> str:
-        return f"{k[0]}/{k[1]}/{k[2]}@{k[3]}x{k[4]}"
-
-    a_by, b_by = {key(r): r for r in a_records}, {key(r): r for r in b_records}
-    problems: List[str] = []
-    for k in sorted(set(a_by) | set(b_by), key=str):
-        a, b = a_by.get(k), b_by.get(k)
-        if a is None or b is None:
-            side = "first" if a is None else "second"
-            problems.append(f"{name(k)}: missing from the {side} run")
-            continue
-        failed = [
-            f"{r.get('sim_backend', '?')}: {r.get('error') or 'failed'}"
-            for r in (a, b)
-            if r.get("status", "ok") != "ok"
-        ]
-        if failed:
-            problems.append(f"{name(k)}: " + "; ".join(failed))
-            continue
-        for field_name in DIFF_FIELDS:
-            if a.get(field_name) != b.get(field_name):
-                problems.append(
-                    f"{name(k)}: {field_name} diverged — "
-                    f"{a.get('sim_backend', '?')}={a.get(field_name)!r} "
-                    f"vs {b.get('sim_backend', '?')}={b.get(field_name)!r}"
-                )
-    return problems
-
-
-def format_compare_table(
-    rows: List[ComparisonRow], tolerance: float
-) -> str:
-    header = (
-        f"{'Program':<14} {'Machine':<8} {'Variant':<15} "
-        f"{'Baseline':>10} {'Current':>10} {'Delta %':>8}  Status"
-    )
-    lines = [
-        f"Regression gate (tolerance {tolerance:+.2f}% cycles)",
-        header,
-        "-" * len(header),
-    ]
-    for row in rows:
-        base = (
-            str(row.baseline_cycles)
-            if row.baseline_cycles is not None else "-"
-        )
-        current = (
-            str(row.current_cycles)
-            if row.current_cycles is not None else "-"
-        )
-        delta = (
-            f"{row.delta_percent:+8.2f}"
-            if row.delta_percent is not None else f"{'-':>8}"
-        )
-        lines.append(
-            f"{row.program:<14} {row.machine:<8} {row.variant:<15} "
-            f"{base:>10} {current:>10} {delta}  {row.status}"
-        )
-    bad = [
-        r for r in rows if r.status not in ("ok", "improved", "skipped")
-    ]
-    lines.append(
-        "gate: PASS"
-        if not bad else
-        f"gate: FAIL ({len(bad)} of {len(rows)} records "
-        "regressed, failed, or missing from baseline)"
-    )
-    return "\n".join(lines)
 
 
 def parse_phase_budgets(specs: Sequence[str]) -> Dict[str, float]:

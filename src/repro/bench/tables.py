@@ -68,7 +68,6 @@ def table_rows(
     benchmarks: Optional[Iterable[str]] = None,
     width: int = 64,
     height: int = 64,
-    check: bool = True,
 ) -> List[TableRow]:
     """Measure every benchmark under every column on ``machine``."""
     rows: List[TableRow] = []
@@ -78,7 +77,6 @@ def table_rows(
         for column in COLUMNS:
             result = run_benchmark(
                 name, machine, column, width=width, height=height,
-                check=check,
             )
             cycles[column] = result.cycles
             ok = ok and result.output_ok

@@ -47,7 +47,6 @@ class PassContext:
     """Target information and sanitizer hooks every pass may need."""
 
     machine: MachineDescription
-    verify: bool = True
     # Sanitizer integration: diagnostics land in the sink.
     sink: Optional[object] = None
     # pass name -> {"runs": int, "changed": int}
@@ -129,8 +128,7 @@ def run_to_fixpoint(
             ctx.record_pass(name, pass_changed)
             if pass_changed:
                 changed = True
-                if ctx.verify:
-                    verify_function(func)
+                verify_function(func)
             else:
                 analyses.settle(func, name)
         ever_changed = ever_changed or changed

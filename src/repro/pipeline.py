@@ -105,7 +105,6 @@ class PipelineConfig:
     # exercise the full check chain and the original-loop fallback.
     elide_checks: bool = True
     schedule: bool = True
-    verify: bool = True
     # Add the paper's "n % k" preheader check instead of relying on the
     # remainder prologue (mainly for demonstrating Figure 5's exact shape).
     versioned_divisibility: bool = False
@@ -286,8 +285,7 @@ def compile_minic(
             cancel()
         with span("frontend"):
             module = compile_source(source, word_bytes=machine.word_bytes)
-        if config.verify:
-            verify_module(module)
+        verify_module(module)
 
         sink = None
         sanitizer = None
@@ -303,7 +301,7 @@ def compile_minic(
 
             sanitizer = DifferentialSanitizer(module, machine, sink)
 
-        ctx = PassContext(machine, verify=config.verify, sink=sink)
+        ctx = PassContext(machine, sink=sink)
         reports: List[CoalesceReport] = []
 
         guard = PassGuard(
@@ -316,7 +314,6 @@ def compile_minic(
             config=config,
             crash_dir=crash_dir,
             disabled=config.disabled_passes,
-            verify=config.verify,
             max_bundles=max_bundles,
         )
 
@@ -339,8 +336,7 @@ def compile_minic(
 
         def lower(_) -> None:
             lower_module(module, machine)
-            if config.verify:
-                verify_module(module)
+            verify_module(module)
 
         bodies = {
             "cleanup": lambda func: cleanup(func, ctx),
@@ -382,8 +378,7 @@ def compile_minic(
                         reports.extend(run(name, func) or [])
                     else:
                         run(name, func)
-        if config.verify:
-            verify_module(module)
+        verify_module(module)
 
         if config.sanitize:
             from repro.sanitize import lint_module

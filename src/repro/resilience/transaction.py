@@ -122,7 +122,6 @@ class PassGuard:
         config=None,
         crash_dir: Optional[str] = None,
         disabled: tuple = (),
-        verify: bool = True,
         max_bundles: Optional[int] = None,
     ):
         if policy not in PASS_FAILURE_POLICIES:
@@ -143,7 +142,6 @@ class PassGuard:
         self.crash_dir = crash_dir
         self.max_bundles = max_bundles
         self.disabled: Set[str] = set(disabled)
-        self.verify = verify
         self.armed = policy != "raise" or bool(faults)
         self.failures: List[PassFailure] = []
         self._arrivals: Dict[str, int] = {}
@@ -182,7 +180,6 @@ class PassGuard:
     def _transact(self, ctx, name: str, thunk, func: Optional[Function],
                   spec):
         invocation = self._arrivals[name] = self._arrivals.get(name, 0) + 1
-        do_verify = self.armed and self.verify
 
         snapshot = snapshot_module_text(self.module) if self.armed else None
         behavior = None
@@ -207,7 +204,7 @@ class PassGuard:
                     iter(self.module), None
                 )
                 self.faults.corrupt(spec, target)
-            if do_verify:
+            if self.armed:
                 failure_kind = "verify"
                 if func is not None:
                     verify_function(func)

@@ -1,5 +1,5 @@
 """The bench runner layer: compile-session cache, parallel matrix
-execution, baseline store and the --compare regression gate."""
+execution, baseline store and the exact --compare anchor gate."""
 
 from __future__ import annotations
 
@@ -216,69 +216,95 @@ def _record(program="dotproduct", machine="alpha", variant="vpo",
     return record
 
 
+@pytest.fixture
+def gate(tmp_path, monkeypatch, capsys):
+    """``bench --compare`` of a run whose ``run_matrix`` returns
+    ``current`` against an anchor holding ``anchor``; returns the exit
+    code and stdout."""
+    from repro.__main__ import main
+
+    def run(anchor, current):
+        path = tmp_path / "BENCH_anchor.json"
+        runner.save_run(
+            runner.make_run_document(anchor, tag="anchor", width=8),
+            str(path),
+        )
+        monkeypatch.setattr(
+            runner, "run_matrix", lambda **_: [dict(r) for r in current]
+        )
+        code = main(["bench", "--compare", str(path),
+                     "--out", str(tmp_path / "BENCH_run.json")])
+        return code, capsys.readouterr().out
+
+    return run
+
+
 class TestCompareGate:
-    def _baseline(self, records):
-        return runner.make_run_document(records, tag="test", width=8)
+    """Every simulated field of every measured cell equals the anchor's."""
 
-    def test_pass_when_cycles_match(self):
-        base = self._baseline([_record(cycles=1000)])
-        rows = runner.compare_runs([_record(cycles=1000)], base, 2.0)
-        assert [r.status for r in rows] == ["ok"]
-        assert runner.gate_passed(rows)
+    def test_pass_when_cycles_match(self, gate):
+        host = dict(compile_cache_hit=True, sim_backend="interp",
+                    sim_instrs_per_sec=1e6, timing=None)
+        code, out = gate([_record()], [_record(**host)])
+        assert code == 0
+        assert out.splitlines() == [
+            "gate: PASS (1 equal, 0 diverged, 0 failed, "
+            "0 missing from the anchor, 0 skipped)"
+        ]
 
-    def test_small_growth_within_tolerance_passes(self):
-        base = self._baseline([_record(cycles=1000)])
-        rows = runner.compare_runs([_record(cycles=1010)], base, 2.0)
-        assert [r.status for r in rows] == ["ok"]
-        assert runner.gate_passed(rows)
+    def test_any_cycle_change_fails(self, gate):
+        for cycles in (1019, 999):
+            code, out = gate([_record(cycles=1000)], [_record(cycles=cycles)])
+            assert code == 1
+            assert out.splitlines()[0] == (
+                "FAIL dotproduct/alpha/vpo@8x8: diverged: "
+                f"cycles anchor=1000 run={cycles}"
+            )
+            assert "gate: FAIL (0 equal, 1 diverged" in out
 
-    def test_regression_beyond_tolerance_fails(self):
-        base = self._baseline([_record(cycles=1000)])
-        rows = runner.compare_runs([_record(cycles=1100)], base, 2.0)
-        assert [r.status for r in rows] == ["regression"]
-        assert not runner.gate_passed(rows)
-        assert rows[0].delta_percent == pytest.approx(10.0)
+    def test_equal_cycles_with_other_loads_fail(self, gate):
+        code, out = gate([_record()], [_record(loads=11)])
+        assert code == 1
+        assert "diverged: loads anchor=10 run=11" in out
 
-    def test_improvement_passes(self):
-        base = self._baseline([_record(cycles=1000)])
-        rows = runner.compare_runs([_record(cycles=900)], base, 2.0)
-        assert [r.status for r in rows] == ["improved"]
-        assert runner.gate_passed(rows)
+    def test_failed_anchor_record_fails(self, gate):
+        anchor = _record(cycles=0, status="failed", error="boom")
+        code, out = gate([anchor], [_record(cycles=123456, status="ok",
+                                            error="")])
+        assert code == 1
+        assert "failed: status anchor='failed' run='ok'" in out
+        assert "1 failed" in out
 
-    def test_missing_program_in_baseline_fails(self):
-        base = self._baseline([_record(program="image_xor")])
-        rows = runner.compare_runs([_record(program="mirror")], base, 2.0)
-        # The unmeasured baseline record surfaces as a skipped row; the
-        # unmatched current record still fails the gate as missing.
-        assert [r.status for r in rows] == ["missing", "skipped"]
-        assert not runner.gate_passed(rows)
+    def test_missing_program_in_baseline_fails(self, gate):
+        code, out = gate([_record(program="image_xor")],
+                         [_record(program="mirror")])
+        # The unmeasured anchor record is listed as skipped; the
+        # unmatched current record still fails the gate.
+        assert code == 1
+        assert out.splitlines()[:2] == [
+            "skip image_xor/alpha/vpo@8x8: only in anchor",
+            "FAIL mirror/alpha/vpo@8x8: only in run",
+        ]
+        assert "1 missing from the anchor, 1 skipped" in out
 
     def test_size_mismatch_is_missing(self):
-        base = self._baseline([_record(width=16, height=16)])
-        rows = runner.compare_runs(
-            [_record(width=48, height=48)], base, 2.0
+        diffs = runner.diff_runs(
+            [_record(width=16, height=16)], [_record(width=48, height=48)]
         )
-        assert [r.status for r in rows] == ["missing", "skipped"]
+        assert [d.outcome for d in diffs] == [
+            runner.EXPECTED_ONLY, runner.ACTUAL_ONLY,
+        ]
 
-    def test_extra_baseline_records_show_as_skipped(self):
-        base = self._baseline(
-            [_record(), _record(program="image_xor", cycles=5)]
+    def test_extra_baseline_records_show_as_skipped(self, gate):
+        code, out = gate(
+            [_record(), _record(program="image_xor", cycles=5)], [_record()]
         )
-        rows = runner.compare_runs([_record()], base, 2.0)
-        assert len(rows) == 2 and runner.gate_passed(rows)
-        skipped = [r for r in rows if r.status == "skipped"]
-        assert len(skipped) == 1
-        assert skipped[0].program == "image_xor"
-        assert skipped[0].baseline_cycles == 5
-        assert skipped[0].current_cycles is None
-        table = runner.format_compare_table(rows, 2.0)
-        assert "skipped" in table and "PASS" in table
-
-    def test_format_compare_table_mentions_failures(self):
-        base = self._baseline([_record(cycles=1000)])
-        rows = runner.compare_runs([_record(cycles=2000)], base, 2.0)
-        table = runner.format_compare_table(rows, 2.0)
-        assert "regression" in table and "FAIL" in table
+        assert code == 0
+        assert out.splitlines() == [
+            "skip image_xor/alpha/vpo@8x8: only in anchor",
+            "gate: PASS (1 equal, 0 diverged, 0 failed, "
+            "0 missing from the anchor, 1 skipped)",
+        ]
 
     def test_load_run_rejects_wrong_schema(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -345,8 +371,8 @@ class TestRunMatrix:
         assert loaded["tag"] == "t"
         assert "git_sha" in loaded
         # a self-compare always passes
-        rows = runner.compare_runs(records, loaded, 0.0)
-        assert runner.gate_passed(rows)
+        diffs = runner.diff_runs(loaded["records"], records)
+        assert [d.outcome for d in diffs] == [runner.EQUAL]
 
 
 def _nodes(tree):
@@ -468,7 +494,7 @@ class TestCliAndWarmCache:
             extra=("--compare", str(injected)),
         )
         assert proc.returncode == 1
-        assert "regression" in proc.stdout
+        assert "diverged: cycles anchor=" in proc.stdout
 
         # against the true baseline the same run passes
         proc, _ = self._bench(

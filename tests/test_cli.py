@@ -284,6 +284,30 @@ def test_matrix_selection_all_is_every_name(
         assert sorted(kwargs["variants"]) == sorted(runner.COLUMNS)
 
 
+def test_bench_interp_run_passes_against_the_compiled_anchor(
+    tmp_path, monkeypatch, capsys
+):
+    # Simulated fields are backend-independent, so the anchor gates a
+    # run on either backend.
+    from repro.bench import runner
+
+    anchor = pathlib.Path(__file__).parent.parent / "BENCH_seed.json"
+    records = runner.load_run(str(anchor))["records"]
+    assert {r["sim_backend"] for r in records} == {"compiled"}
+
+    def interp_run(**kwargs):
+        assert kwargs["sim_backend"] == "interp"
+        return [dict(r, sim_backend="interp") for r in records]
+
+    monkeypatch.setattr(runner, "run_matrix", interp_run)
+    assert main(["bench", "--sim-backend", "interp", "--compare",
+                 str(anchor), "--out", str(tmp_path / "BENCH_x.json")]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "gate: PASS (156 equal, 0 diverged, 0 failed, "
+        "0 missing from the anchor, 0 skipped)"
+    ]
+
+
 def test_lint_rejects_hazardous_rtl(tmp_path, capsys):
     # Compile a byte loop with coalescing, then hand-miscompile it by
     # replacing every run-time check branch with an unconditional jump

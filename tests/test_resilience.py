@@ -422,22 +422,17 @@ class TestBenchFaultTolerance:
         assert failed["output_ok"] is False
 
     def test_compare_marks_failed_cells(self):
-        from repro.bench.runner import (
-            compare_runs,
-            format_compare_table,
-            gate_passed,
-        )
+        from repro.bench.runner import FAILED, diff_runs
 
         record = {
             "program": "dot", "machine": "alpha", "variant": "vpo",
             "width": 8, "height": 8, "cycles": 100, "status": "ok",
+            "error": "",
         }
-        baseline = {"records": [dict(record)]}
-        failed = dict(record, status="failed", cycles=0)
-        rows = compare_runs([failed], baseline, tolerance=2.0)
-        assert rows[0].status == "failed"
-        assert not gate_passed(rows)
-        assert "FAIL" in format_compare_table(rows, 2.0)
+        failed = dict(record, status="failed", cycles=0, error="boom")
+        (diff,) = diff_runs([record], [failed])
+        assert diff.outcome == FAILED
+        assert "error anchor='' run='boom'" in diff.describe("anchor", "run")
 
     def test_eliminated_annotation_skips_failed_vpo(self):
         from repro.bench.runner import _annotate_eliminated

@@ -446,6 +446,14 @@ class TestServerBasics:
         assert "clenaup" in response["error"]
         assert response["retryable"] is False
 
+    def test_unknown_override_is_an_error(self, service):
+        server = service()
+        client = client_for(server)
+        response = client.compile(ADD_SRC, overrides={"verify": False})
+        assert response["status"] == "error"
+        assert "bad overrides" in response["error"]
+        assert response["retryable"] is False
+
     def test_unknown_op_rejected(self, service):
         server = service()
         client = client_for(server)

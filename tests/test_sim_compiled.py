@@ -19,8 +19,7 @@ Five concerns:
 * the differential contract itself, over the sanitize fixture matrix
   (including misaligned, larger-trip variants) and over real benchmark
   cells on all three machines, plus the bench-runner helpers
-  (``compare_backends``/``check_sim_rate``/``backend_mismatch``) that
-  gate it in CI.
+  (``diff_runs``/``check_sim_rate``) that gate it in CI.
 """
 
 import pytest
@@ -913,19 +912,21 @@ class TestBenchmarkDifferential:
     @pytest.mark.parametrize("machine", ["alpha", "m88100", "m68030"])
     @pytest.mark.parametrize("name", ["image_xor", "mirror"])
     def test_bench_cells_agree_on_every_diff_field(self, name, machine):
-        results = {
-            backend: run_benchmark(
-                name, machine, "coalesce-all",
-                width=16, height=16, sim_backend=backend,
+        records = {
+            backend: bench_runner.run_matrix(
+                programs=[name], machines=[machine],
+                variants=["coalesce-all"], width=16, jobs=1,
+                sim_backend=backend,
             )
             for backend in ("interp", "compiled")
         }
-        assert results["interp"].sim_backend == "interp"
-        assert results["compiled"].sim_backend == "compiled"
-        for field in bench_runner.DIFF_FIELDS:
-            assert getattr(results["interp"], field) == \
-                getattr(results["compiled"], field), field
-        assert results["compiled"].output_ok
+        assert records["interp"][0]["sim_backend"] == "interp"
+        assert records["compiled"][0]["sim_backend"] == "compiled"
+        diffs = bench_runner.diff_runs(records["interp"], records["compiled"])
+        assert [d.outcome for d in diffs] == [bench_runner.EQUAL], [
+            d.describe("interp", "compiled") for d in diffs
+        ]
+        assert records["compiled"][0]["output_ok"]
 
     def test_compiled_backend_reports_a_rate(self):
         result = run_benchmark(
@@ -941,7 +942,7 @@ def _record(**overrides):
     record = {
         "program": "image_xor", "machine": "alpha",
         "variant": "coalesce-all", "width": 16, "height": 16,
-        "status": "ok", "sim_backend": "compiled",
+        "status": "ok", "error": "", "sim_backend": "compiled",
         "sim_instrs_per_sec": 5_000_000.0,
         "result": None, "output_ok": True, "cycles": 1000,
         "base_cycles": 900, "dcache_miss_cycles": 60,
@@ -953,34 +954,53 @@ def _record(**overrides):
     return record
 
 
+def _outcomes(expected, actual):
+    return [d.outcome for d in bench_runner.diff_runs(expected, actual)]
+
+
 class TestBenchRunnerGates:
     def test_compare_backends_clean(self):
-        assert bench_runner.compare_backends([_record()], [_record()]) == []
+        assert _outcomes([_record()], [_record()]) == [bench_runner.EQUAL]
 
     def test_compare_backends_reports_each_divergence(self):
-        problems = bench_runner.compare_backends(
-            [_record(sim_backend="interp")],
-            [_record(cycles=1001, loads=121)],
+        (diff,) = bench_runner.diff_runs(
+            [_record(sim_backend="interp", checks_elided=0)],
+            [_record(cycles=1001, loads=121, checks_elided=1)],
         )
-        assert len(problems) == 2
-        assert any("cycles diverged" in p for p in problems)
-        assert any("loads diverged" in p for p in problems)
+        assert diff.outcome == bench_runner.DIVERGED
+        assert diff.fields == (
+            ("checks_elided", 0, 1), ("cycles", 1000, 1001),
+            ("loads", 120, 121),
+        )
+        assert diff.describe("interp", "compiled") == (
+            "image_xor/alpha/coalesce-all@16x16: diverged: "
+            "checks_elided interp=0 compiled=1; "
+            "cycles interp=1000 compiled=1001; "
+            "loads interp=120 compiled=121"
+        )
 
     def test_compare_backends_ignores_host_metrics(self):
-        problems = bench_runner.compare_backends(
-            [_record(sim_backend="interp", sim_instrs_per_sec=1e6)],
-            [_record(sim_instrs_per_sec=2e7)],
-        )
-        assert problems == []
+        interp = _record(sim_backend="interp", sim_instrs_per_sec=1e6,
+                         compile_cache_hit=True, timing={"seconds": 1.0})
+        assert _outcomes([interp], [_record(sim_instrs_per_sec=2e7)]) == [
+            bench_runner.EQUAL
+        ]
 
     def test_compare_backends_missing_and_failed_cells(self):
         spare = _record(program="mirror")
+        extra = _record(program="translate")
         failed = _record(status="failed", error="boom")
-        problems = bench_runner.compare_backends(
-            [_record(), spare], [failed]
+        diffs = bench_runner.diff_runs([_record(), spare], [failed, extra])
+        assert [d.outcome for d in diffs] == [
+            bench_runner.FAILED, bench_runner.EXPECTED_ONLY,
+            bench_runner.ACTUAL_ONLY,
+        ]
+        assert "error interp='' compiled='boom'" in (
+            diffs[0].describe("interp", "compiled")
         )
-        assert any("missing from the second run" in p for p in problems)
-        assert any("boom" in p for p in problems)
+        assert diffs[1].describe("interp", "compiled").endswith(
+            "only in interp"
+        )
 
     def test_check_sim_rate_passes_on_the_peak_cell(self):
         records = [
@@ -1004,22 +1024,3 @@ class TestBenchRunnerGates:
         )
         assert len(problems) == 1
         assert "no successful compiled-backend cells" in problems[0]
-
-    def test_backend_mismatch_detects_old_interp_baseline(self):
-        message = bench_runner.backend_mismatch(
-            [_record()], {"tag": "seed"}  # pre-field baseline == interp
-        )
-        assert message is not None
-        assert "'interp'" in message and "'compiled'" in message
-
-    def test_backend_mismatch_accepts_matching_backends(self):
-        baseline = {"tag": "seed", "sim_backend": "compiled"}
-        assert bench_runner.backend_mismatch([_record()], baseline) is None
-
-    def test_backend_mismatch_ignores_failed_cells(self):
-        baseline = {"tag": "seed", "sim_backend": "compiled"}
-        records = [
-            _record(),
-            _record(status="failed", sim_backend="interp"),
-        ]
-        assert bench_runner.backend_mismatch(records, baseline) is None
