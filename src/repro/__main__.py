@@ -161,8 +161,22 @@ def _compile_from_args(args, **extra) -> object:
     return program
 
 
+def _compile_input(args):
+    """:func:`_compile_from_args`, or None once the input's frontend
+    error or unreadable file is printed as ``lint`` prints it."""
+    from repro.errors import ParseError, SemanticError
+
+    try:
+        return _compile_from_args(args)
+    except (ParseError, SemanticError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
 def cmd_compile(args) -> int:
-    program = _compile_from_args(args)
+    program = _compile_input(args)
+    if program is None:
+        return 2
     print(format_module(program.module))
     for report in program.coalesce_reports:
         if report.runs_found:
@@ -196,7 +210,9 @@ def cmd_run(args) -> int:
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    program = _compile_from_args(args)
+    program = _compile_input(args)
+    if program is None:
+        return 2
     sim = program.simulator(
         max_steps=args.max_steps, backend=args.sim_backend
     )

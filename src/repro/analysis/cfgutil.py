@@ -1,27 +1,41 @@
-"""Small CFG helpers shared by every analysis."""
+"""Small CFG helpers shared by every analysis, memoized per CFG shape
+(:meth:`Function.cfg_fact`) and so immutable; the ``_``-prefixed
+builders compute a fact afresh."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from types import MappingProxyType
+from typing import Dict, FrozenSet, List, Mapping, Set, Tuple
 
 from repro.ir.function import Function
 
 
-def predecessors(func: Function) -> Dict[str, List[str]]:
-    """Map each block label to the labels of its predecessors.
+def predecessors(func: Function) -> Mapping[str, Tuple[str, ...]]:
+    """Map each block label to the labels of its predecessors, in layout
+    order.
 
     Edge multiplicity is collapsed: a conditional jump with both arms at
     the same target contributes one predecessor entry.
     """
+    return func.cfg_fact("predecessors", _predecessors)
+
+
+def _predecessors(func: Function) -> Mapping[str, Tuple[str, ...]]:
     preds: Dict[str, List[str]] = {b.label: [] for b in func.blocks}
     for block in func.blocks:
-        for succ in set(block.successors()):
+        for succ in block.successors():
             preds[succ].append(block.label)
-    return preds
+    return MappingProxyType(
+        {label: tuple(labels) for label, labels in preds.items()}
+    )
 
 
-def reachable_labels(func: Function) -> Set[str]:
+def reachable_labels(func: Function) -> FrozenSet[str]:
     """Labels reachable from the entry block."""
+    return func.cfg_fact("reachable_labels", _reachable_labels)
+
+
+def _reachable_labels(func: Function) -> FrozenSet[str]:
     seen: Set[str] = set()
     work = [func.entry.label]
     while work:
@@ -30,12 +44,16 @@ def reachable_labels(func: Function) -> Set[str]:
             continue
         seen.add(label)
         work.extend(func.block(label).successors())
-    return seen
+    return frozenset(seen)
 
 
-def reverse_postorder(func: Function) -> List[str]:
+def reverse_postorder(func: Function) -> Tuple[str, ...]:
     """Reverse postorder over reachable blocks (good order for forward
     dataflow problems)."""
+    return func.cfg_fact("reverse_postorder", _reverse_postorder)
+
+
+def _reverse_postorder(func: Function) -> Tuple[str, ...]:
     seen: Set[str] = set()
     order: List[str] = []
 
@@ -57,4 +75,4 @@ def reverse_postorder(func: Function) -> List[str]:
 
     visit(func.entry.label)
     order.reverse()
-    return order
+    return tuple(order)

@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional, Set
 
 from repro.analysis.cfgutil import predecessors, reverse_postorder
 from repro.ir.function import Function
 
 
-def immediate_dominators(func: Function) -> Dict[str, Optional[str]]:
-    """Immediate dominator of every reachable block.
+def immediate_dominators(func: Function) -> Mapping[str, Optional[str]]:
+    """Immediate dominator of every reachable block, memoized per CFG
+    shape (read-only).
 
     The entry block maps to ``None``.  Unreachable blocks are absent.
     """
+    return func.cfg_fact("immediate_dominators", _immediate_dominators)
+
+
+def _immediate_dominators(func: Function) -> Mapping[str, Optional[str]]:
     order = reverse_postorder(func)
     position = {label: i for i, label in enumerate(order)}
     preds = predecessors(func)
@@ -50,7 +56,7 @@ def immediate_dominators(func: Function) -> Dict[str, Optional[str]]:
         label: idom[label] for label in order
     }
     result[entry] = None
-    return result
+    return MappingProxyType(result)
 
 
 def dominator_sets(func: Function) -> Dict[str, Set[str]]:
@@ -68,7 +74,7 @@ def dominator_sets(func: Function) -> Dict[str, Set[str]]:
 
 
 def dominates(
-    idom: Dict[str, Optional[str]], a: str, b: str
+    idom: Mapping[str, Optional[str]], a: str, b: str
 ) -> bool:
     """Whether block ``a`` dominates block ``b`` under the idom tree."""
     walk: Optional[str] = b

@@ -7,7 +7,7 @@ dominator tree, each defining a natural loop, loops sharing a header merged.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, FrozenSet, Mapping, NamedTuple, Set, Tuple
 
 from repro.analysis.cfgutil import predecessors, reachable_labels
 from repro.analysis.dominators import dominates, immediate_dominators
@@ -15,8 +15,8 @@ from repro.ir.function import BasicBlock, Function
 from repro.ir.rtl import Jump
 
 
-class Loop:
-    """One natural loop.
+class Loop(NamedTuple):
+    """One natural loop (immutable: loops are shared per CFG shape).
 
     Attributes:
         header: label of the loop header (the unique entry block).
@@ -24,10 +24,9 @@ class Loop:
         latches: in-loop blocks with a back edge to the header.
     """
 
-    def __init__(self, header: str, blocks: Set[str], latches: Set[str]):
-        self.header = header
-        self.blocks = blocks
-        self.latches = latches
+    header: str
+    blocks: FrozenSet[str]
+    latches: FrozenSet[str]
 
     def exits(self, func: Function) -> Set[str]:
         """Labels outside the loop that loop blocks branch to."""
@@ -48,38 +47,41 @@ class Loop:
         return f"<Loop header={self.header} blocks={sorted(self.blocks)}>"
 
 
-def find_loops(func: Function) -> List[Loop]:
-    """All natural loops of ``func``, innermost first.
+def find_loops(func: Function) -> Tuple[Loop, ...]:
+    """All natural loops of ``func``, innermost first, memoized per CFG
+    shape.
 
     "Innermost first" is approximated by sorting on block-set size, which
     is exact for properly nested loops.
     """
+    return func.cfg_fact("find_loops", _find_loops)
+
+
+def _find_loops(func: Function) -> Tuple[Loop, ...]:
     idom = immediate_dominators(func)
     reachable = reachable_labels(func)
     preds = predecessors(func)
 
-    loops_by_header: Dict[str, Loop] = {}
+    bodies: Dict[str, Set[str]] = {}
+    latches: Dict[str, Set[str]] = {}
     for block in func.blocks:
         if block.label not in reachable:
             continue
         for succ in block.successors():
             if succ in reachable and dominates(idom, succ, block.label):
                 # back edge block -> succ
-                header = succ
-                body = _natural_loop_body(header, block.label, preds)
-                if header in loops_by_header:
-                    existing = loops_by_header[header]
-                    existing.blocks |= body
-                    existing.latches.add(block.label)
-                else:
-                    loops_by_header[header] = Loop(
-                        header, body, {block.label}
-                    )
-    return sorted(loops_by_header.values(), key=lambda l: len(l.blocks))
+                body = _natural_loop_body(succ, block.label, preds)
+                bodies.setdefault(succ, set()).update(body)
+                latches.setdefault(succ, set()).add(block.label)
+    loops = [
+        Loop(header, frozenset(body), frozenset(latches[header]))
+        for header, body in bodies.items()
+    ]
+    return tuple(sorted(loops, key=lambda l: len(l.blocks)))
 
 
 def _natural_loop_body(
-    header: str, latch: str, preds: Dict[str, List[str]]
+    header: str, latch: str, preds: Mapping[str, Tuple[str, ...]]
 ) -> Set[str]:
     body = {header, latch}
     work = [latch]

@@ -28,11 +28,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    wait,
-)
 from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -219,6 +214,14 @@ def run_matrix(
             if progress:
                 progress(record)
     else:
+        # Imported here, their one user: importing the harness (as every
+        # compile-only caller does) loads no multiprocessing.
+        from concurrent.futures import (
+            FIRST_COMPLETED,
+            ProcessPoolExecutor,
+            wait,
+        )
+
         # Workers normally catch their own exceptions (_run_spec_safe);
         # the parent-side handling below only fires for hard worker
         # deaths (BrokenProcessPool) and the overall deadline.

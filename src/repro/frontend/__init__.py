@@ -22,7 +22,7 @@ Use :func:`compile_source` to go straight from source text to an RTL
 module.
 """
 
-from repro.frontend.lexer import Lexer, Token, tokenize
+from repro.frontend.lexer import Token, tokenize
 from repro.frontend.parser import Parser, parse
 from repro.frontend.sema import analyze
 from repro.frontend.codegen import generate
@@ -37,7 +37,6 @@ def compile_source(source: str, word_bytes: int = 8, name: str = "module"):
 
 
 __all__ = [
-    "Lexer",
     "Parser",
     "Token",
     "analyze",

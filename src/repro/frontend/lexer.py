@@ -1,8 +1,9 @@
-"""Tokenizer for MiniC."""
+"""Tokenizer for MiniC: one regular expression, matched token by token."""
 
 from __future__ import annotations
 
-from typing import Iterator, List, NamedTuple
+import re
+from typing import List, NamedTuple
 
 from repro.errors import ParseError
 
@@ -14,14 +15,25 @@ KEYWORDS = frozenset(
     }
 )
 
-# Multi-character operators, longest first so maximal munch works.
-_OPERATORS = [
-    "<<=", ">>=",
-    "==", "!=", "<=", ">=", "&&", "||", "<<", ">>",
-    "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "++", "--",
-    "+", "-", "*", "/", "%", "&", "|", "^", "~", "!", "<", ">", "=",
-    "(", ")", "[", "]", "{", "}", ";", ",", "?", ":",
-]
+#: The escapes a character constant accepts after a backslash, and
+#: their values, position for position.
+_ESCAPED, _ESCAPE_VALUES = "ntr0\\'", "\n\t\r\0\\'"
+
+#: One alternative per token class, tried in order at each position, so
+#: operators are listed longest first (maximal munch).  ``error`` starts
+#: a token the earlier alternatives could not finish, ``stray`` is any
+#: other character; every position matches exactly one alternative.
+#: Compiled on first use (``re`` caches it), not at import.
+_TOKEN = (
+    r"(?P<skip>(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)+)"
+    r"|(?P<ident>[^\W\d]\w*)"
+    r"|(?P<number>(?:0[xX][0-9a-fA-F]+|(?!0[xX])\d+)[uUlL]*)"
+    r"|(?P<char>'(?:\\[ntr0\\']|[^\\])')"
+    r"|(?P<error>0[xX]|/\*|')"
+    r"|(?P<op><<=|>>=|[=!<>]=|&&|\|\||<<|>>|[-+*/%&|^]=|\+\+|--"
+    r"|[-+*/%&|^~!<>=()\[\]{};,?:])"
+    r"|(?P<stray>.)"
+)
 
 
 class Token(NamedTuple):
@@ -44,125 +56,63 @@ class Token(NamedTuple):
         return self.kind == "keyword" and self.text in words
 
 
-class Lexer:
-    """Hand-rolled maximal-munch scanner."""
-
-    def __init__(self, source: str):
-        self.source = source
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    def _error(self, message: str) -> ParseError:
-        return ParseError(message, self.line, self.column)
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos < len(self.source) and self.source[self.pos] == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-            self.pos += 1
-
-    def _skip_trivia(self) -> None:
-        src = self.source
-        while self.pos < len(src):
-            ch = src[self.pos]
-            if ch in " \t\r\n":
-                self._advance()
-            elif src.startswith("//", self.pos):
-                while self.pos < len(src) and src[self.pos] != "\n":
-                    self._advance()
-            elif src.startswith("/*", self.pos):
-                start_line, start_col = self.line, self.column
-                self._advance(2)
-                while not src.startswith("*/", self.pos):
-                    if self.pos >= len(src):
-                        raise ParseError(
-                            "unterminated block comment",
-                            start_line, start_col,
-                        )
-                    self._advance()
-                self._advance(2)
-            else:
-                return
-
-    def tokens(self) -> Iterator[Token]:
-        src = self.source
-        while True:
-            self._skip_trivia()
-            if self.pos >= len(src):
-                yield Token("eof", "", self.line, self.column)
-                return
-            line, column = self.line, self.column
-            ch = src[self.pos]
-
-            if ch.isalpha() or ch == "_":
-                start = self.pos
-                while self.pos < len(src) and (
-                    src[self.pos].isalnum() or src[self.pos] == "_"
-                ):
-                    self._advance()
-                text = src[start:self.pos]
-                kind = "keyword" if text in KEYWORDS else "ident"
-                yield Token(kind, text, line, column)
-                continue
-
-            if ch.isdigit():
-                start = self.pos
-                if src.startswith(("0x", "0X"), self.pos):
-                    self._advance(2)
-                    while self.pos < len(src) and (
-                        src[self.pos] in "0123456789abcdefABCDEF"
-                    ):
-                        self._advance()
-                    if self.pos == start + 2:
-                        raise self._error("bad hex literal")
-                else:
-                    while self.pos < len(src) and src[self.pos].isdigit():
-                        self._advance()
-                # Accept (and ignore) C's integer suffixes.
-                while self.pos < len(src) and src[self.pos] in "uUlL":
-                    self._advance()
-                yield Token("number", src[start:self.pos], line, column)
-                continue
-
-            if ch == "'":
-                # Character constant; value becomes a number token.
-                self._advance()
-                if self.pos >= len(src):
-                    raise self._error("unterminated character constant")
-                value_char = src[self.pos]
-                if value_char == "\\":
-                    self._advance()
-                    if self.pos >= len(src):
-                        raise self._error("bad escape")
-                    escapes = {
-                        "n": "\n", "t": "\t", "r": "\r", "0": "\0",
-                        "\\": "\\", "'": "'",
-                    }
-                    if src[self.pos] not in escapes:
-                        raise self._error(
-                            f"unknown escape \\{src[self.pos]}"
-                        )
-                    value_char = escapes[src[self.pos]]
-                self._advance()
-                if self.pos >= len(src) or src[self.pos] != "'":
-                    raise self._error("unterminated character constant")
-                self._advance()
-                yield Token("number", str(ord(value_char)), line, column)
-                continue
-
-            for op in _OPERATORS:
-                if src.startswith(op, self.pos):
-                    self._advance(len(op))
-                    yield Token("op", op, line, column)
-                    break
-            else:
-                raise self._error(f"unexpected character {ch!r}")
-
-
 def tokenize(source: str) -> List[Token]:
-    """Tokenize ``source``; the list always ends with an ``eof`` token."""
-    return list(Lexer(source).tokens())
+    """Tokenize ``source``; the list always ends with an ``eof`` token.
+
+    A character constant becomes a ``number`` token holding its value.
+    """
+    tokens: List[Token] = []
+    line, line_start = 1, 0  # line_start: offset of the line's first char
+    for match in re.compile(_TOKEN, re.DOTALL).finditer(source):
+        kind, text, start = match.lastgroup, match.group(), match.start()
+        if kind == "skip":
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = start + text.rindex("\n") + 1
+            continue
+        column = start - line_start + 1
+        if kind == "ident":
+            if text in KEYWORDS:
+                kind = "keyword"
+            elif not (text[0].isalpha() or text[0] == "_"):  # e.g. "½"
+                raise ParseError(
+                    f"unexpected character {text[0]!r}", line, column
+                )
+        elif kind == "char":
+            value = (
+                text[1] if len(text) == 3
+                else _ESCAPE_VALUES[_ESCAPED.index(text[2])]
+            )
+            tokens.append(Token("number", str(ord(value)), line, column))
+            if text[1] == "\n":  # a newline between the quotes
+                line, line_start = line + 1, start + 2
+            continue
+        elif kind == "error" or kind == "stray":
+            raise _error(source, start, line, column)
+        tokens.append(Token(kind, text, line, column))
+    tokens.append(Token("eof", "", line, len(source) - line_start + 1))
+    return tokens
+
+
+def _error(source: str, pos: int, line: int, column: int) -> ParseError:
+    """The error for the token that cannot be finished at ``pos``, placed
+    where scanning it gave up."""
+    if source.startswith("/*", pos):
+        return ParseError("unterminated block comment", line, column)
+    if source.startswith(("0x", "0X"), pos):
+        return ParseError("bad hex literal", line, column + 2)
+    if source[pos] != "'":
+        return ParseError(f"unexpected character {source[pos]!r}", line,
+                          column)
+    rest = source[pos + 1:pos + 3]
+    if rest[:1] == "\\":
+        if len(rest) < 2:
+            return ParseError("bad escape", line, column + 2)
+        if rest[1] not in _ESCAPED:
+            return ParseError(f"unknown escape \\{rest[1]}", line,
+                              column + 2)
+        column += 1
+    elif rest[:1] == "\n":
+        return ParseError("unterminated character constant", line + 1, 1)
+    return ParseError("unterminated character constant", line,
+                      column + 1 + len(rest[:1]))

@@ -56,6 +56,17 @@ class Parser:
         token = token or self.current
         return ParseError(message, token.line, token.column)
 
+    def int_value(self, token: Token) -> int:
+        """A number token's value by C's rules: ``0x`` is hex, another
+        leading ``0`` octal; ``u``/``l`` suffixes are dropped."""
+        text = token.text.rstrip("uUlL")
+        base = 16 if text[:2] in ("0x", "0X") else 8 if text[0] == "0" else 10
+        try:
+            return int(text, base)
+        except ValueError:
+            raise self._error(f"bad octal literal {token.text!r}",
+                              token) from None
+
     def expect_op(self, op: str) -> Token:
         if not self.current.is_op(op):
             raise self._error(f"expected {op!r}, found {self.current.text!r}")
@@ -143,7 +154,7 @@ class Parser:
                 raise self._error(
                     "array sizes must be integer literals", size_token
                 )
-            sizes.append(int(size_token.text.rstrip("uUlL"), 0))
+            sizes.append(self.int_value(size_token))
             self.expect_op("]")
         for size in reversed(sizes):
             ctype = ast.ArrayType(ctype, size)
@@ -407,7 +418,7 @@ class Parser:
         token = self.current
         if token.kind == "number":
             self.advance()
-            return ast.IntLit(int(token.text.rstrip("uUlL"), 0), token.line)
+            return ast.IntLit(self.int_value(token), token.line)
         if token.kind == "ident":
             self.advance()
             if self.current.is_op("("):

@@ -3,12 +3,13 @@
 A :class:`Function` owns its blocks in layout order; the first block is the
 entry.  Control-flow successors are derived from each block's terminator,
 so there is no separate edge structure to keep in sync — analyses that need
-predecessors build them on demand (see :mod:`repro.analysis.cfgutil`).
+predecessors build them on demand (see :mod:`repro.analysis.cfgutil`), once
+per CFG shape (:meth:`Function.cfg_fact`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import IRError
 from repro.ir.rtl import CondJump, Instr, Jump, Reg, Ret
@@ -45,13 +46,14 @@ class BasicBlock:
 
     def successors(self) -> List[str]:
         """Labels this block can transfer control to."""
-        term = self.terminator
+        term = self.instrs[-1] if self.instrs else None
         if isinstance(term, Jump):
             return [term.target]
         if isinstance(term, CondJump):
             if term.iftrue == term.iffalse:
                 return [term.iftrue]
             return [term.iftrue, term.iffalse]
+        self.terminator  # IRError for an empty or unterminated block
         return []  # Ret
 
     def retarget(self, old: str, new: str) -> None:
@@ -82,6 +84,12 @@ class Function:
         self.frame_slots: Dict[str, Tuple[int, int]] = {}
         self._next_reg = max((p.index for p in self.params), default=-1) + 1
         self._next_label = 0
+        # (shape, {fact name: value}) of the last shape asked about.
+        self._cfg_memo: Optional[Tuple[list, Dict[str, object]]] = None
+
+    def __getstate__(self) -> dict:
+        # Copies and pickles start without the memo: it is a cache.
+        return dict(self.__dict__, _cfg_memo=None)
 
     # -- construction --------------------------------------------------------
     def new_reg(self, name: str = "") -> Reg:
@@ -154,6 +162,33 @@ class Function:
     def iter_instrs(self) -> Iterator[Instr]:
         for block in self.blocks:
             yield from block.instrs
+
+    def cfg_fact(self, name: str, build: Callable[["Function"], object]):
+        """``build(self)``, computed once per CFG shape and then shared
+        (so immutable): the shape is every block's label in layout order
+        with its terminator's targets in order, all that CFG facts read.
+        A block without a terminator enters it as a mark, so only a fact
+        that reads the block raises.  Only the last shape is kept."""
+        shape = []
+        for block in self.blocks:
+            term = block.instrs[-1] if block.instrs else None
+            if isinstance(term, Jump):
+                shape.append((block.label, term.target))
+            elif isinstance(term, CondJump):
+                shape.append((block.label, term.iftrue, term.iffalse))
+            else:
+                shape.append((block.label, isinstance(term, Ret)))
+        memo = self._cfg_memo
+        if memo is None or memo[0] != shape:
+            memo = self._cfg_memo = (shape, {})
+        facts = memo[1]
+        if name not in facts:
+            facts[name] = build(self)
+        return facts[name]
+
+    def forget_cfg_facts(self) -> None:
+        """Drop the memoized CFG facts (they are rebuilt on demand)."""
+        self._cfg_memo = None
 
     def max_reg_index(self) -> int:
         highest = max((p.index for p in self.params), default=-1)

@@ -265,7 +265,10 @@ class BinOp(Instr):
         self.b = _check_operand(b, "BinOp.b")
 
     def uses(self) -> List[Reg]:
-        return [x for x in (self.a, self.b) if isinstance(x, Reg)]
+        a, b = self.a, self.b
+        if isinstance(a, Reg):
+            return [a, b] if isinstance(b, Reg) else [a]
+        return [b] if isinstance(b, Reg) else []
 
     def defs(self) -> List[Reg]:
         return [self.dst]
@@ -608,7 +611,10 @@ class CondJump(Instr):
         self.iffalse = iffalse
 
     def uses(self) -> List[Reg]:
-        return [x for x in (self.a, self.b) if isinstance(x, Reg)]
+        a, b = self.a, self.b
+        if isinstance(a, Reg):
+            return [a, b] if isinstance(b, Reg) else [a]
+        return [b] if isinstance(b, Reg) else []
 
     def clone(self) -> "CondJump":
         return CondJump(self.rel, self.a, self.b, self.iftrue, self.iffalse)

@@ -13,7 +13,7 @@ could coalesce.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Set
 
 from repro.analysis.liveness import liveness
 from repro.ir.function import Function
@@ -24,15 +24,22 @@ from repro.opt.pass_manager import PassContext, function_pass
 def _propagate_in_block(block) -> bool:
     changed = False
     copies: Dict[int, Operand] = {}  # dst reg index -> current value
+    readers: Dict[int, Set[int]] = {}  # reg index -> keys whose value it is
 
     def invalidate(reg_index: int) -> None:
-        copies.pop(reg_index, None)
-        for key in [
-            k
-            for k, v in copies.items()
-            if isinstance(v, Reg) and v.index == reg_index
-        ]:
-            copies.pop(key)
+        old = copies.pop(reg_index, None)
+        if isinstance(old, Reg):
+            readers[old.index].discard(reg_index)
+        for key in readers.pop(reg_index, ()):
+            del copies[key]
+
+    def record(key: int, value: Operand) -> None:
+        old = copies.get(key)
+        if isinstance(old, Reg):
+            readers[old.index].discard(key)
+        copies[key] = value
+        if isinstance(value, Reg):
+            readers.setdefault(value.index, set()).add(key)
 
     for instr in block.instrs:
         # Rewrite uses first.  No entry maps a register onto itself, so
@@ -56,18 +63,16 @@ def _propagate_in_block(block) -> bool:
         if isinstance(instr, Mov):
             source = instr.src
             if isinstance(source, Const):
-                copies[instr.dst.index] = source
-            elif isinstance(source, Reg) and (
-                source.index != instr.dst.index
-            ):
+                record(instr.dst.index, source)
+            elif source.index != instr.dst.index:
                 # Both registers hold the same value until either is
                 # redefined; canonicalize onto the lower index so loop
                 # counters keep their original register (which lets the
                 # copy itself die and the IV pattern re-form).
                 if source.index < instr.dst.index:
-                    copies[instr.dst.index] = source
+                    record(instr.dst.index, source)
                 else:
-                    copies[source.index] = instr.dst
+                    record(source.index, instr.dst)
     return changed
 
 

@@ -9,7 +9,7 @@ at *different* addresses, which CSE cannot touch (§2.1 of the paper).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.ir.function import Function
 from repro.ir.rtl import (
@@ -88,20 +88,28 @@ class _Available:
     __slots__ = ("result", "files", "loads")
 
     def __init__(self) -> None:
-        self.result: Dict[Tuple, Reg] = {}
+        # key -> (result register, the register indices it is filed under)
+        self.result: Dict[Tuple, Tuple[Reg, List[int]]] = {}
         self.files: Dict[int, Set[Tuple]] = {}
         self.loads: Set[Tuple] = set()
 
-    def add(self, key: Tuple, reads: Set[int], result: Reg) -> None:
-        self.result[key] = result
-        for reg_index in reads | {result.index}:
-            self.files.setdefault(reg_index, set()).add(key)
+    def add(self, key: Tuple, reads: List[int], result: Reg) -> None:
+        """File ``key``, which reads ``reads`` (a list the table takes
+        over) and whose value ``result`` holds."""
+        reads.append(result.index)
+        self.result[key] = (result, reads)
+        files = self.files
+        for reg_index in reads:
+            filed = files.get(reg_index)
+            if filed is None:
+                files[reg_index] = {key}
+            else:
+                filed.add(key)
         if key[0] == "load":
             self.loads.add(key)
 
     def _drop(self, key: Tuple) -> None:
-        result = self.result.pop(key)
-        for reg_index in _key_regs(key) | {result.index}:
+        for reg_index in self.result.pop(key)[1]:
             filed = self.files.get(reg_index)
             if filed is not None:
                 filed.discard(key)
@@ -129,7 +137,8 @@ def local_cse(func: Function, ctx: PassContext) -> bool:
             key = _expression_key(instr)
             defined = instr.defs()
             if key is not None:
-                reads = _key_regs(key)
+                # The registers baked into the key are the ones it reads.
+                reads = [reg.index for reg in instr.uses()]
                 # Never rewrite a self-referencing computation like
                 # ``i = add i, 1`` into a copy: it costs nothing and
                 # hides the induction variable from the loop analyses.
@@ -139,11 +148,11 @@ def local_cse(func: Function, ctx: PassContext) -> bool:
                     new_instrs.append(instr)
                     available.retire(defined)
                     continue
-                result = available.result.get(key)
-                if result is not None:
+                entry = available.result.get(key)
+                if entry is not None:
                     # Reuse the earlier result; a Mov adds nothing to
                     # the table.
-                    instr = Mov(defined[0], result)
+                    instr = Mov(defined[0], entry[0])
                     changed = True
                     key = None
             new_instrs.append(instr)
@@ -154,12 +163,3 @@ def local_cse(func: Function, ctx: PassContext) -> bool:
                 available.add(key, reads, defined[0])
         block.instrs = new_instrs
     return changed
-
-
-def _key_regs(key: Tuple) -> Set[int]:
-    """The registers whose operands are baked into ``key``."""
-    return {
-        part[1]
-        for part in key
-        if isinstance(part, tuple) and len(part) == 2 and part[0] == "r"
-    }

@@ -20,28 +20,21 @@ from repro.ir.rtl import Call, Instr, Store
 from repro.opt.pass_manager import PassContext, function_pass
 
 
-def _observable(instr: Instr) -> bool:
-    return instr.is_terminator or isinstance(instr, (Store, Call))
-
-
 # Removes straight-line instructions; the CFG shape is untouched.
 @function_pass(preserves={"dominators"})
 def dead_code_elimination(func: Function, ctx: PassContext) -> bool:
-    # All definition sites per register index.
+    # One walk files every definition site per register index and seeds
+    # the worklist with the observable instructions.
     defs_of: Dict[int, List[Instr]] = {}
-    all_instrs: List[Instr] = []
-    for block in func.blocks:
-        for instr in block.instrs:
-            all_instrs.append(instr)
-            for reg in instr.defs():
-                defs_of.setdefault(reg.index, []).append(instr)
-
     live: Set[int] = set()
     worklist: List[Instr] = []
-    for instr in all_instrs:
-        if _observable(instr):
-            live.add(id(instr))
-            worklist.append(instr)
+    for block in func.blocks:
+        for instr in block.instrs:
+            if instr.is_terminator or isinstance(instr, (Store, Call)):
+                live.add(id(instr))
+                worklist.append(instr)
+            for reg in instr.defs():
+                defs_of.setdefault(reg.index, []).append(instr)
 
     needed_regs: Set[int] = set()
     while worklist:
@@ -50,7 +43,7 @@ def dead_code_elimination(func: Function, ctx: PassContext) -> bool:
             if reg.index in needed_regs:
                 continue
             needed_regs.add(reg.index)
-            for producer in defs_of.get(reg.index, []):
+            for producer in defs_of.get(reg.index, ()):
                 if id(producer) not in live:
                     live.add(id(producer))
                     worklist.append(producer)

@@ -74,7 +74,7 @@ def _merge_chains(func: Function) -> bool:
                 continue
             if target_label == func.entry.label:
                 continue
-            if preds[target_label] != [block.label]:
+            if preds[target_label] != (block.label,):
                 continue
             target = func.block(target_label)
             block.instrs = block.instrs[:-1] + target.instrs

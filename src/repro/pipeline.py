@@ -384,6 +384,8 @@ def compile_minic(
             from repro.sanitize import lint_module
 
             lint_module(module, machine, sink=sink)
+        for func in module:
+            func.forget_cfg_facts()  # a held program keeps no facts
 
         return CompiledProgram(
             module, machine, config, reports,

@@ -58,7 +58,7 @@ class TestPredecessors:
     def test_diamond(self):
         preds = predecessors(func_of(DIAMOND))
         assert sorted(preds["join"]) == ["left", "right"]
-        assert preds["entry"] == []
+        assert preds["entry"] == ()
 
     def test_loop_header_has_two_preds(self):
         preds = predecessors(func_of(LOOP))
@@ -89,7 +89,7 @@ class TestReversePostorder:
         assert order.index("head") < order.index("body")
 
     def test_excludes_unreachable(self):
-        assert reverse_postorder(func_of(UNREACHABLE)) == ["entry"]
+        assert reverse_postorder(func_of(UNREACHABLE)) == ("entry",)
 
 
 class TestDominators:

@@ -94,7 +94,7 @@ class TestFindLoops:
 
     def test_no_loops_in_straight_line(self):
         func = func_of("func f(r0) {\nentry:\n    ret r0\n}")
-        assert find_loops(func) == []
+        assert find_loops(func) == ()
 
 
 class TestPreheader:

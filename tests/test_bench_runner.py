@@ -165,6 +165,21 @@ class TestCompileCache:
         assert probe.returncode == 0, probe.stderr
         assert probe.stdout.strip() == "[]"
 
+    def test_import_leaves_the_process_pool_out(self):
+        # run_matrix imports the pool when it fans out, so a compile-only
+        # caller of the harness does not load multiprocessing.
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.pipeline, repro.bench.harness; print(["
+             "m for m in ('concurrent.futures.process', 'multiprocessing')"
+             " if m in sys.modules])"],
+            capture_output=True, text=True, timeout=60,
+            env={"PYTHONPATH": str(REPO_ROOT / "src"),
+                 "PATH": "/usr/bin:/bin"},
+        )
+        assert probe.returncode == 0, probe.stderr
+        assert probe.stdout.strip() == "[]"
+
     def test_entry_written_the_parents_way_is_a_hit(self, tmp_path):
         """Bytes on disk are the cache's compatibility surface: an entry
         framed and keyed as earlier releases wrote it (``CACHE_SCHEMA``

@@ -455,6 +455,19 @@ def two_blocks(first, second):
     return func
 
 
+class TestLinearLocalCseOnCopies:
+    """Local CSE on blocks dense in copies, self-copies and redefinitions
+    of a copy's source and destination (``copy_instrs`` below)."""
+
+    @given(body=st.lists(st.one_of(instrs, copy_instrs), max_size=24))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, body):
+        ctx = PassContext(get_machine("alpha"))
+        expected, got = straight_line(body), straight_line(body)
+        assert local_cse(got, ctx) == reference_local_cse(expected)
+        assert format_function(got) == format_function(expected)
+
+
 class TestCopyPropagationMatchesReference:
     """Liveness solved on demand and a substitution counted as a change
     without printing, against the reference that prints and solves

@@ -85,6 +85,28 @@ def test_run_bad_call_is_an_error_not_a_traceback(
     assert complaint in err
 
 
+@pytest.mark.parametrize("source, complaint", [
+    ("int f(){ return 1 +; }", "error: 1:20: unexpected token ';'"),
+    ("int f(){ return 08; }", "error: 1:17: bad octal literal '08'"),
+    ("int f(){ return x; }", "error: line 1: undeclared name 'x'"),
+    (None, "error: [Errno 2] No such file or directory"),
+])
+@pytest.mark.parametrize("command", [
+    ["compile"], ["run", "--entry", "f"], ["lint"],
+])
+def test_bad_input_is_reported_as_lint_reports_it(
+    tmp_path, capsys, command, source, complaint
+):
+    path = tmp_path / "input.c"
+    if source is not None:
+        path.write_text(source)
+    assert main([command[0], str(path), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(complaint)
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_run_with_regalloc_and_force(kernel_file, capsys):
     assert main([
         "run", kernel_file, "--entry", "dot",

@@ -255,7 +255,7 @@ def test_cfg_consistency_trips_on_wrong_dominator_tree(monkeypatch):
     from repro.analysis.dominators import immediate_dominators
 
     def corrupted(func):
-        idom = immediate_dominators(func)
+        idom = dict(immediate_dominators(func))
         idom["join"] = "a"  # join is NOT dominated by a
         return idom
 

@@ -435,6 +435,16 @@ class TestServerBasics:
         assert response["retryable"] is False
         assert client.attempts_made == 1  # no pointless retries
 
+    def test_bad_octal_literal_is_a_fatal_parse_error(self, service):
+        server = service()
+        client = client_for(server)
+        response = client.compile("int f(){ return 08; }")
+        assert response["status"] == "error", response
+        assert response["error_type"] == "ParseError", response
+        assert response["classification"] == "fatal", response
+        assert "1:17: bad octal literal '08'" in response["error"]
+        assert client.attempts_made == 1
+
     def test_unknown_disabled_pass_is_an_error(self, service):
         server = service()
         client = client_for(server)
