@@ -755,7 +755,7 @@ def cmd_chaos(args) -> int:
     (a) the compilation survived, (b) every fired fault was recovered
     (and produced a bundle that replays), and (c) the degraded program
     still behaves like the unoptimized baseline on the differential
-    sanitizer's fixtures.
+    sanitizer's fixture plans.
     """
     import hashlib
     import tempfile
@@ -764,7 +764,9 @@ def cmd_chaos(args) -> int:
     from repro.pipeline import compile_minic as compile_pipeline
     from repro.resilience.bundle import replay_bundle
     from repro.resilience.faults import FaultPlan
-    from repro.sanitize.differential import make_fixtures, run_fixture
+    from repro.sanitize.differential import (
+        describe, fixture_plans, fixture_sim, observe,
+    )
 
     if args.fleet or args.disk:
         return _service_chaos(args)
@@ -791,16 +793,11 @@ def cmd_chaos(args) -> int:
         except (ReproError, OSError) as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
             return 2
-        fixtures = {
-            func.name: make_fixtures(func) for func in baseline.module
-        }
-        expected = {
-            name: [
-                run_fixture(baseline.module, name, baseline.machine, f)
-                for f in fixtures[name]
-            ]
-            for name in fixtures
-        }
+        expected = [
+            (plan, observe(fixture_sim(baseline.module, baseline.machine),
+                           plan))
+            for func in baseline.module for plan in fixture_plans(func)
+        ]
 
         for site in CHAOS_SITES:
             # Deterministic kind choice: the seed decides raise vs
@@ -837,20 +834,19 @@ def cmd_chaos(args) -> int:
                     notes.append(
                         f"bundle {failure.bundle} did not replay"
                     )
-            for name, outcomes in expected.items():
-                for fixture, want in zip(fixtures[name], outcomes):
-                    if want.status != "ok":
-                        continue  # inconclusive baseline
-                    got = run_fixture(
-                        program.module, name, program.machine, fixture
+            for plan, want in expected:
+                if want.status != "ok":
+                    continue  # inconclusive baseline
+                got = observe(
+                    fixture_sim(program.module, program.machine), plan
+                )
+                difference = want.diverges_from(got)
+                if difference is not None:
+                    notes.append(
+                        f"behaviour diverged from baseline in "
+                        f"{describe(plan)}: {difference}"
                     )
-                    difference = want.diverges_from(got)
-                    if difference is not None:
-                        notes.append(
-                            f"behaviour diverged from baseline in "
-                            f"{name}{fixture.describe()}: {difference}"
-                        )
-                        break
+                    break
             if notes:
                 problems.extend(f"{tag}: {note}" for note in notes)
                 print(f"  {tag}: " + "; ".join(notes), file=sys.stderr)

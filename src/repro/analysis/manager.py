@@ -1,30 +1,21 @@
-"""The analysis manager: caching with pass-level invalidation.
+"""The analysis manager: the per-function facts a pass change retires.
 
-Every pass in the cleanup fixpoint used to recompute its dataflow from
-scratch — ROADMAP's profile showed ``cleanup``/``global_const_prop``
-spending ~95% of compile time rebuilding reaching definitions the
-previous pass had already built.  The manager memoizes analyses per
-function.  A pass that changes a function retires them itself: passes
-are declared with :func:`repro.opt.pass_manager.function_pass`, which
-names the analyses the pass *preserves* and, on a change, drops
-everything else.
+It holds two things per function:
 
-The manager also records, per function, which passes are *settled*:
-their last run on the function's current IR changed nothing, so the
-cleanup fixpoint skips them.  Any invalidation of the function forgets
-those records, whatever it preserves.
-
-Registered analyses:
-
-``reaching``
-    :func:`repro.analysis.reaching.reaching_definitions`
-``liveness``
-    :func:`repro.analysis.liveness.liveness`
-``dominators``
-    :func:`repro.analysis.dominators.immediate_dominators`
 ``memdep``
     :func:`repro.analysis.alias.memory_dependence` — the symbolic alias
-    and memory-dependence summary.
+    and memory-dependence summary, which the coalescer and the
+    pipeline's ``memdep_root`` annotation read.  Computed on the first
+    request after the function last changed.
+settled passes
+    The passes whose last run on the function's current IR changed
+    nothing, so the cleanup fixpoint skips them.
+
+A pass that changes a function retires both itself: passes are declared
+with :func:`repro.opt.pass_manager.function_pass`, which calls
+:meth:`AnalysisManager.invalidate` on a change.  CFG facts live in a
+memo on the function keyed by its CFG shape, and reaching definitions
+and liveness are solved per call, so neither is cached here.
 
 Functions are held through a :class:`weakref.WeakKeyDictionary`, so a
 cached entry can never outlive (or be confused with) its function, and a
@@ -34,78 +25,31 @@ manager kept around between compilations leaks nothing.
 from __future__ import annotations
 
 import weakref
-from typing import Callable, Dict, FrozenSet, Iterable, Optional, Set
+from typing import Set
 
-from repro.errors import ReproError
+from repro.analysis.alias import memory_dependence
 from repro.ir.function import Function
-
-#: Analysis name -> "module:callable" resolved lazily (the alias engine
-#: imports back into analysis, so eager imports would cycle).
-_REGISTRY: Dict[str, str] = {
-    "reaching": "repro.analysis.reaching:reaching_definitions",
-    "liveness": "repro.analysis.liveness:liveness",
-    "dominators": "repro.analysis.dominators:immediate_dominators",
-    "memdep": "repro.analysis.alias:memory_dependence",
-}
-
-ALL_ANALYSES: FrozenSet[str] = frozenset(_REGISTRY)
-
-_resolved: Dict[str, Callable[[Function], object]] = {}
-
-
-def _resolve(name: str) -> Callable[[Function], object]:
-    fn = _resolved.get(name)
-    if fn is None:
-        try:
-            module_name, attr = _REGISTRY[name].split(":")
-        except KeyError:
-            raise ReproError(
-                f"unknown analysis {name!r}; known: "
-                f"{', '.join(sorted(_REGISTRY))}"
-            ) from None
-        import importlib
-
-        fn = getattr(importlib.import_module(module_name), attr)
-        _resolved[name] = fn
-    return fn
 
 
 class AnalysisManager:
-    """Per-function analysis cache with explicit invalidation."""
+    """Per-function ``memdep`` cache and settled passes, with explicit
+    invalidation."""
 
     def __init__(self) -> None:
-        self._cache: "weakref.WeakKeyDictionary[Function, Dict[str, object]]"
-        self._cache = weakref.WeakKeyDictionary()
+        self._memdep: "weakref.WeakKeyDictionary[Function, object]"
+        self._memdep = weakref.WeakKeyDictionary()
         self._settled: "weakref.WeakKeyDictionary[Function, Set[str]]"
         self._settled = weakref.WeakKeyDictionary()
         self.hits = 0
         self.misses = 0
 
-    # -- retrieval ----------------------------------------------------------
-    def get(self, func: Function, name: str) -> object:
-        entry = self._cache.get(func)
-        if entry is None:
-            entry = {}
-            self._cache[func] = entry
-        if name in entry:
-            self.hits += 1
-            return entry[name]
-        self.misses += 1
-        result = _resolve(name)(func)
-        entry[name] = result
-        return result
-
-    def reaching(self, func: Function):
-        return self.get(func, "reaching")
-
-    def liveness(self, func: Function):
-        return self.get(func, "liveness")
-
-    def dominators(self, func: Function):
-        return self.get(func, "dominators")
-
     def memdep(self, func: Function):
-        return self.get(func, "memdep")
+        if func in self._memdep:
+            self.hits += 1
+            return self._memdep[func]
+        self.misses += 1
+        summary = self._memdep[func] = memory_dependence(func)
+        return summary
 
     # -- settled passes -----------------------------------------------------
     def is_settled(self, func: Function, pass_name: str) -> bool:
@@ -122,28 +66,14 @@ class AnalysisManager:
         settled.add(pass_name)
 
     # -- invalidation -------------------------------------------------------
-    def invalidate(
-        self,
-        func: Function,
-        preserved: Optional[Iterable[str]] = None,
-    ) -> None:
-        """Drop ``func``'s cached analyses, keeping only ``preserved``,
-        and forget every pass settled on it.
-
-        Called after a pass changed the function; the pass's ``preserves``
-        declaration becomes ``preserved``.  An empty/absent declaration
-        drops everything — conservatively correct for any mutation.
-        """
+    def invalidate(self, func: Function) -> None:
+        """Drop ``func``'s ``memdep`` and forget every pass settled on
+        it.  Called after a pass changed the function."""
+        self._memdep.pop(func, None)
         self._settled.pop(func, None)
-        entry = self._cache.get(func)
-        if not entry:
-            return
-        keep = frozenset(preserved or ())
-        for name in list(entry):
-            if name not in keep:
-                del entry[name]
 
     def clear(self) -> None:
-        """Drop every cached analysis and settled pass of every function."""
-        self._cache.clear()
+        """Drop every cached ``memdep`` and settled pass of every
+        function."""
+        self._memdep.clear()
         self._settled.clear()

@@ -99,7 +99,7 @@ def coalescible_widths(machine) -> tuple:
     return tuple(sorted((w for w in widths if w >= 2), reverse=True))
 
 
-@function_pass()
+@function_pass
 def coalesce_function(
     func: Function,
     ctx: PassContext,

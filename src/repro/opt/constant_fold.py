@@ -136,7 +136,7 @@ def _simplify_algebraic(instr: BinOp) -> Optional[object]:
     return None
 
 
-@function_pass()
+@function_pass
 def constant_fold(func: Function, ctx: PassContext) -> bool:
     """Fold constant expressions and resolve constant branches."""
     bits = ctx.machine.word_bits

@@ -219,7 +219,7 @@ def _add_const_of(instr, reg_index: int):
 
 # Deletes and rewrites straight-line instructions only; terminator
 # targets and the block list are untouched.
-@function_pass(preserves={"dominators"})
+@function_pass
 def copy_propagate(func: Function, ctx: PassContext) -> bool:
     changed = False
     for block in func.blocks:

@@ -127,7 +127,7 @@ class _Available:
 
 
 # Block-local rewrites only — the dominator tree survives.
-@function_pass(preserves={"dominators"})
+@function_pass
 def local_cse(func: Function, ctx: PassContext) -> bool:
     changed = False
     for block in func.blocks:

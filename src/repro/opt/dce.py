@@ -21,7 +21,7 @@ from repro.opt.pass_manager import PassContext, function_pass
 
 
 # Removes straight-line instructions; the CFG shape is untouched.
-@function_pass(preserves={"dominators"})
+@function_pass
 def dead_code_elimination(func: Function, ctx: PassContext) -> bool:
     # One walk files every definition site per register index and seeds
     # the worklist with the observable instructions.

@@ -68,7 +68,7 @@ def constant_reachable(func: Function) -> Set[int]:
 # Rewrites operands in place: definition sites, the CFG, and therefore
 # the reaching-definition solution all survive unchanged.  (The def-use
 # chains do not — this pass consumes the uses it rewrites.)
-@function_pass(preserves={"reaching", "dominators"})
+@function_pass
 def global_const_prop(func: Function, ctx: PassContext) -> bool:
     # No constant-moving definition, no seed: the worklist would start
     # empty, so skip the reaching definitions and chains it never reads.

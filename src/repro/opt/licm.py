@@ -40,7 +40,7 @@ def _loop_defs(func: Function, loop) -> Dict[int, int]:
     return counts
 
 
-@function_pass()
+@function_pass
 def loop_invariant_code_motion(func: Function, ctx: PassContext) -> bool:
     changed = False
     for loop in find_loops(func):

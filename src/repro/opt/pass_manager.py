@@ -4,10 +4,10 @@ A pass is a callable ``pass_fn(func, ctx, ...)`` declared with
 :func:`function_pass`, returning whether it changed the function: a
 bool, a list of reports (a change when any report ``applied``), or any
 other result, which counts as a change (:func:`reported_change`).  The
-declaration is how cached dataflow stays current: when the pass reports
-a change, it retires the function's analyses on ``ctx.analyses``,
-keeping only the ones it declares it ``preserves``.  So a pass called
-directly, outside any pipeline stage, leaves no stale analysis behind.
+declaration is how cached facts stay current: when the pass reports a
+change, it retires the function's entries on ``ctx.analyses``.  So a
+pass called directly, outside any pipeline stage, leaves no stale
+analysis behind.
 
 Pipeline stages and standalone passes run through
 :meth:`repro.resilience.transaction.PassGuard.stage`, which times them
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.analysis.manager import AnalysisManager
 from repro.ir.function import Function
@@ -51,8 +51,8 @@ class PassContext:
     sink: Optional[object] = None
     # pass name -> {"runs": int, "changed": int}
     stats: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    # Cached dataflow and settled passes (repro.analysis.manager).  A
-    # pass declared with ``function_pass`` retires what it invalidates.
+    # ``memdep`` and settled passes (repro.analysis.manager).  A pass
+    # declared with ``function_pass`` retires them when it changes IR.
     analyses: AnalysisManager = field(default_factory=AnalysisManager)
 
     @property
@@ -78,28 +78,21 @@ def reported_change(result) -> bool:
     return True
 
 
-def function_pass(preserves: Iterable[str] = ()):
-    """Declare a pass and the analyses its changes leave valid.
+def function_pass(pass_fn):
+    """Declare a pass: when a call reports a change, the function's
+    ``memdep`` and the record of which passes are settled on it are
+    dropped from ``ctx.analyses``.  The pass keeps its name and
+    signature."""
 
-    The decorated pass keeps its name and signature.  When a call
-    reports a change, the function's cached analyses other than
-    ``preserves`` are dropped from ``ctx.analyses``, and so is the
-    record of which passes are settled on it.
-    """
-    kept = frozenset(preserves)
+    @functools.wraps(pass_fn)
+    def run(func, ctx=None, *args, **kwargs):
+        result = pass_fn(func, ctx, *args, **kwargs)
+        analyses = getattr(ctx, "analyses", None)
+        if analyses is not None and reported_change(result):
+            analyses.invalidate(func)
+        return result
 
-    def declare(pass_fn):
-        @functools.wraps(pass_fn)
-        def run(func, ctx=None, *args, **kwargs):
-            result = pass_fn(func, ctx, *args, **kwargs)
-            analyses = getattr(ctx, "analyses", None)
-            if analyses is not None and reported_change(result):
-                analyses.invalidate(func, kept)
-            return result
-
-        return run
-
-    return declare
+    return run
 
 
 def run_to_fixpoint(

@@ -34,7 +34,7 @@ def _ext_info(instr: Optional[Instr]) -> Optional[Tuple[str, int, Reg]]:
 
 # Pure instruction rewrites: the CFG (and so the dominator tree)
 # survives untouched.
-@function_pass(preserves={"dominators"})
+@function_pass
 def peephole(func: Function, ctx: PassContext) -> bool:
     changed = False
     for block in func.blocks:

@@ -131,7 +131,7 @@ def _scan(
     return assignment, spilled
 
 
-@function_pass()
+@function_pass
 def allocate_registers(
     func: Function,
     ctx: PassContext,

@@ -94,7 +94,7 @@ def _collapse_same_target_branches(func: Function) -> bool:
     return changed
 
 
-@function_pass()
+@function_pass
 def simplify_cfg(func: Function, ctx: PassContext = None) -> bool:
     """Run all CFG clean-ups to a local fixpoint."""
     changed = False

@@ -463,7 +463,7 @@ def _reuse_pointer(
         instr.disp += delta
 
 
-@function_pass()
+@function_pass
 def strength_reduce(func: Function, ctx: PassContext) -> bool:
     """Run strength reduction + LFTR over every loop of ``func``."""
     changed = False

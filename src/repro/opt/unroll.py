@@ -255,7 +255,7 @@ def _increment_pattern(instr: Instr, reg_index: int) -> Optional[int]:
     return None
 
 
-@function_pass()
+@function_pass
 def unroll_counted_loop(
     func: Function,
     ctx: PassContext,
@@ -423,7 +423,7 @@ def choose_unroll_factor(
     return UnrollDecision(factor, reason)
 
 
-@function_pass()
+@function_pass
 def unroll_function(
     func: Function,
     ctx: PassContext,

@@ -10,7 +10,7 @@ Three layers above the raise-on-first-error verifier:
   :mod:`repro.sanitize.coalesce_safety`;
 * the differential pass-sanitizer (:mod:`repro.sanitize.differential`),
   which compares snapshots of a function before and after each pass on
-  auto-generated fixtures and names the offending pass on divergence.
+  generated fixture plans and names the offending pass on divergence.
 
 Entry point::
 
@@ -42,13 +42,7 @@ from repro.sanitize import checkers as _checkers  # noqa: F401
 from repro.sanitize import coalesce_safety as _coalesce_safety  # noqa: F401
 from repro.sanitize import alias_checks as _alias_checks  # noqa: F401
 
-from repro.sanitize.differential import (
-    DifferentialSanitizer,
-    Fixture,
-    clone_function,
-    make_fixtures,
-    run_fixture,
-)
+from repro.sanitize.differential import DifferentialSanitizer, clone_function
 
 from typing import Optional, Sequence
 
@@ -70,7 +64,6 @@ __all__ = [
     "DiagnosticSink",
     "DifferentialSanitizer",
     "ERROR",
-    "Fixture",
     "Location",
     "NOTE",
     "SEVERITIES",
@@ -80,7 +73,5 @@ __all__ = [
     "clone_function",
     "get_checkers",
     "lint_module",
-    "make_fixtures",
     "run_checkers",
-    "run_fixture",
 ]

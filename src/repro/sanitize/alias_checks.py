@@ -7,7 +7,7 @@ Two checkers guard the engine's two failure modes:
   slot or global) with ``notes['memdep_root']``; those whole-object
   claims are what no-alias verdicts between distinct roots rest on.
   This checker re-executes the function on the differential sanitizer's
-  fixtures with an interpreter trace hook and reports any annotated
+  fixture plans with an interpreter trace hook and reports any annotated
   access whose concrete address leaves the claimed object's storage.
   It audits whatever the compiled module carries — modules compiled
   without ``sanitize``/``differential`` have no annotations and pass
@@ -28,24 +28,21 @@ from typing import Dict, List, Optional, Tuple
 from repro.ir.function import Function, Module
 from repro.ir.rtl import CondJump, Instr, Load, Store
 from repro.sanitize.diagnostics import DiagnosticSink, Location
+from repro.sanitize.differential import (
+    DEFAULT_VARIANTS,
+    fixture_plans,
+    fixture_sim,
+    observe,
+)
 from repro.sanitize.registry import checker
 
 #: Fixture variants for the consistency audit: the differential
 #: sanitizer's defaults plus large trip counts, because tiled kernels
 #: (blockstage-style) never enter their outer loop — and so never touch
 #: an annotated reference — unless ``n`` covers at least one whole tile.
-#: (alignment nudge, integer argument value); buffers are
-#: ``differential.BUFFER_BYTES`` = 96 bytes.
 #: A misaligned large variant drives the run-time-check fallback loop,
 #: whose (RMW-widened) references carry their own annotations.
-_AUDIT_VARIANTS = (
-    (0, 8),
-    (0, 5),
-    (2, 6),
-    (0, 64),
-    (0, 96),
-    (2, 96),
-)
+_AUDIT_VARIANTS = DEFAULT_VARIANTS + ((0, 64), (0, 96), (2, 96))
 
 
 def _locate(func: Function, target: Instr) -> Location:
@@ -78,7 +75,6 @@ def check_alias_consistency(
 ) -> None:
     if module is None or not _annotated_refs(func):
         return
-    from repro.sanitize.differential import make_fixtures, run_fixture
 
     # One finding per instruction: (instr, observed addr, lo, hi, note).
     violations: Dict[int, Tuple[Instr, int, int, int, Dict]] = {}
@@ -108,8 +104,8 @@ def check_alias_consistency(
         if addr < base or addr + span > base + size:
             violations[id(instr)] = (instr, addr, base, base + size, note)
 
-    for fixture in make_fixtures(func, variants=_AUDIT_VARIANTS):
-        run_fixture(module, func.name, machine, fixture, trace_hook=audit)
+    for plan in fixture_plans(func, _AUDIT_VARIANTS):
+        observe(fixture_sim(module, machine, trace_hook=audit), plan)
 
     for instr, addr, lo, hi, note in violations.values():
         sink.error(

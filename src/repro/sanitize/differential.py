@@ -3,39 +3,45 @@
 Static checks prove properties; this module *observes* them.  In
 differential mode the stage driver (``PassGuard.stage``) snapshots a
 function before each stage, runs both versions through the
-reference interpreter on auto-generated argument/memory fixtures, and
-emits an error diagnostic **naming the offending pass** the moment
-observable behaviour diverges — return value, memory written through
-pointer arguments, or global contents.  A future miscompile therefore
-surfaces as a pinpointed lint finding instead of a wrong number three
-stages later.
+reference interpreter on generated fixtures, and emits an error
+diagnostic **naming the offending pass** the moment observable
+behaviour diverges — return value, the staged arrays, or global
+contents.  A future miscompile therefore surfaces as a pinpointed lint
+finding instead of a wrong number three stages later.
 
-Fixture generation is deliberately deterministic (no randomness): pointer
-parameters get small filled buffers, integer parameters get a spread of
-trip-count-ish values, and one fixture deliberately misaligns the buffers
-to drive the run-time-check fallback path.  A fixture whose *baseline*
-run faults is inconclusive and skipped; a fixture where only the
-transformed function faults is a divergence.
+Fixtures are plans (:mod:`repro.sim.plan`), made by
+:func:`fixture_plans` and run by :func:`observe` through ``run_plan``,
+the staging path of every other kernel call; the ``alias-consistency``
+checker and ``repro chaos`` run the same plans.  They are deterministic
+(no randomness): pointer parameters get small filled arrays, integer
+parameters a spread of trip-count-ish values; one fixture misaligns the
+pointers and two pass every pointer into one array, which drives the
+Fig. 5 alignment and overlap checks to the safe loop.  A fixture whose
+*baseline* run faults is inconclusive and skipped; a fixture where only
+the transformed function faults is a divergence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ReproError, SimulationError
+from repro.errors import ReproError
 from repro.ir.function import Function, Module
-from repro.ir.rtl import Load, Reg, Store
+from repro.ir.rtl import Load, Store
 from repro.sanitize.diagnostics import DiagnosticSink, Location
+from repro.sim.plan import Plan, run_plan
+from repro.sim.runner import Simulator
+from repro.timing import root
 
-BUFFER_BYTES = 96
+FIXTURE_BYTES = 96
 MAX_FIXTURE_STEPS = 2_000_000
 
-# (alignment nudge for pointer buffers, integer argument value)
-_DEFAULT_VARIANTS: Tuple[Tuple[int, int], ...] = (
+# (misalignment of every pointer argument, integer argument value)
+DEFAULT_VARIANTS: Tuple[Tuple[int, int], ...] = (
     (0, 8),   # aligned, trip count a multiple of every unroll factor
     (0, 5),   # aligned, odd trip count: exercises remainder handling
-    (2, 6),   # misaligned buffers: exercises the fallback loop
+    (2, 6),   # misaligned pointers: exercises the fallback loop
 )
 
 
@@ -91,32 +97,54 @@ def param_kinds(func: Function) -> List[str]:
     ]
 
 
-@dataclass
-class Fixture:
-    """One auto-generated call: argument kinds plus variant knobs."""
-
-    kinds: List[str]
-    offset: int
-    int_value: int
-
-    def describe(self) -> str:
-        args = ", ".join(
-            f"buf(offset={self.offset})" if kind == "ptr"
-            else str(self.int_value)
-            for kind in self.kinds
-        )
-        return f"({args})"
-
-
-def make_fixtures(
+def fixture_plans(
     func: Function,
-    variants: Sequence[Tuple[int, int]] = _DEFAULT_VARIANTS,
-) -> List[Fixture]:
+    variants: Sequence[Tuple[int, int]] = DEFAULT_VARIANTS,
+) -> List[Plan]:
+    """The calls the checkers run ``func`` on, as plans.
+
+    Pointer parameter ``k`` (at parameter ``position``) gets array
+    ``p{k}``: ``FIXTURE_BYTES`` bytes filled with
+    ``(13 + 7*position + 3*i) & 0xFF``.  Each ``(misalignment, integer)``
+    variant passes every pointer at ``[p{k}, misalignment]`` and every
+    integer parameter the integer.  A function with two or more pointer
+    parameters gets two more plans, with integer 8, whose pointers all
+    point into ``p0``: in place (``[p0, 0]`` each), and pointer ``k`` at
+    ``[p0, 4*k]``.
+    """
     kinds = param_kinds(func)
-    return [
-        Fixture(kinds, offset, int_value)
-        for offset, int_value in variants
+    positions = [pos for pos, kind in enumerate(kinds) if kind == "ptr"]
+    arrays = [
+        (f"p{k}", 1, [(13 + 7 * pos + 3 * i) & 0xFF
+                      for i in range(FIXTURE_BYTES)])
+        for k, pos in enumerate(positions)
     ]
+
+    def call(staged, pointers, integer) -> Plan:
+        pointers = iter(pointers)
+        return Plan(func.name, staged, [
+            next(pointers) if kind == "ptr" else integer for kind in kinds
+        ])
+
+    plans = [
+        call(arrays, [[name, misalignment] for name, _, _ in arrays],
+             integer)
+        for misalignment, integer in variants
+    ]
+    if len(arrays) > 1:
+        plans.append(call(arrays[:1], [["p0", 0] for _ in arrays], 8))
+        plans.append(call(arrays[:1],
+                          [["p0", 4 * k] for k in range(len(arrays))], 8))
+    return plans
+
+
+def describe(plan: Plan) -> str:
+    """``entry(p0+2, p1+2, 6)``: a fixture plan's call."""
+    return plan.entry + "(" + ", ".join(
+        f"{arg[0]}+{arg[1]}" if isinstance(arg, (list, tuple))
+        else str(arg)
+        for arg in plan.args
+    ) + ")"
 
 
 @dataclass
@@ -125,8 +153,8 @@ class Outcome:
 
     status: str                       # 'ok' | exception class name
     value: Optional[int] = None
-    buffers: Tuple[bytes, ...] = ()
-    globals_: Tuple[Tuple[str, bytes], ...] = ()
+    # ("array 'p0'" | "global 'g'", contents after the call)
+    memory: Tuple[Tuple[str, bytes], ...] = ()
 
     def diverges_from(self, other: "Outcome") -> Optional[str]:
         """Human description of the first difference, or ``None``."""
@@ -134,83 +162,55 @@ class Outcome:
             return f"status {self.status} vs {other.status}"
         if self.value != other.value:
             return f"return value {self.value} vs {other.value}"
-        for position, (mine, theirs) in enumerate(
-            zip(self.buffers, other.buffers)
-        ):
+        for (what, mine), (_, theirs) in zip(self.memory, other.memory):
             if mine != theirs:
                 byte = next(
                     i for i, (x, y) in enumerate(zip(mine, theirs))
                     if x != y
                 )
                 return (
-                    f"pointer argument #{position} differs at byte "
-                    f"{byte} ({mine[byte]:#04x} vs {theirs[byte]:#04x})"
+                    f"{what} differs at byte {byte} "
+                    f"({mine[byte]:#04x} vs {theirs[byte]:#04x})"
                 )
-        for (name, mine), (_, theirs) in zip(
-            self.globals_, other.globals_
-        ):
-            if mine != theirs:
-                return f"global {name!r} contents differ"
         return None
 
 
-def run_fixture(
-    module: Module,
-    func_name: str,
-    machine,
-    fixture: Fixture,
-    trace_hook=None,
-) -> Outcome:
-    """Execute one fixture in a fresh interpreter; never raises for
-    simulation faults (they become the outcome's status).
-
-    ``trace_hook`` is forwarded to the interpreter (one call per
-    executed Load/Store); the alias-consistency checker uses it to
-    audit the static engine's claims against concrete addresses.
-    """
-    from repro.sim.interp import Interpreter
-
-    interp = Interpreter(
+def fixture_sim(module: Module, machine, trace_hook=None) -> Simulator:
+    """A reference-interpreter simulator for fixture runs: caches off,
+    ``MAX_FIXTURE_STEPS``.  ``trace_hook`` gets one call per executed
+    Load/Store; the alias-consistency checker audits the static
+    engine's claims against those concrete addresses."""
+    return Simulator(
         module, machine, simulate_caches=False,
-        max_steps=MAX_FIXTURE_STEPS,
-        trace_hook=trace_hook,
+        max_steps=MAX_FIXTURE_STEPS, trace_hook=trace_hook,
+        backend="interp",
     )
-    buffers: List[Tuple[int, int]] = []  # (address, size)
-    args: List[int] = []
-    for position, kind in enumerate(fixture.kinds):
-        if kind == "ptr":
-            addr = interp.memory.alloc(
-                BUFFER_BYTES, align=8, offset=fixture.offset
-            )
-            fill = bytes(
-                (13 + 7 * position + 3 * i) & 0xFF
-                for i in range(BUFFER_BYTES)
-            )
-            interp.memory.write_bytes(addr, fill)
-            buffers.append((addr, BUFFER_BYTES))
-            args.append(addr)
-        else:
-            args.append(fixture.int_value)
+
+
+def observe(sim: Simulator, plan: Plan) -> Outcome:
+    """Run ``plan`` on ``sim`` and read back every staged array and
+    global; a simulation fault becomes the outcome's status.
+
+    ``run_plan``'s ``sim.*`` spans go to a tree of their own, so a
+    checker's fixture runs stay self time of the stage or command that
+    checks, not simulation layers inside it."""
+    status, value = "ok", None
     try:
-        value = interp.call(func_name, *args)
-    except SimulationError as exc:
-        return Outcome(status=type(exc).__name__)
+        with root("fixture"):
+            value = run_plan(sim, plan)
     except ReproError as exc:
-        return Outcome(status=type(exc).__name__)
-    return Outcome(
-        status="ok",
-        value=value,
-        buffers=tuple(
-            interp.memory.read_bytes(addr, size)
-            for addr, size in buffers
-        ),
-        globals_=tuple(
-            (name, interp.memory.read_bytes(
-                interp.global_addrs[name], var.size
-            ))
-            for name, var in module.globals.items()
-        ),
-    )
+        status = type(exc).__name__
+    memory = [
+        (f"array {name!r}",
+         sim.memory.read_bytes(sim.array_addr(name), width * len(values)))
+        for name, width, values in plan.arrays
+    ]
+    memory += [
+        (f"global {name!r}",
+         sim.memory.read_bytes(sim.engine.global_addrs[name], var.size))
+        for name, var in sim.module.globals.items()
+    ]
+    return Outcome(status, value, tuple(memory))
 
 
 def _module_with(module: Module, func: Function) -> Module:
@@ -225,27 +225,17 @@ def _module_with(module: Module, func: Function) -> Module:
 class DifferentialSanitizer:
     """Snapshot/compare driver used by ``PassGuard.stage``."""
 
-    def __init__(
-        self,
-        module: Module,
-        machine,
-        sink: DiagnosticSink,
-        variants: Sequence[Tuple[int, int]] = _DEFAULT_VARIANTS,
-    ):
+    def __init__(self, module: Module, machine, sink: DiagnosticSink):
         self.module = module
         self.machine = machine
         self.sink = sink
-        self.variants = variants
-        # Fixtures and baselines are keyed by function name; fixtures
-        # are derived once from the *first* snapshot so both versions
-        # run identical inputs.
-        self._fixtures: Dict[str, List[Fixture]] = {}
+        # Plans are keyed by function name and derived once from the
+        # *first* snapshot, so both versions run identical inputs.
+        self._plans: Dict[str, List[Plan]] = {}
 
     def snapshot(self, func: Function) -> Function:
-        if func.name not in self._fixtures:
-            self._fixtures[func.name] = make_fixtures(
-                func, self.variants
-            )
+        if func.name not in self._plans:
+            self._plans[func.name] = fixture_plans(func)
         return clone_function(func)
 
     def compare(
@@ -259,22 +249,18 @@ class DifferentialSanitizer:
         agreed = True
         before_module = _module_with(self.module, snapshot)
         after_module = _module_with(self.module, func)
-        for fixture in self._fixtures[func.name]:
-            before = run_fixture(
-                before_module, func.name, self.machine, fixture
-            )
+        for plan in self._plans[func.name]:
+            before = observe(fixture_sim(before_module, self.machine), plan)
             if before.status != "ok":
                 continue  # inconclusive: no baseline behaviour
-            after = run_fixture(
-                after_module, func.name, self.machine, fixture
-            )
+            after = observe(fixture_sim(after_module, self.machine), plan)
             difference = before.diverges_from(after)
             if difference is not None:
                 agreed = False
                 self.sink.error(
                     "differential",
                     f"pass changed observable behaviour on fixture "
-                    f"{fixture.describe()}: {difference}",
+                    f"{describe(plan)}: {difference}",
                     location=Location(func.name),
                     provenance=pass_name,
                     hint="the named pass miscompiled this function; "

@@ -17,6 +17,11 @@ back (responses are not pipelined, so ordering is trivial).  Requests::
     {"id": 5, "op": "ping"}
     {"id": 6, "op": "shutdown"}
 
+A ``simulate`` argument is an integer, the name of a staged array (its
+address), or ``[name, byte offset]`` (that address plus the offset,
+inside the array): :class:`repro.sim.plan.Plan` rejects anything else
+as a fatal ``ReproError`` before compiling.
+
 Responses always carry the request ``id`` and a ``status``:
 
 ==================  ======================================================

@@ -1,9 +1,13 @@
 """One kernel call as data, staged and read back one way for every caller.
 
-The bench harness, ``repro run``, the service's ``simulate`` op and
-:func:`repro.pipeline.compile_and_run` all stage through :func:`run_plan`.
-Staging order fixes the simulated addresses, and the addresses decide
-which way the paper's Fig. 5 checks branch and which D-cache lines collide.
+The bench harness, ``repro run``, the service's ``simulate`` op,
+:func:`repro.pipeline.compile_and_run` and the fixtures of the
+differential sanitizer, the ``alias-consistency`` audit and
+``repro chaos`` all stage through :func:`run_plan`.  Staging order fixes
+the simulated addresses, and the addresses decide which way the paper's
+Fig. 5 checks branch and which D-cache lines collide.  An argument
+``[name, byte offset]`` points into a staged array, so one plan can pass
+a misaligned base or two pointers into one array.
 """
 
 from __future__ import annotations
@@ -25,7 +29,9 @@ class Plan:
     """One kernel call: what to stage, how to call it, what must come back.
 
     ``arrays`` holds ``(name, element bytes, values)`` in staging order;
-    a string in ``args`` passes the address of the array it names.
+    a string in ``args`` passes the address of the array it names, and
+    ``[name, offset]`` that address plus ``offset`` bytes, which must
+    lie inside the array.
     ``outputs`` and ``result`` (signed; None: unchecked) are what the
     call must leave and return.  A malformed plan raises
     :class:`ReproError` when built, before anything is compiled.
@@ -42,17 +48,27 @@ class Plan:
                 and isinstance(self.args, (list, tuple))):
             raise ReproError("'arrays' and 'args' must be lists")
         self.arrays = [_array(item) for item in self.arrays]
-        names = set()
-        for name, _, _ in self.arrays:
-            if name in names:
+        sizes: Dict[str, int] = {}
+        for name, width, values in self.arrays:
+            if name in sizes:
                 raise ReproError(f"array {name!r} is staged twice")
-            names.add(name)
+            sizes[name] = width * len(values)
         for arg in self.args:
-            if not (isinstance(arg, int)
-                    or isinstance(arg, str) and arg in names):
+            if isinstance(arg, int) or isinstance(arg, str) and arg in sizes:
+                continue
+            if not (isinstance(arg, (list, tuple)) and len(arg) == 2
+                    and isinstance(arg[0], str)):
                 raise ReproError(
                     f"argument {arg!r} is neither an integer nor the name "
-                    "of a staged array"
+                    "of a staged array, bare or as [name, byte offset]"
+                )
+            name, offset = arg
+            if name not in sizes:
+                raise ReproError(f"argument {arg!r}: no array named {name!r}")
+            if not (isinstance(offset, int) and 0 <= offset < sizes[name]):
+                raise ReproError(
+                    f"argument {arg!r}: offset {offset!r} is not inside "
+                    f"the {sizes[name]} bytes of {name!r}"
                 )
 
 
@@ -78,7 +94,9 @@ def run_plan(sim, plan: Plan) -> Optional[int]:
             sim.write_words(address, values, width)
     with span("sim.exec"):
         value = sim.call(plan.entry, *[
-            sim.array_addr(arg) if isinstance(arg, str) else arg
+            arg if isinstance(arg, int)
+            else sim.array_addr(arg) if isinstance(arg, str)
+            else sim.array_addr(arg[0]) + arg[1]
             for arg in plan.args
         ])
     return None if value is None else to_signed(value, sim.machine.word_bits)

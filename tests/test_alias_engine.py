@@ -329,15 +329,6 @@ class TestAnalysisManager:
         assert manager.memdep(func) is first
         assert manager.hits == 1 and manager.misses == 1
 
-    def test_invalidate_keeps_preserved(self):
-        func = next(iter(parse_module(TWO_SLOTS)))
-        manager = AnalysisManager()
-        chains = manager.reaching(func)
-        summary = manager.memdep(func)
-        manager.invalidate(func, preserved={"reaching"})
-        assert manager.reaching(func) is chains
-        assert manager.memdep(func) is not summary
-
     def test_function_pass_honours_declaration(self):
         from repro.machine import get_machine
         from repro.opt.pass_manager import PassContext, function_pass
@@ -345,23 +336,21 @@ class TestAnalysisManager:
         func = next(iter(parse_module(TWO_SLOTS)))
         ctx = PassContext(get_machine("alpha"))
         summary = ctx.analyses.memdep(func)
-        chains = ctx.analyses.reaching(func)
 
-        @function_pass()
+        @function_pass
         def untouched_pass(f, c):
             return False
 
         untouched_pass(func, ctx)
         assert ctx.analyses.memdep(func) is summary  # no change: keep all
 
-        @function_pass(preserves={"memdep"})
+        @function_pass
         def rewriting_pass(f, c):
             return True
 
         assert rewriting_pass.__name__ == "rewriting_pass"
         rewriting_pass(func, ctx)
-        assert ctx.analyses.memdep(func) is summary
-        assert ctx.analyses.reaching(func) is not chains
+        assert ctx.analyses.memdep(func) is not summary
 
     def test_guard_stage_retires_analyses(self):
         from repro.machine import get_machine
@@ -374,7 +363,7 @@ class TestAnalysisManager:
         ctx = PassContext(machine)
         guard = PassGuard(module, machine, policy="skip")
 
-        @function_pass()
+        @function_pass
         def rewriting_pass(f, c):
             return True
 

@@ -776,7 +776,7 @@ class TestSettledPasses:
         ctx = PassContext(machine)
         cleanup(func, ctx)
 
-        @function_pass()
+        @function_pass
         def touched(f, c):
             return True
 
@@ -801,7 +801,7 @@ class TestSettledPasses:
         analyses = ctx.analyses
         cleanup(func, ctx)
         assert analyses.is_settled(func, "peephole")
-        analyses.invalidate(func, preserved={"dominators"})
+        analyses.invalidate(func)
         assert not analyses.is_settled(func, "peephole")
         cleanup(func, ctx)
         analyses.clear()  # nothing cached, still forgets
@@ -832,12 +832,12 @@ class TestSettledPasses:
         func = straight_line([])
         calls = []
 
-        @function_pass()
+        @function_pass
         def always(f, c):
             calls.append("always")
             return True
 
-        @function_pass()
+        @function_pass
         def never(f, c):
             calls.append("never")
             return False

@@ -37,6 +37,15 @@ class TestValidation:
         ([("a", 2, [1])], [["a"]], "['a'] is neither an integer"),
         ({"a": [1]}, [], "'arrays' and 'args' must be lists"),
         ([], "a", "'arrays' and 'args' must be lists"),
+        ([("a", 2, [1])], [["a", 0, 1]], "['a', 0, 1] is neither an integer"),
+        ([("a", 2, [1])], [[0, "a"]], "[0, 'a'] is neither an integer"),
+        ([("a", 2, [1])], [["b", 0]], "['b', 0]: no array named 'b'"),
+        ([("a", 2, [1])], [["a", 1.0]], "offset 1.0 is not inside"),
+        ([("a", 2, [1])], [["a", "1"]], "offset '1' is not inside"),
+        ([("a", 2, [1])], [["a", -1]], "offset -1 is not inside"),
+        ([("a", 2, [1])], [["a", 2]], "offset 2 is not inside the 2 bytes"),
+        ([("a", 2, [1])], [["a", 9]], "offset 9 is not inside the 2 bytes"),
+        ([("a", 2, [])], [["a", 0]], "offset 0 is not inside the 0 bytes"),
     ])
     def test_malformed_plan_raises(self, arrays, args, complaint):
         with pytest.raises(ReproError) as info:
@@ -59,6 +68,11 @@ class TestRunPlan:
         assert result == -15
         assert sim.array_addr("pad") < sim.array_addr("a")
         assert check(sim, plan, result)
+
+    def test_offset_argument_points_into_the_array(self):
+        sim = simulator()
+        plan = Plan("sum", [("a", 2, [100, 20, 3])], [["a", 2], 2])
+        assert run_plan(sim, plan) == 23
 
     def test_void_entry_returns_none(self):
         sim = compile_minic(

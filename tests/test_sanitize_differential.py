@@ -1,5 +1,6 @@
 """Differential pass-sanitizer and pass-statistics tests."""
 
+from repro.bench import get_benchmark
 from repro.frontend import compile_source
 from repro.ir.rtl import BinOp, Const, Load, Mov, Reg, Ret
 from repro.ir.function import Function
@@ -8,7 +9,15 @@ from repro.opt.pass_manager import PassContext, cleanup
 from repro.pipeline import compile_minic
 from repro.resilience.transaction import PassGuard
 from repro.sanitize import DiagnosticSink, clone_function
-from repro.sanitize.differential import DifferentialSanitizer, param_kinds
+from repro.sanitize.differential import (
+    DifferentialSanitizer,
+    describe,
+    fixture_plans,
+    fixture_sim,
+    observe,
+    param_kinds,
+)
+from repro.sim.plan import run_plan
 
 
 DOT = """
@@ -130,3 +139,52 @@ def test_pipeline_sanitize_mode_populates_diagnostics():
     # stage statistics are recorded regardless of findings
     assert "unroll" in program.pass_stats
     assert "schedule" in program.pass_stats
+
+
+def test_aliasing_fixtures_leave_the_chain_at_the_overlap_check():
+    # In place, image_xor's three pointers overlap: the Fig. 5 chain must
+    # fall back to the safe loop at an alias check, before any alignment
+    # check runs, while the aligned disjoint call enters LCOPY.
+    source = get_benchmark("image_xor").source
+    program = compile_minic(source, "alpha", "coalesce-all",
+                            force_coalesce=True, differential=True)
+    assert [d for d in program.diagnostics if d.severity == "error"] == []
+    func = program.module.function("image_xor")
+    (report,) = [r for r in program.coalesce_reports if r.applied]
+    alignment = [
+        block.label for block in func.blocks
+        if block.instrs[-1].notes.get("runtime_check", {}).get("kind")
+        == "alignment"
+    ]
+    assert alignment
+    plans = {describe(plan): plan for plan in fixture_plans(func)}
+
+    def entries(call):
+        sim = program.simulator()
+        run_plan(sim, plans[call])
+        return (
+            sim.block_count("image_xor", report.lcopy_label),
+            sum(sim.block_count("image_xor", label) for label in alignment),
+        )
+
+    assert entries("image_xor(p0+0, p0+0, p0+0, 8)") == (0, 0)
+    assert entries("image_xor(p0+0, p0+4, p0+8, 8)") == (0, 0)
+    assert entries("image_xor(p0+0, p1+0, p2+0, 8)")[0] == 1
+    # Every fixture, aliased ones included, computes what naive does.
+    naive = compile_minic(source, "alpha", "naive")
+    for call, plan in plans.items():
+        want = observe(fixture_sim(naive.module, naive.machine), plan)
+        got = observe(fixture_sim(program.module, program.machine), plan)
+        assert want.status == "ok" and want == got, call
+
+
+def test_fixture_plans_alias_only_with_two_pointers():
+    module = compile_source(DOT, word_bytes=8)
+    calls = [describe(plan) for plan in fixture_plans(module.function("dot"))]
+    assert calls == [
+        "dot(p0+0, p1+0, 8)", "dot(p0+0, p1+0, 5)", "dot(p0+2, p1+2, 6)",
+        "dot(p0+0, p0+0, 8)", "dot(p0+0, p0+4, 8)",
+    ]
+    single = compile_source("int f(int *a, int n) { return a[n]; }",
+                            word_bytes=8)
+    assert len(fixture_plans(single.function("f"))) == 3

@@ -396,6 +396,14 @@ class TestServerBasics:
             ([["a", 2, [1, 2]], ["a", 2, [3, 4]]], ["a", 2],
              "array 'a' is staged twice"),
             ([], ["b", 1], "argument 'b' is neither an integer"),
+            ([["a", 2, [1, 2]]], [["a", 0, 1], 2],
+             "argument ['a', 0, 1] is neither an integer"),
+            ([["a", 2, [1, 2]]], [["b", 0], 2], "no array named 'b'"),
+            ([["a", 2, [1, 2]]], [["a", "0"], 2],
+             "offset '0' is not inside"),
+            ([["a", 2, [1, 2]]], [["a", -2], 2], "offset -2 is not inside"),
+            ([["a", 2, [1, 2]]], [["a", 4], 2],
+             "offset 4 is not inside the 4 bytes of 'a'"),
         ]
         for arrays, args, complaint in cases:
             response = client.request(

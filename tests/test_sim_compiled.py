@@ -16,8 +16,8 @@ Five concerns:
   :class:`SimulationTimeout` attributes and identical probe cadence on
   both backends, also inside loop chains, whose block counts, step
   count and resident I-cache probes live in locals;
-* the differential contract itself, over the sanitize fixture matrix
-  (including misaligned, larger-trip variants) and over real benchmark
+* the differential contract itself, over the sanitizer's fixture plans
+  (including misaligned, aliased and larger-trip ones) and over real benchmark
   cells on all three machines, plus the bench-runner helpers
   (``diff_runs``/``check_sim_rate``) that gate it in CI.
 """
@@ -33,7 +33,13 @@ from repro.ir import parse_module
 from repro.machine import get_machine
 from repro.machine.machine import CacheGeometry
 from repro.pipeline import compile_minic
-from repro.sanitize.differential import BUFFER_BYTES, make_fixtures
+from repro.sanitize.differential import (
+    DEFAULT_VARIANTS,
+    MAX_FIXTURE_STEPS,
+    describe,
+    fixture_plans,
+    observe,
+)
 from repro.sim import Simulator, default_sim_backend
 from repro.sim.cache import BlockCache
 from repro.sim.interp import Interpreter
@@ -833,12 +839,6 @@ class TestLoopChains:
         assert states[0][1]["error"][0] == "DeadlineExceeded"
 
 
-# (alignment nudge, integer argument) — the sanitize matrix plus a
-# misaligned-large variant: offset buffers AND a trip count big enough
-# that coalesced wide accesses run several full iterations past the
-# alignment fallback's preheader checks.
-FIXTURE_VARIANTS = ((0, 8), (0, 5), (2, 6), (2, 24))
-
 PARITY_REPORT_FIELDS = (
     "total_cycles", "base_cycles", "dcache_miss_cycles",
     "icache_miss_cycles", "instr_count", "load_count", "store_count",
@@ -846,43 +846,19 @@ PARITY_REPORT_FIELDS = (
 )
 
 
-def _run_fixture(module, entry, machine, fixture):
-    """One fixture on one backend, staged exactly alike both times."""
-
-    def once(backend):
-        sim = Simulator(module, machine, backend=backend, max_steps=2_000_000)
-        args, buffers = [], []
-        for position, kind in enumerate(fixture.kinds):
-            if kind == "ptr":
-                addr = sim.memory.alloc(
-                    BUFFER_BYTES, align=8, offset=fixture.offset
-                )
-                sim.memory.write_bytes(addr, bytes(
-                    (13 + 7 * position + 3 * i) & 0xFF
-                    for i in range(BUFFER_BYTES)
-                ))
-                buffers.append(addr)
-                args.append(addr)
-            else:
-                args.append(fixture.int_value)
-        status, value = "ok", None
-        try:
-            value = sim.call(entry, *args)
-        except SimulationError as exc:
-            status = type(exc).__name__
-        observed = {"backend": sim.backend, "status": status, "value": value}
-        observed["buffers"] = tuple(
-            sim.memory.read_bytes(addr, BUFFER_BYTES) for addr in buffers
-        )
-        if status == "ok":
-            report = sim.report()
-            for field in PARITY_REPORT_FIELDS:
-                observed[field] = getattr(report, field)
-            observed["dcache_hits"] = sim.engine.dcache.hits
-            observed["icache_hits"] = sim.engine.icache.hits
-        return observed
-
-    return once("interp"), once("compiled")
+def _observe_on(backend, program, plan):
+    """One fixture plan's outcome and cycle report on one backend."""
+    sim = Simulator(program.module, program.machine, backend=backend,
+                    max_steps=MAX_FIXTURE_STEPS)
+    outcome = observe(sim, plan)
+    observed = {"backend": sim.backend, "outcome": outcome}
+    if outcome.status == "ok":
+        report = sim.report()
+        for field in PARITY_REPORT_FIELDS:
+            observed[field] = getattr(report, field)
+        observed["dcache_hits"] = sim.engine.dcache.hits
+        observed["icache_hits"] = sim.engine.icache.hits
+    return observed
 
 
 class TestFixtureMatrixParity:
@@ -897,14 +873,16 @@ class TestFixtureMatrixParity:
             program.source, machine, "coalesce-all", force_coalesce=True
         )
         func = compiled.module.function(entry)
-        for fixture in make_fixtures(func, FIXTURE_VARIANTS):
-            interp, comp = _run_fixture(
-                compiled.module, entry, compiled.machine, fixture
-            )
+        # The sanitizer's plans plus a misaligned-large variant: a trip
+        # count big enough that coalesced wide accesses run several full
+        # iterations past the alignment fallback's preheader checks.
+        for plan in fixture_plans(func, DEFAULT_VARIANTS + ((2, 24),)):
+            interp = _observe_on("interp", compiled, plan)
+            comp = _observe_on("compiled", compiled, plan)
             assert interp.pop("backend") == "interp"
             assert comp.pop("backend") == "compiled"
             assert interp == comp, (
-                f"{name} on {machine}, fixture {fixture.describe()}"
+                f"{name} on {machine}, fixture {describe(plan)}"
             )
 
 
