@@ -24,13 +24,11 @@ The package is a complete retargetable optimizing back end in Python:
 Quickstart::
 
     from repro import compile_minic
+    from repro.sim.plan import Plan
 
     program = compile_minic(source, machine="alpha", config="coalesce-all")
-    sim = program.simulator()
-    dst = sim.alloc_array("dst", size=4096)
-    ...
-    sim.call("kernel", dst, ...)
-    print(sim.report().total_cycles)
+    call = Plan("kernel", [("dst", 1, [0] * 4096), ...], ["dst", ...])
+    print(program.measure(call).cycles)
 """
 
 from repro.errors import (

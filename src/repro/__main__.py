@@ -203,7 +203,6 @@ def _call_from_args(args):
 
 def cmd_run(args) -> int:
     from repro.errors import ReproError
-    from repro.sim.plan import dump, run_plan
 
     try:
         call = _call_from_args(args)
@@ -213,19 +212,16 @@ def cmd_run(args) -> int:
     program = _compile_input(args)
     if program is None:
         return 2
-    sim = program.simulator(
-        max_steps=args.max_steps, backend=args.sim_backend
+    measured = program.measure(
+        call, args.dump, max_steps=args.max_steps, backend=args.sim_backend
     )
-    result = run_plan(sim, call)
-    if result is not None:
-        print(f"result: {result}")
-    report = sim.report()
-    print(f"cycles: {report.total_cycles}")
-    print(f"instructions: {report.instr_count}")
-    print(f"memory references: {report.memory_accesses}")
-    if args.dump:
-        for name, values in dump(sim, call, args.dump).items():
-            print(f"{name}[0:{len(values)}] =", values)
+    if measured.result is not None:
+        print(f"result: {measured.result}")
+    print(f"cycles: {measured.cycles}")
+    print(f"instructions: {measured.instr_count}")
+    print(f"memory references: {measured.memory_accesses}")
+    for name, values in (measured.arrays or {}).items():
+        print(f"{name}[0:{len(values)}] =", values)
     return 0
 
 
@@ -1048,7 +1044,7 @@ def _print_submit_response(response, as_json: bool) -> None:
             f"recovered: {', '.join(recovered) or '-'})"
         )
     for field in ("result", "cycles", "instr_count", "memory_accesses",
-                  "coalesced_loops", "cache_hit", "error"):
+                  "output_ok", "coalesced_loops", "cache_hit", "error"):
         if response.get(field) is not None:
             print(f"{field}: {response[field]}")
     if response.get("rtl"):
@@ -1074,7 +1070,8 @@ def cmd_submit(args) -> int:
         if args.bench:
             response = client.bench(
                 args.bench, machine=args.machine,
-                variant=args.variant, size=args.size, **fields,
+                variant=args.variant, size=args.size,
+                max_steps=args.max_steps, **fields,
             )
         elif args.entry:
             with open(args.file) as handle:
@@ -1105,7 +1102,8 @@ def cmd_submit(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _print_submit_response(response, args.json)
-    return 0 if response.get("status") in ("ok", "degraded") else 1
+    served = response.get("status") in ("ok", "degraded")
+    return 0 if served and response.get("output_ok", True) else 1
 
 
 def _format_latency(snapshot) -> str:

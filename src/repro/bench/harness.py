@@ -22,10 +22,12 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro import timing
-from repro.bench.programs import get_benchmark
+from repro.bench.programs import BENCHMARKS, get_benchmark
 from repro.bench import workloads
 from repro.bench.cache import cached_compile_minic
-from repro.sim.plan import check as check_plan, run_plan
+from repro.errors import ReproError
+from repro.pipeline import Measurement
+from repro.sim.plan import Plan
 
 COLUMN_CONFIGS: Dict[str, Tuple[str, Dict[str, object]]] = {
     "cc": ("cc", {}),
@@ -44,49 +46,39 @@ def machine_overrides(machine: str) -> Dict[str, object]:
     return {}
 
 
-@dataclass
-class BenchResult:
-    """Outcome of one (benchmark, machine, column) measurement."""
+def cell_recipe(
+    name: str, machine: str, column: str, width: int, height: int, **extra
+) -> Tuple[str, str, Dict[str, object], Plan]:
+    """What one cell compiles and calls: ``(source, preset, overrides,
+    plan)``.  An unknown benchmark or column is a :class:`ReproError`,
+    raised before anything compiles."""
+    for what, value, known in (
+        ("benchmark", name, BENCHMARKS), ("variant", column, COLUMNS)
+    ):
+        if value not in known:
+            raise ReproError(
+                f"unknown {what} {value!r}; known: {', '.join(known)}"
+            )
+    preset, overrides = COLUMN_CONFIGS[column]
+    return (
+        get_benchmark(name).source,
+        preset,
+        {**machine_overrides(machine), **overrides, **extra},
+        workloads.make_plan(name, width, height),
+    )
 
-    benchmark: str
-    machine: str
-    column: str
-    cycles: int = 0
-    base_cycles: int = 0
-    dcache_miss_cycles: int = 0
-    icache_miss_cycles: int = 0
-    instr_count: int = 0
-    memory_accesses: int = 0
-    output_ok: bool = False
-    coalesced_loops: int = 0
-    # Figure 5 runtime checks the static alias engine discharged.
-    checks_elided: int = 0
-    # Accepted runs per access shape ('unit'/'strided'/'affine'/
-    # 'indirect') summed over applied loops.
-    coalesced_by_shape: Dict[str, int] = field(default_factory=dict)
-    result: Optional[int] = None
-    loads: int = 0
-    stores: int = 0
-    dcache_misses: int = 0
-    icache_misses: int = 0
-    # Nothing was compiled for this measurement: the program was revived
-    # from the disk compile cache.
-    compile_cache_hit: bool = False
-    # Which simulator backend actually ran (after any fallback) and its
-    # throughput in simulated instructions per host second of the
-    # sim.exec span, less the first-entry translation timed under it
-    # (None when the run was too short to time).
-    sim_backend: str = "interp"
+
+@dataclass
+class BenchResult(Measurement):
+    """One cell's measurement and its host time."""
+
+    # Simulated instructions per host second of the sim.exec span, less
+    # the first-entry translation timed under it (None when the run was
+    # too short to time).
     sim_instrs_per_sec: Optional[float] = None
     # This measurement's host time: a repro.timing tree in recorded form
     # (None when nothing was measured).
-    timing: Optional[Dict[str, object]] = None
-
-    def __repr__(self) -> str:
-        return (
-            f"<BenchResult {self.benchmark}/{self.machine}/{self.column}: "
-            f"{self.cycles} cycles, ok={self.output_ok}>"
-        )
+    timing: Optional[Dict[str, object]] = field(default=None, repr=False)
 
 
 def _execution_seconds(tree: dict) -> float:
@@ -111,47 +103,22 @@ def run_benchmark(
     and time one benchmark, as one :mod:`repro.timing` tree (``cell``).
 
     ``sim_backend`` picks the simulator backend (``interp`` or
-    ``compiled``); None defers to ``REPRO_SIM_BACKEND``.  The result
-    records the backend that actually ran — the compiled backend falls
-    back to the interpreter under fault injection.
+    ``compiled``); None defers to ``REPRO_SIM_BACKEND``.
     """
-    preset, overrides = COLUMN_CONFIGS[column]
-    overrides = {**machine_overrides(machine), **overrides, **extra}
     with timing.root("cell") as tree:
-        compiled = cached_compile_minic(
-            get_benchmark(name).source, machine, preset, **overrides
+        source, preset, overrides, plan = cell_recipe(
+            name, machine, column, width, height, **extra
         )
-        call = workloads.make_plan(name, width, height)
-        sim = compiled.simulator(backend=sim_backend)
-        result = run_plan(sim, call)
-        ok = check_plan(sim, call, result)
-        report = sim.report()
+        measured = cached_compile_minic(
+            source, machine, preset, **overrides
+        ).measure(plan, backend=sim_backend)
     recorded = tree.to_dict()
     exec_seconds = _execution_seconds(recorded)
     return BenchResult(
-        benchmark=name,
-        machine=machine,
-        column=column,
-        cycles=report.total_cycles,
-        base_cycles=report.base_cycles,
-        dcache_miss_cycles=report.dcache_miss_cycles,
-        icache_miss_cycles=report.icache_miss_cycles,
-        instr_count=report.instr_count,
-        memory_accesses=report.memory_accesses,
-        output_ok=ok,
-        coalesced_loops=compiled.coalesced_loops,
-        checks_elided=compiled.checks_elided,
-        coalesced_by_shape=compiled.coalesced_by_shape,
-        result=result,
-        loads=report.load_count,
-        stores=report.store_count,
-        dcache_misses=report.dcache_misses,
-        icache_misses=report.icache_misses,
-        compile_cache_hit=compiled.cache_hit,
-        sim_backend=sim.backend,
+        **vars(measured),
         sim_instrs_per_sec=(
-            report.instr_count / exec_seconds
-            if exec_seconds > 1e-6 and report.instr_count > 0 else None
+            round(measured.instr_count / exec_seconds, 1)
+            if exec_seconds > 1e-6 and measured.instr_count > 0 else None
         ),
         timing=recorded,
     )

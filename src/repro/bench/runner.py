@@ -117,16 +117,9 @@ def build_matrix(
 def _record(
     spec: BenchSpec, result: BenchResult, status: str = "ok", error: str = ""
 ) -> Dict[str, object]:
-    """One cell's record: ``result``'s fields, named as in the matrix."""
-    record = asdict(result)
-    del record["benchmark"], record["column"]
-    record.update(
-        program=spec.program, variant=spec.variant, width=spec.width,
-        height=spec.height, status=status, error=error,
-    )
-    if result.sim_instrs_per_sec is not None:
-        record["sim_instrs_per_sec"] = round(result.sim_instrs_per_sec, 1)
-    return record
+    """One cell's record: ``spec``'s fields, then ``result``'s."""
+    return {**asdict(spec), **asdict(result), "status": status,
+            "error": error}
 
 
 def _run_spec(spec: BenchSpec) -> Dict[str, object]:
@@ -140,9 +133,8 @@ def _run_spec(spec: BenchSpec) -> Dict[str, object]:
 
 def _failed_record(spec: BenchSpec, error: str) -> Dict[str, object]:
     """The record shape for a cell whose measurement died or timed out."""
-    return _record(spec, BenchResult(
-        spec.program, spec.machine, spec.variant, sim_backend=spec.sim_backend
-    ), "failed", error)
+    return _record(spec, BenchResult(sim_backend=spec.sim_backend),
+                   "failed", error)
 
 
 def _run_spec_safe(spec: BenchSpec) -> Dict[str, object]:

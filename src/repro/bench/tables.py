@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
-from repro.bench.harness import COLUMNS, BenchResult, run_benchmark
+from repro.bench.harness import COLUMNS, run_benchmark
 from repro.bench.programs import BENCHMARKS, TABLE_ORDER, get_benchmark
 
 

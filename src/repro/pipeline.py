@@ -43,7 +43,7 @@ from repro.resilience.transaction import (
 )
 from repro.sched.block_cost import schedule_module
 from repro.sim import Simulator
-from repro.sim.plan import Plan, run_plan
+from repro.sim.plan import Plan, check, dump as dump_arrays, run_plan
 from repro.timing import span
 
 
@@ -186,6 +186,40 @@ def get_config(
 
 
 @dataclass
+class Measurement:
+    """One simulated call of a compiled program
+    (:meth:`CompiledProgram.measure`): what ``repro run`` prints, the
+    bench harness records and the service's simulate answers carry."""
+
+    cycles: int = 0
+    base_cycles: int = 0
+    dcache_miss_cycles: int = 0
+    icache_miss_cycles: int = 0
+    instr_count: int = 0
+    memory_accesses: int = 0
+    # The call returned the plan's result and left its outputs.
+    output_ok: bool = False
+    coalesced_loops: int = 0
+    # Figure 5 runtime checks the static alias engine discharged.
+    checks_elided: int = 0
+    # Accepted runs per access shape ('unit'/'strided'/'affine'/
+    # 'indirect') summed over applied loops.
+    coalesced_by_shape: Dict[str, int] = field(default_factory=dict)
+    result: Optional[int] = None
+    loads: int = 0
+    stores: int = 0
+    dcache_misses: int = 0
+    icache_misses: int = 0
+    # Nothing was compiled for this program: it was revived from the
+    # disk compile cache.
+    compile_cache_hit: bool = False
+    # The simulator backend that actually ran (after any fallback).
+    sim_backend: str = "interp"
+    # The first ``dump`` elements of each staged array (None: no dump).
+    arrays: Optional[Dict[str, List[int]]] = None
+
+
+@dataclass
 class CompiledProgram:
     """A lowered, scheduled module plus everything learned on the way."""
 
@@ -209,6 +243,35 @@ class CompiledProgram:
 
     def simulator(self, **kwargs) -> Simulator:
         return Simulator(self.module, self.machine, **kwargs)
+
+    def measure(self, plan: Plan, dump: int = 0, **options) -> Measurement:
+        """Run ``plan`` on a new :class:`Simulator` built with
+        ``options``, check it against the plan's references, price it,
+        and read back up to ``dump`` elements of each staged array."""
+        sim = self.simulator(**options)
+        result = run_plan(sim, plan)
+        ok = check(sim, plan, result)
+        report = sim.report()
+        return Measurement(
+            cycles=report.total_cycles,
+            base_cycles=report.base_cycles,
+            dcache_miss_cycles=report.dcache_miss_cycles,
+            icache_miss_cycles=report.icache_miss_cycles,
+            instr_count=report.instr_count,
+            memory_accesses=report.memory_accesses,
+            output_ok=ok,
+            coalesced_loops=self.coalesced_loops,
+            checks_elided=self.checks_elided,
+            coalesced_by_shape=self.coalesced_by_shape,
+            result=result,
+            loads=report.load_count,
+            stores=report.store_count,
+            dcache_misses=report.dcache_misses,
+            icache_misses=report.icache_misses,
+            compile_cache_hit=self.cache_hit,
+            sim_backend=sim.backend,
+            arrays=dump_arrays(sim, plan, dump) if dump else None,
+        )
 
     @property
     def coalesced_loops(self) -> int:

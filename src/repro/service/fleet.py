@@ -90,14 +90,12 @@ FORWARDED_OPS = ("compile", "simulate", "bench")
 
 
 def shard_key(request: dict) -> str:
-    """The routing key of one request: ``machine/config`` (bench
-    requests key on their variant, which decides their configs)."""
+    """The routing key of one request: ``machine/config``, the key of
+    the breaker it reports to (a bench request's config is its variant)."""
     machine = str(request.get("machine", "alpha"))
     if request.get("op") == "bench":
-        name = "bench:" + str(request.get("variant", "coalesce-all"))
-    else:
-        name = str(request.get("config", "vpo"))
-    return f"{machine}/{name}"
+        return f"{machine}/{request.get('variant', 'coalesce-all')}"
+    return f"{machine}/{request.get('config', 'vpo')}"
 
 
 def shard_index(request: dict, workers: int) -> int:

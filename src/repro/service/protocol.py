@@ -11,16 +11,30 @@ back (responses are not pipelined, so ordering is trivial).  Requests::
      "args": ["a", "b", 4], "arrays": [["a", 2, [1, 2, 3, 4]],
                                        ["b", 2, [5, 6, 7, 8]]],
      "max_steps": 1000000, ...}
-    {"id": 3, "op": "bench", "program": "dotproduct",
-     "variant": "coalesce-all", "size": 16, ...}
+    {"id": 3, "op": "bench", "program": "dotproduct", "machine": "alpha",
+     "variant": "coalesce-all", "size": 16, "max_steps": 1000000, ...}
     {"id": 4, "op": "status"}
     {"id": 5, "op": "ping"}
     {"id": 6, "op": "shutdown"}
 
 A ``simulate`` argument is an integer, the name of a staged array (its
 address), or ``[name, byte offset]`` (that address plus the offset,
-inside the array): :class:`repro.sim.plan.Plan` rejects anything else
-as a fatal ``ReproError`` before compiling.
+inside the array).  A ``bench`` request is a ``simulate`` of the cell's
+source, preset and plan (:func:`repro.bench.harness.cell_recipe`), so
+both honour ``deadline``, ``faults``, ``max_steps``, ``sim_backend``
+and ``dump`` alike, and a bench reports to the (machine, variant)
+breaker.  A malformed call, an unknown ``sim_backend``, ``program`` or
+``variant``, and a ``max_steps`` or ``size`` that is not an integer
+>= 1 (``dump``: >= 0) are fatal ``ReproError`` answers before any
+compile.  A ``simulate`` answer carries the compile fields
+(``machine``, ``config``, ``breaker``, ``disabled_passes``,
+``pass_failures``, ``recovered_passes``, ``cache_hit``,
+``coalesced_loops``) and every :class:`repro.pipeline.Measurement`
+field (``result``, ``output_ok``, ``cycles`` and its three parts,
+``instr_count``, ``memory_accesses``, ``loads``, ``stores``, the two
+miss counts, ``checks_elided``, ``coalesced_by_shape``,
+``compile_cache_hit``, ``sim_backend``, ``arrays``); a ``bench``
+answer adds ``program`` and ``variant``.
 
 Responses always carry the request ``id`` and a ``status``:
 

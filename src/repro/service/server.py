@@ -31,6 +31,10 @@ Robustness properties, in the order a request meets them:
   recompiles under ``on_pass_failure='fallback'`` and returns a correct,
   less-optimized program with ``status='degraded'``.
 
+A ``bench`` request is served as a ``simulate`` of its benchmark cell
+(:func:`repro.bench.harness.cell_recipe`), through the same breaker,
+store, faults, deadline and :meth:`~repro.pipeline.CompiledProgram.measure`.
+
 Workers share the disk compile cache across requests.  Two concurrent
 requests for the same (source, machine, config) compile once: the
 artifact store's lease lets one worker compile while the other waits,
@@ -69,12 +73,21 @@ from repro.service.breaker import (
     MODE_PROBE,
     BreakerBoard,
 )
-from repro.sim.plan import Plan, dump, run_plan
+from repro.sim import SIM_BACKENDS
+from repro.sim.plan import Plan
 
 DEFAULT_WORKERS = 2
 DEFAULT_QUEUE_LIMIT = 16
 
 _SHUTDOWN = object()  # worker sentinel
+
+
+def _count(request: dict, key: str, least: int = 1) -> Optional[int]:
+    """``request[key]``, which must be absent or an integer >= ``least``."""
+    value = request.get(key)
+    if value is not None and (type(value) is not int or value < least):
+        raise ReproError(f"bad {key} {value!r}: want an integer >= {least}")
+    return value
 
 
 class _Connection:
@@ -546,8 +559,7 @@ class CompileServer(FrontEnd):
                 elapsed=round(time.monotonic() - enqueued_at, 6),
             )
         except ReproError as exc:
-            # A bench request is classified like a simulate request:
-            # both run what the request names, so a bad input is fatal.
+            # A bench request is a simulate: a bad input is fatal.
             cls = classify_failure(
                 exc, "compile" if op == "compile" else "simulate"
             )
@@ -600,69 +612,53 @@ class CompileServer(FrontEnd):
                 faults=plan, cancel=self._cancel,
                 crash_dir=self.crash_dir,
             )
-            failed = tuple(sorted(
-                {f.pass_name for f in program.pass_failures}
-            ))
-            return program, {
-                "_degraded": True,
-                "machine": machine.name,
-                "config": config.name,
-                "breaker": breaker.snapshot()["state"],
-                "disabled_passes": list(disabled),
-                "pass_failures": [
-                    f.describe() for f in program.pass_failures
-                ],
-                "cache_hit": False,
-                "coalesced_loops": program.coalesced_loops,
-                "recovered_passes": list(failed),
-            }
-
-        # Full pipeline (closed circuit, or the half-open probe).  Pass
-        # faults are recovered in place, so an injected failure degrades
-        # the answer instead of failing it; such a compile bypasses the
-        # cache, while a disk-only plan acts on this request's store
-        # operations alone.
-        if plan is not None and not plan.disk_only():
-            config = replace(config, on_pass_failure="fallback")
-        try:
-            from repro.bench.cache import cached_compile_minic
-
-            program = cached_compile_minic(
-                request["source"], machine, config, cache=self.cache,
-                cancel=self._cancel, faults=plan, crash_dir=self.crash_dir,
-            )
-        except Exception as exc:  # noqa: BLE001 — classified below
-            if mode == MODE_PROBE:
-                breaker.release_probe()
-            if classify_failure(exc, "compile") != DEGRADE:
-                raise  # fatal (bad input) or retryable (deadline): not ours
-            # Organic degrade-class failure on the cached fast path:
-            # take the safe-loop move — recompile with recovery on.
-            program = compile_minic(
-                request["source"], machine, config,
-                cancel=self._cancel, crash_dir=self.crash_dir,
-                on_pass_failure="fallback",
-            )
-
-        if program.degraded:
-            failed = tuple(sorted(
-                {f.pass_name for f in program.pass_failures}
-            ))
-            breaker.record_failure(failed, probe=mode == MODE_PROBE)
+            recovered = sorted({f.pass_name for f in program.pass_failures})
         else:
-            breaker.record_success(probe=mode == MODE_PROBE)
+            # Full pipeline (closed circuit, or the half-open probe).
+            # Pass faults are recovered in place, so an injected failure
+            # degrades the answer instead of failing it; such a compile
+            # bypasses the cache, while a disk-only plan acts on this
+            # request's store operations alone.
+            disabled = ()
+            if plan is not None and not plan.disk_only():
+                config = replace(config, on_pass_failure="fallback")
+            try:
+                from repro.bench.cache import cached_compile_minic
+
+                program = cached_compile_minic(
+                    request["source"], machine, config, cache=self.cache,
+                    cancel=self._cancel, faults=plan,
+                    crash_dir=self.crash_dir,
+                )
+            except Exception as exc:  # noqa: BLE001 — classified below
+                if mode == MODE_PROBE:
+                    breaker.release_probe()
+                if classify_failure(exc, "compile") != DEGRADE:
+                    raise  # fatal (bad input) or retryable (deadline)
+                # Organic degrade-class failure on the cached fast path:
+                # take the safe-loop move — recompile with recovery on.
+                program = compile_minic(
+                    request["source"], machine, config,
+                    cancel=self._cancel, crash_dir=self.crash_dir,
+                    on_pass_failure="fallback",
+                )
+            recovered = [f.pass_name for f in program.pass_failures]
+            if program.degraded:
+                breaker.record_failure(
+                    tuple(sorted(set(recovered))), probe=mode == MODE_PROBE
+                )
+            else:
+                breaker.record_success(probe=mode == MODE_PROBE)
         return program, {
-            "_degraded": program.degraded,
+            "_degraded": mode == MODE_DEGRADED or program.degraded,
             "machine": machine.name,
             "config": config.name,
             "breaker": breaker.snapshot()["state"],
-            "disabled_passes": [],
+            "disabled_passes": list(disabled),
             "pass_failures": [f.describe() for f in program.pass_failures],
             "cache_hit": program.cache_hit,
             "coalesced_loops": program.coalesced_loops,
-            "recovered_passes": [
-                f.pass_name for f in program.pass_failures
-            ],
+            "recovered_passes": recovered,
         }
 
     def _do_compile(self, request: dict) -> dict:
@@ -673,34 +669,31 @@ class CompileServer(FrontEnd):
             fields["rtl"] = format_module(program.module)
         return fields
 
-    def _do_simulate(self, request: dict) -> dict:
+    def _do_simulate(
+        self, request: dict, call: Optional[Plan] = None
+    ) -> dict:
         # A malformed call is a fatal ReproError before any compile work.
-        call = Plan(
-            request["entry"], request.get("arrays") or [],
-            request.get("args") or [],
-        )
+        if call is None:
+            call = Plan(
+                request["entry"], request.get("arrays") or [],
+                request.get("args") or [],
+            )
+        backend = request.get("sim_backend")
+        if backend is not None and backend not in SIM_BACKENDS:
+            raise ReproError(
+                f"unknown sim_backend {backend!r}; known: "
+                f"{', '.join(SIM_BACKENDS)}"
+            )
+        options = dict(backend=backend, max_steps=_count(request, "max_steps"))
+        dump = _count(request, "dump", least=0) or 0
         program, fields = self._compile_program(request)
         self._cancel()  # queue+compile may have eaten the whole budget
 
-        sim_kwargs = {}
-        if request.get("max_steps") is not None:
-            sim_kwargs["max_steps"] = int(request["max_steps"])
-        if request.get("sim_backend") is not None:
-            from repro.sim import SIM_BACKENDS
-
-            backend = str(request["sim_backend"])
-            if backend not in SIM_BACKENDS:
-                raise ReproError(
-                    f"unknown sim_backend {backend!r}; known: "
-                    f"{', '.join(SIM_BACKENDS)}"
-                )
-            sim_kwargs["backend"] = backend
-        info = getattr(self._tls, "deadline", None)
-        if info is not None:
+        if getattr(self._tls, "deadline", None) is not None:
             # First-class cancellation: both engines poll cancel= per
             # block, so a deadline does not force the compiled backend
             # down the interpreter fallback the way a fault_hook would.
-            sim_kwargs["cancel"] = self._cancel
+            options["cancel"] = self._cancel
         plan = FaultPlan.parse(request.get("faults"))
         if plan is None:
             plan = self.faults
@@ -708,54 +701,27 @@ class CompileServer(FrontEnd):
             # Disk-only plans target the artifact store, not the
             # simulator; a sim hook would turn every drawn disk fault
             # into a bogus SimulationTimeout.
-            sim_kwargs["fault_hook"] = plan.sim_hook()
-
-        sim = program.simulator(**sim_kwargs)
-        result = run_plan(sim, call)
-        report = sim.report()
-        fields.update(
-            result=result,
-            cycles=report.total_cycles,
-            instr_count=report.instr_count,
-            memory_accesses=report.memory_accesses,
-            sim_backend=sim.backend,
-        )
-        if request.get("dump"):
-            fields["arrays"] = dump(sim, call, int(request["dump"]))
+            options["fault_hook"] = plan.sim_hook()
+        fields.update(vars(program.measure(call, dump, **options)))
         return fields
 
     def _do_bench(self, request: dict) -> dict:
-        from repro.bench.harness import COLUMNS, run_benchmark
+        """A ``simulate`` of one benchmark cell's recipe."""
+        from repro.bench.harness import cell_recipe
 
+        size = _count(request, "size") or 16
         variant = request.get("variant", "coalesce-all")
-        if variant not in COLUMNS:
-            raise ReproError(
-                f"unknown variant {variant!r}; known: {', '.join(COLUMNS)}"
-            )
-        size = request.get("size", 16)
-        if type(size) is not int or size < 1:
-            raise ReproError(f"bad size {size!r}: want an integer >= 1")
-        result = run_benchmark(
-            request["program"],
-            request.get("machine", "alpha"),
-            variant,
-            width=size,
-            height=size,
-            sim_backend=request.get("sim_backend"),
+        source, config, overrides, call = cell_recipe(
+            request["program"], request.get("machine", "alpha"), variant,
+            size, size,
         )
-        return {
-            "_degraded": False,
-            "program": request["program"],
-            "machine": result.machine,
-            "variant": variant,
-            "cycles": result.cycles,
-            "instr_count": result.instr_count,
-            "memory_accesses": result.memory_accesses,
-            "output_ok": result.output_ok,
-            "coalesced_loops": result.coalesced_loops,
-            "cache_hit": result.compile_cache_hit,
-            "sim_backend": result.sim_backend,
-        }
+        fields = self._do_simulate(
+            {**request, "source": source, "config": config,
+             "overrides": overrides},
+            call,
+        )
+        fields.update(program=request["program"], variant=variant)
+        return fields
 
     # -- status -------------------------------------------------------------
     def _status_payload(self) -> dict:

@@ -166,6 +166,8 @@ class Interpreter:
         self.global_addrs: Dict[str, int] = {}
         self._alloc_globals()
         self._block_lines = self._layout_code()
+        # Per function, from its first call: register count, label map.
+        self._functions: Dict[str, Tuple[int, dict]] = {}
         self._bits = machine.word_bits
         self._mask = machine.word_mask
         self._sign_bit = 1 << (self._bits - 1)
@@ -204,13 +206,17 @@ class Interpreter:
 
     # -- the main loop ----------------------------------------------------------
     def _run(self, func: Function, args: List[int]) -> Optional[int]:
-        frame = _Frame(func.max_reg_index() + 1, self.memory.brk)
+        if func.name not in self._functions:
+            self._functions[func.name] = (
+                func.max_reg_index() + 1, {b.label: b for b in func.blocks}
+            )
+        nregs, blocks = self._functions[func.name]
+        frame = _Frame(nregs, self.memory.brk)
         for param, value in zip(func.params, args):
             frame.regs[param.index] = value
         for slot, (size, align) in func.frame_slots.items():
             frame.slots[slot] = self.memory.alloc(size, align)
 
-        blocks = {b.label: b for b in func.blocks}
         label = func.entry.label
         stats = self.stats
         machine = self.machine

@@ -1,13 +1,8 @@
 """High-level simulation façade.
 
-:class:`Simulator` ties together memory, interpreter and cost model behind
-the interface the benchmark harness and the examples use::
-
-    sim = Simulator(module, machine)
-    a = sim.alloc_array("a", data_bytes, align=8)
-    b = sim.alloc_array("b", data_bytes, align=8)
-    result = sim.call("dot", a, b, n)
-    print(sim.report().total_cycles)
+:class:`Simulator` ties together memory, interpreter and cost model
+behind the interface that :func:`repro.sim.plan.run_plan` stages and
+calls through and :meth:`repro.pipeline.CompiledProgram.measure` prices.
 """
 
 from __future__ import annotations

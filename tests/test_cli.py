@@ -176,14 +176,37 @@ def test_tables_output_mismatch_exits_1(monkeypatch, capsys):
     from repro.bench.harness import BenchResult
 
     def wrong_output(name, machine, column, **_):
-        return BenchResult(name, machine, column, cycles=100,
-                           output_ok=name != "mirror")
+        return BenchResult(cycles=100, output_ok=name != "mirror")
 
     monkeypatch.setattr(tables, "run_benchmark", wrong_output)
     assert main(["tables", "--machine", "alpha", "--size", "8"]) == 1
     out = capsys.readouterr().out
     assert out.count("[OUTPUT MISMATCH]") == 1
     assert "mirror" in out.splitlines()[-1]
+
+
+@pytest.mark.parametrize("output_ok, code", [(True, 0), (False, 1)])
+def test_submit_bench_reports_output_ok(monkeypatch, capsys, output_ok, code):
+    from repro.service import client as client_module
+
+    requests = []
+
+    class StubClient:
+        def __init__(self, *args, **kwargs):
+            pass
+
+        def bench(self, program, **fields):
+            requests.append(dict(fields, program=program))
+            return {"status": "ok", "cycles": 1589, "output_ok": output_ok}
+
+    monkeypatch.setattr(client_module, "ServiceClient", StubClient)
+    assert main(["submit", "--bench", "dotproduct", "--variant", "vpo",
+                 "--max-steps", "500"]) == code
+    assert requests == [{
+        "program": "dotproduct", "machine": "alpha", "variant": "vpo",
+        "size": 16, "max_steps": 500,
+    }]
+    assert f"output_ok: {output_ok}" in capsys.readouterr().out.splitlines()
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ class TestSharding:
         ) == "alpha/vpo"
         assert shard_key(
             {"op": "bench", "machine": "m88100", "variant": "cc"}
-        ) == "m88100/bench:cc"
+        ) == "m88100/cc"
 
     def test_shard_index_is_stable_and_in_range(self):
         request = {"op": "compile", "machine": "alpha", "config": "vpo"}

@@ -404,11 +404,24 @@ class TestServerBasics:
             ([["a", 2, [1, 2]]], [["a", -2], 2], "offset -2 is not inside"),
             ([["a", 2, [1, 2]]], [["a", 4], 2],
              "offset 4 is not inside the 4 bytes of 'a'"),
+            # A well-formed call with a bad simulator option: the
+            # optional fourth item holds the request's extra fields.
+            ([["a", 2, [1, 2]]], ["a", 2],
+             "unknown sim_backend 'bogus'", {"sim_backend": "bogus"}),
+            ([["a", 2, [1, 2]]], ["a", 2],
+             "bad max_steps 'abc': want an integer >= 1",
+             {"max_steps": "abc"}),
+            ([["a", 2, [1, 2]]], ["a", 2], "bad max_steps 0",
+             {"max_steps": 0}),
+            ([["a", 2, [1, 2]]], ["a", 2], "bad max_steps 2.5",
+             {"max_steps": 2.5}),
+            ([["a", 2, [1, 2]]], ["a", 2],
+             "bad dump 'x': want an integer >= 0", {"dump": "x"}),
         ]
-        for arrays, args, complaint in cases:
+        for arrays, args, complaint, *extra in cases:
             response = client.request(
                 "simulate", source="int f( {", entry="f",
-                arrays=arrays, args=args,
+                arrays=arrays, args=args, **(extra[0] if extra else {}),
             )
             assert response["status"] == "error", response
             assert response["error_type"] == "ReproError", response
@@ -422,15 +435,24 @@ class TestServerBasics:
     ):
         server = service()
         client = client_for(server)
-        for size in (0, -4, "16", True, 2.5):
+        cases = [
+            ({"size": size}, f"bad size {size!r}")
+            for size in (0, -4, "16", True, 2.5)
+        ] + [
+            ({"program": "nosuch"}, "unknown benchmark 'nosuch'"),
+            ({"variant": "naive"}, "unknown variant 'naive'"),
+            ({"max_steps": "abc"}, "bad max_steps 'abc'"),
+            ({"sim_backend": "bogus"}, "unknown sim_backend 'bogus'"),
+        ]
+        for fields, complaint in cases:
             response = client.request(
-                "bench", program="image_add", size=size,
+                "bench", **{"program": "image_add", **fields},
             )
             assert response["status"] == "error", response
             assert response["error_type"] == "ReproError", response
             assert response["classification"] == "fatal", response
             assert response["retryable"] is False
-            assert f"bad size {size!r}" in response["error"], response
+            assert complaint in response["error"], response
         assert server.cache.stats()["misses"] == 0  # no compile lookup
 
     def test_parse_error_is_fatal_not_retryable(self, service):
@@ -634,6 +656,75 @@ class TestDedupAndFrontEnd:
             == 120.0
 
 
+class TestBenchOp:
+    """A ``bench`` request is a ``simulate`` of its cell's recipe."""
+
+    def test_bench_honours_request_faults(self, service):
+        server = service()
+        response = client_for(server).bench(
+            "dotproduct", size=4, faults="coalesce=raise",
+        )
+        assert response["status"] == "degraded", response
+        assert "coalesce" in response["recovered_passes"], response
+        assert response["output_ok"] is True, response
+
+    def test_bench_honours_max_steps(self, service):
+        server = service()
+        response = client_for(server, retries=0)._attempt({
+            "id": 1, "op": "bench", "program": "dotproduct", "size": 4,
+            "max_steps": 10,
+        })
+        assert response["status"] == "error", response
+        assert response["error_type"] == "SimulationTimeout", response
+        assert "10-step limit" in response["error"], response
+
+    def test_bench_compiles_into_the_server_store(
+        self, service, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env-cache"))
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
+        server = service()
+        response = client_for(server).bench("dotproduct", size=4)
+        assert response["status"] == "ok", response
+        assert response["cache_hit"] is False
+        assert server.cache.stats()["misses"] == 1
+        assert not (tmp_path / "env-cache").exists()
+        # Routed with the requests of its config, to the same breaker.
+        assert response["config"] == "coalesce-all"
+        assert list(server.breakers.snapshot()) == ["alpha/coalesce-all"]
+
+    @pytest.mark.parametrize("machine, variant", [
+        ("alpha", "coalesce-all"), ("m68030", "coalesce-loads"),
+    ])
+    def test_bench_answer_is_the_harness_record(
+        self, service, tmp_path, monkeypatch, machine, variant
+    ):
+        from dataclasses import fields
+
+        from repro.bench.harness import run_benchmark
+        from repro.bench.runner import HOST_METRIC_FIELDS
+        from repro.pipeline import Measurement
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env-cache"))
+        server = service()
+        response = client_for(server).bench(
+            "image_add", machine=machine, variant=variant, size=8,
+        )
+        assert response["status"] == "ok", response
+        record = run_benchmark("image_add", machine, variant, 8, 8)
+        simulated = [
+            f.name for f in fields(Measurement)
+            if f.name not in HOST_METRIC_FIELDS
+        ]
+        assert len(simulated) == 16
+        assert {f: response[f] for f in simulated} == {
+            f: getattr(record, f) for f in simulated
+        }
+        assert response["output_ok"] is True
+        assert (response["program"], response["machine"],
+                response["variant"]) == ("image_add", machine, variant)
+
+
 class TestLoadShedding:
     def test_full_queue_rejects_and_retry_succeeds(self, service):
         server = service(workers=1, queue_limit=1)
@@ -764,7 +855,13 @@ class TestDeadlines:
         # The worker survived: the next request is served normally.
         assert client_for(server).compile(ADD_SRC)["status"] == "ok"
 
-    def test_deadline_covers_queue_wait(self, service):
+    @pytest.mark.parametrize("request_fields", [
+        {"op": "compile", "source": ADD_SRC},
+        {"op": "simulate", "source": ADD_SRC, "entry": "add",
+         "args": [1, 2]},
+        {"op": "bench", "program": "dotproduct", "size": 4},
+    ], ids=["compile", "simulate", "bench"])
+    def test_deadline_covers_queue_wait(self, service, request_fields):
         server = service(workers=1)
         blocker = threading.Thread(
             target=lambda: client_for(server, retries=0)._attempt({
@@ -777,9 +874,9 @@ class TestDeadlines:
         # This request spends ~0.45s queued behind the blocker — more
         # than its whole 0.2s budget, so it times out at dequeue.
         response = client_for(server, retries=0)._attempt({
-            "id": 2, "op": "compile", "source": ADD_SRC, "deadline": 0.2,
+            "id": 2, "deadline": 0.2, **request_fields,
         })
-        assert response["status"] == "timeout"
+        assert response["status"] == "timeout", response
         blocker.join(timeout=15)
 
     def test_default_deadline_applies_when_request_sets_none(self, service):
