@@ -790,8 +790,8 @@ def cmd_chaos(args) -> int:
             print(f"error: {path}: {exc}", file=sys.stderr)
             return 2
         expected = [
-            (plan, observe(fixture_sim(baseline.module, baseline.machine),
-                           plan))
+            (plan, observe(fixture_sim(baseline.module, baseline.machine,
+                                       facts=baseline.facts), plan))
             for func in baseline.module for plan in fixture_plans(func)
         ]
 
@@ -833,9 +833,9 @@ def cmd_chaos(args) -> int:
             for plan, want in expected:
                 if want.status != "ok":
                     continue  # inconclusive baseline
-                got = observe(
-                    fixture_sim(program.module, program.machine), plan
-                )
+                got = observe(fixture_sim(
+                    program.module, program.machine, facts=program.facts,
+                ), plan)
                 difference = want.diverges_from(got)
                 if difference is not None:
                     notes.append(
@@ -1199,6 +1199,9 @@ def cmd_status(args) -> int:
             f"cache: {cache['entries']} entries, {cache['bytes']} bytes "
             f"in {cache['directory']}"
         )
+        memo = cache["revive_memo"]
+        print(f"revive memo: {memo['entries']} program(s) held, "
+              f"{memo['hits']} hit(s)")
     print(f"deduped compiles (waited on a lease): "
           f"{response.get('single_flight_shared', 0)}")
     latency = _format_latency(response.get("latency"))

@@ -29,6 +29,12 @@ The store lives in ``$REPRO_CACHE_DIR`` (default
 ``python -m repro cache --stats`` inspects it, ``--clear`` empties it.
 The service package is imported only when a store is first opened, so
 ``import repro.bench`` does not load it.
+
+A warm hit still reads, checks and journals its artifact through the
+store, but revives it once per process: the programs a hit revived are
+kept in :func:`revived_programs`, keyed by the cache key and the
+SHA-256 of the verified payload, and a later hit on the same bytes is
+handed the same program without decoding or parsing anything.
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ from repro.pipeline import (
     get_config,
 )
 from repro.resilience.faults import FaultPlan
+from repro.sim.cache import BlockCache
 from repro.timing import span
 
 if TYPE_CHECKING:
@@ -124,6 +131,28 @@ def validate_payload(payload) -> dict:
     if not isinstance(payload.get("machine"), str):
         raise ValueError("missing or non-text 'machine' field")
     return payload
+
+
+#: How many revived programs one process keeps (least recently used
+#: dropped first): enough for every warm key of the quick matrix's
+#: ``vpo`` and ``coalesce-all`` columns at once (78), with room to spare.
+REVIVE_MEMO_ENTRIES = 128
+
+_revived = BlockCache(REVIVE_MEMO_ENTRIES)
+
+
+def revived_programs() -> BlockCache:
+    """The process-wide revive memo: ``(cache key, payload SHA-256)`` ->
+    the program a warm hit revived from that payload.
+
+    Only revived programs enter it; a program compiled in this process
+    keeps its ``pass_stats`` and ``cache_hit`` false and is never handed
+    to another call.  A memoized program is handed to every later hit
+    on the same key and bytes, from any thread, so callers treat it as
+    read-only; its simulator facts are built idempotently
+    (:mod:`repro.sim.facts`).  An artifact rewritten with other bytes
+    misses and is decoded afresh."""
+    return _revived
 
 
 def cache_enabled() -> bool:
@@ -241,7 +270,8 @@ def cached_compile_minic(
     locally — degraded to duplicate work, never to an error.
     ``cancel`` is the pipeline's cancellation probe (checked at stage
     boundaries and at every lease poll); the cache-hit path never
-    reaches it.
+    reaches it.  A hit whose verified bytes were revived before in this
+    process returns that program (:func:`revived_programs`).
     """
     if isinstance(machine, str):
         machine = get_machine(machine)
@@ -281,10 +311,14 @@ def cached_compile_minic(
         return compiled, json.dumps(serialize_program(compiled)).encode()
 
     def decode(data: bytes) -> CompiledProgram:
-        payload = validate_payload(json.loads(data))
-        revived = revive_program(payload, machine, config)
+        memo_key = (key, hashlib.sha256(data).digest())
+        revived = _revived.get(memo_key)
         if revived is None:
-            raise ValueError("payload does not revive to a program")
+            payload = validate_payload(json.loads(data))
+            revived = revive_program(payload, machine, config)
+            if revived is None:
+                raise ValueError("payload does not revive to a program")
+            _revived.put(memo_key, revived)
         return revived
 
     with span("cache"):

@@ -13,7 +13,8 @@ label, and the highest register is tracked as operands are parsed.
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Tuple
+import sys
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ParseError
 from repro.ir.rtl import (
@@ -81,13 +82,20 @@ def _split_args(text: str) -> List[str]:
 class _Parser:
     """Instruction parsing at one line number, tracking in :attr:`top`
     the highest register index parsed (every parsed register is a use
-    or a definition, so this is ``Function.max_reg_index``)."""
+    or a definition, so this is ``Function.max_reg_index``).
 
-    __slots__ = ("line_no", "top")
+    Operands are immutable, so every mention of one register index or
+    one constant value is one object, and mnemonics and branch labels
+    are interned: a revived program, which the compile cache keeps for
+    the process's lifetime, holds each once, not once per operand."""
+
+    __slots__ = ("line_no", "top", "regs", "consts")
 
     def __init__(self, line_no: int = 0):
         self.line_no = line_no
         self.top = -1
+        self.regs: Dict[int, Reg] = {}
+        self.consts: Dict[int, Const] = {}
 
     def error(self, message: str) -> ParseError:
         return ParseError(message, self.line_no)
@@ -95,14 +103,21 @@ class _Parser:
     def reg_at(self, index: int) -> Reg:
         if index > self.top:
             self.top = index
-        return Reg(index)
+        reg = self.regs.get(index)
+        if reg is None:
+            reg = self.regs[index] = Reg(index)
+        return reg
 
     def operand(self, text: str) -> Operand:
         text = text.strip()
         if text[:1] == "r" and text[1:].isdecimal():
             return self.reg_at(int(text[1:]))
         if _INT_RE.match(text):
-            return Const(int(text, 0))
+            value = int(text, 0)
+            const = self.consts.get(value)
+            if const is None:
+                const = self.consts[value] = Const(value)
+            return const
         raise self.error(f"bad operand {text!r}")
 
     def reg(self, text: str) -> Reg:
@@ -140,7 +155,8 @@ class _Parser:
             if len(parts) != 2:
                 raise self.error(f"{head} needs two operands")
             return BinOp(
-                head, dst, self.operand(parts[0]), self.operand(parts[1])
+                sys.intern(head), dst, self.operand(parts[0]),
+                self.operand(parts[1]),
             )
         load = _LOADS.get(head)
         if load is not None:
@@ -168,7 +184,7 @@ class _Parser:
                 self.operand(parts[2][4:]), insert,
             )
         if head in UN_OPS:
-            return UnOp(head, dst, self.operand(rest))
+            return UnOp(sys.intern(head), dst, self.operand(rest))
         if head == "frameaddr":
             return FrameAddr(dst, rest.strip())
         if head == "globaladdr":
@@ -200,8 +216,8 @@ class _Parser:
         if len(parts) != 4:
             raise self.error("br needs: rel a, b, iftrue, iffalse")
         return CondJump(
-            rel, self.operand(parts[0]), self.operand(parts[1]),
-            parts[2], parts[3],
+            sys.intern(rel), self.operand(parts[0]), self.operand(parts[1]),
+            sys.intern(parts[2]), sys.intern(parts[3]),
         )
 
     def instr(self, text: str):
@@ -216,7 +232,7 @@ class _Parser:
             return self.store(head, rest)
         if space:
             if head == "jump":
-                return Jump(rest.strip())
+                return Jump(sys.intern(rest.strip()))
             if head == "br":
                 return self.branch(rest)
             if head == "ret":
@@ -302,7 +318,7 @@ def parse_module(source: str, name: str = "module") -> Module:
             continue
         match = _LABEL_RE.match(line)
         if match:
-            block = func.add_block(match.group(1))
+            block = func.add_block(sys.intern(match.group(1)))
             continue
         if block is None:
             raise ParseError("instruction before any block label", line_no)

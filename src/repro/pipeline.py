@@ -43,6 +43,7 @@ from repro.resilience.transaction import (
 )
 from repro.sched.block_cost import schedule_module
 from repro.sim import Simulator
+from repro.sim.facts import ModuleFacts
 from repro.sim.plan import Plan, check, dump as dump_arrays, run_plan
 from repro.timing import span
 
@@ -221,7 +222,15 @@ class Measurement:
 
 @dataclass
 class CompiledProgram:
-    """A lowered, scheduled module plus everything learned on the way."""
+    """A lowered, scheduled module plus everything learned on the way.
+
+    The module is finished: once the program has simulated it is
+    read-only.  What the simulator derives from it (code layout,
+    registration, closure keys, the static cycles of the blocks a run
+    executed) is derived once and kept in :attr:`facts`, which every
+    :meth:`simulator` shares, so a program held by many threads (the
+    compile cache's revive memo) is shared read-only.
+    """
 
     module: Module
     machine: MachineDescription
@@ -240,9 +249,14 @@ class CompiledProgram:
     # Non-empty means the program is correct but less optimized than the
     # configuration asked for.
     pass_failures: List[PassFailure] = field(default_factory=list)
+    facts: ModuleFacts = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.facts = ModuleFacts(self.module, self.machine)
 
     def simulator(self, **kwargs) -> Simulator:
-        return Simulator(self.module, self.machine, **kwargs)
+        return Simulator(self.module, self.machine, facts=self.facts,
+                         **kwargs)
 
     def measure(self, plan: Plan, dump: int = 0, **options) -> Measurement:
         """Run ``plan`` on a new :class:`Simulator` built with

@@ -35,6 +35,7 @@ from repro.sanitize.differential import (
     observe,
 )
 from repro.sanitize.registry import checker
+from repro.sim.facts import ModuleFacts
 
 #: Fixture variants for the consistency audit: the differential
 #: sanitizer's defaults plus large trip counts, because tiled kernels
@@ -104,8 +105,10 @@ def check_alias_consistency(
         if addr < base or addr + span > base + size:
             violations[id(instr)] = (instr, addr, base, base + size, note)
 
+    facts = ModuleFacts(module, machine)
     for plan in fixture_plans(func, _AUDIT_VARIANTS):
-        observe(fixture_sim(module, machine, trace_hook=audit), plan)
+        observe(fixture_sim(module, machine, trace_hook=audit, facts=facts),
+                plan)
 
     for instr, addr, lo, hi, note in violations.values():
         sink.error(

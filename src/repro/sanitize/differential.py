@@ -30,6 +30,7 @@ from repro.errors import ReproError
 from repro.ir.function import Function, Module
 from repro.ir.rtl import Load, Store
 from repro.sanitize.diagnostics import DiagnosticSink, Location
+from repro.sim.facts import ModuleFacts
 from repro.sim.plan import Plan, run_plan
 from repro.sim.runner import Simulator
 from repro.timing import root
@@ -175,15 +176,18 @@ class Outcome:
         return None
 
 
-def fixture_sim(module: Module, machine, trace_hook=None) -> Simulator:
+def fixture_sim(module: Module, machine, trace_hook=None,
+                facts: Optional[ModuleFacts] = None) -> Simulator:
     """A reference-interpreter simulator for fixture runs: caches off,
     ``MAX_FIXTURE_STEPS``.  ``trace_hook`` gets one call per executed
     Load/Store; the alias-consistency checker audits the static
-    engine's claims against those concrete addresses."""
+    engine's claims against those concrete addresses.  Pass one
+    ``facts`` of ``module`` to every fixture run on it, so register
+    counts and label maps are derived once, not once per run."""
     return Simulator(
         module, machine, simulate_caches=False,
         max_steps=MAX_FIXTURE_STEPS, trace_hook=trace_hook,
-        backend="interp",
+        backend="interp", facts=facts,
     )
 
 
@@ -249,11 +253,15 @@ class DifferentialSanitizer:
         agreed = True
         before_module = _module_with(self.module, snapshot)
         after_module = _module_with(self.module, func)
+        before_facts = ModuleFacts(before_module, self.machine)
+        after_facts = ModuleFacts(after_module, self.machine)
         for plan in self._plans[func.name]:
-            before = observe(fixture_sim(before_module, self.machine), plan)
+            before = observe(fixture_sim(
+                before_module, self.machine, facts=before_facts), plan)
             if before.status != "ok":
                 continue  # inconclusive: no baseline behaviour
-            after = observe(fixture_sim(after_module, self.machine), plan)
+            after = observe(fixture_sim(
+                after_module, self.machine, facts=after_facts), plan)
             difference = before.diverges_from(after)
             if difference is not None:
                 agreed = False

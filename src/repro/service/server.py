@@ -711,6 +711,7 @@ class CompileServer(FrontEnd):
 
         size = _count(request, "size") or 16
         variant = request.get("variant", "coalesce-all")
+        self._cancel()  # building the inputs can outlast a spent budget
         source, config, overrides, call = cell_recipe(
             request["program"], request.get("machine", "alpha"), variant,
             size, size,
@@ -724,6 +725,17 @@ class CompileServer(FrontEnd):
         return fields
 
     # -- status -------------------------------------------------------------
+    def _cache_status(self) -> Optional[dict]:
+        """The store's stats plus this process's revive memo: programs
+        held and hits (a warm answer that parsed nothing)."""
+        if self.cache is None:
+            return None
+        from repro.bench.cache import revived_programs
+
+        return {
+            **self.cache.stats(), "revive_memo": revived_programs().stats(),
+        }
+
     def _status_payload(self) -> dict:
         counts = self.stats.snapshot()
         uptime = (
@@ -745,7 +757,7 @@ class CompileServer(FrontEnd):
                 **counts,
             },
             "breakers": self.breakers.snapshot(),
-            "cache": self.cache.stats() if self.cache is not None else None,
+            "cache": self._cache_status(),
             # Requests that waited on another worker's lease and then
             # read its artifact instead of compiling (role 'dedup').
             "single_flight_shared": (

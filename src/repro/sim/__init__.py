@@ -11,7 +11,8 @@ each machine's latencies, issue width and caches.
 
 from repro.sim.memory import SimMemory
 from repro.sim.cache import BlockCache, DirectMappedCache, shared_block_cache
-from repro.sim.interp import Interpreter, RunStats, layout_code
+from repro.sim.facts import ModuleFacts, layout_code
+from repro.sim.interp import Interpreter, RunStats
 from repro.sim.costs import CycleReport, cycle_report
 from repro.sim.runner import (
     SIM_BACKENDS,
@@ -26,6 +27,7 @@ __all__ = [
     "CycleReport",
     "DirectMappedCache",
     "Interpreter",
+    "ModuleFacts",
     "RunStats",
     "SIM_BACKENDS",
     "SimMemory",

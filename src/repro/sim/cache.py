@@ -136,7 +136,9 @@ class BlockCache:
 
     Thread-safe: the compile service translates from worker threads.
     ``invalidations`` counts entries dropped for any reason (explicit
-    :meth:`invalidate`, capacity eviction, :meth:`clear`).
+    :meth:`invalidate`, capacity eviction, :meth:`clear`).  The compile
+    cache's revive memo (:func:`repro.bench.cache.revived_programs`) is
+    an instance too, of revived programs keyed by artifact.
     """
 
     def __init__(self, capacity: int = 4096):

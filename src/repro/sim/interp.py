@@ -37,32 +37,8 @@ from repro.ir.rtl import (
 )
 from repro.machine.machine import MachineDescription
 from repro.sim.cache import DirectMappedCache
+from repro.sim.facts import ModuleFacts
 from repro.sim.memory import SimMemory
-
-CODE_BASE = 0x10000
-
-
-def layout_code(
-    module: Module, machine: MachineDescription
-) -> Dict[Tuple[str, str], List[int]]:
-    """Assign code addresses; returns the I-cache line list per block.
-
-    Shared by every engine so instruction-cache behaviour is identical
-    by construction: same module, same machine, same line footprint.
-    """
-    lines: Dict[Tuple[str, str], List[int]] = {}
-    addr = CODE_BASE
-    line_bytes = machine.icache.line_bytes
-    for func in module:
-        for block in func.blocks:
-            size = machine.block_footprint(len(block.instrs))
-            first = addr // line_bytes
-            last = (addr + max(size, 1) - 1) // line_bytes
-            lines[(func.name, block.label)] = [
-                n * line_bytes for n in range(first, last + 1)
-            ]
-            addr += size
-    return lines
 
 
 class RunStats:
@@ -135,9 +111,13 @@ class Interpreter:
         fault_hook=None,
         trace_hook=None,
         cancel=None,
+        facts: Optional[ModuleFacts] = None,
     ):
         self.module = module
         self.machine = machine
+        # Code layout and per-function frames: ``facts`` when a program
+        # shares its own, else derived here on first use.
+        self.facts = facts or ModuleFacts(module, machine)
         # Optional chaos hook called as hook(func_name, block_label) at
         # every block entry; FaultPlan.sim_hook() uses it to plant stalls.
         self.fault_hook = fault_hook
@@ -165,9 +145,6 @@ class Interpreter:
             self.dcache = DirectMappedCache(machine.dcache)
         self.global_addrs: Dict[str, int] = {}
         self._alloc_globals()
-        self._block_lines = self._layout_code()
-        # Per function, from its first call: register count, label map.
-        self._functions: Dict[str, Tuple[int, dict]] = {}
         self._bits = machine.word_bits
         self._mask = machine.word_mask
         self._sign_bit = 1 << (self._bits - 1)
@@ -180,10 +157,6 @@ class Interpreter:
             if var.init:
                 self.memory.write_bytes(addr, var.init)
             self.global_addrs[var.name] = addr
-
-    def _layout_code(self) -> Dict[Tuple[str, str], List[int]]:
-        """Assign code addresses; returns I-cache line list per block."""
-        return layout_code(self.module, self.machine)
 
     # -- value helpers -------------------------------------------------------
     def _signed(self, value: int) -> int:
@@ -206,11 +179,7 @@ class Interpreter:
 
     # -- the main loop ----------------------------------------------------------
     def _run(self, func: Function, args: List[int]) -> Optional[int]:
-        if func.name not in self._functions:
-            self._functions[func.name] = (
-                func.max_reg_index() + 1, {b.label: b for b in func.blocks}
-            )
-        nregs, blocks = self._functions[func.name]
+        nregs, blocks = self.facts.frame(func.name)
         frame = _Frame(nregs, self.memory.brk)
         for param, value in zip(func.params, args):
             frame.regs[param.index] = value
@@ -222,14 +191,15 @@ class Interpreter:
         machine = self.machine
         memory = self.memory
         regs = frame.regs
+        lines = self.facts.lines if self.icache is not None else None
 
         try:
             while True:
                 block = blocks[label]
                 key = (func.name, block.label)
                 stats.block_counts[key] = stats.block_counts.get(key, 0) + 1
-                if self.icache is not None:
-                    for line in self._block_lines[key]:
+                if lines is not None:
+                    for line in lines[key]:
                         self.icache.access(line)
                 if self.cancel is not None:
                     self.cancel()

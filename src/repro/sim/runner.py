@@ -16,6 +16,7 @@ from repro.errors import SimulationError
 from repro.ir.function import Module
 from repro.machine.machine import MachineDescription
 from repro.sim.costs import CycleReport, cycle_report
+from repro.sim.facts import ModuleFacts
 from repro.sim.interp import Interpreter
 from repro.sim.memory import SimMemory
 from repro.timing import span
@@ -69,6 +70,11 @@ class Simulator:
     Simulator closes the engine (:meth:`CompiledEngine.close`), which
     frees the memory arena at once.
 
+    ``facts`` are the module's derived facts (:mod:`repro.sim.facts`):
+    a compiled program passes the ones it keeps, so its simulators share
+    one layout, registration, set of closure keys and block-cost table;
+    without them the Simulator derives its own.
+
     The compiled backend silently degrades to the interpreter whenever
     observation hooks are installed (``fault_hook``/``trace_hook``) or
     fault injection is active via ``REPRO_FAULTS`` — mirroring how
@@ -88,9 +94,15 @@ class Simulator:
         backend: Optional[str] = None,
         cancel=None,
         block_cache=None,
+        facts: Optional[ModuleFacts] = None,
     ):
+        if facts is None:
+            facts = ModuleFacts(module, machine)
+        elif facts.module is not module or facts.machine is not machine:
+            raise SimulationError("facts describe another module or machine")
         self.module = module
         self.machine = machine
+        self.facts = facts
         self.memory = SimMemory(endian=machine.endian)
         if max_steps is None:
             max_steps = default_max_steps()
@@ -124,6 +136,7 @@ class Simulator:
                 fault_hook=fault_hook,
                 trace_hook=trace_hook,
                 cancel=cancel,
+                facts=facts,
             )
         elif resolved == "compiled":
             from repro.sim.translate import CompiledEngine
@@ -139,6 +152,7 @@ class Simulator:
                     max_steps=max_steps,
                     cancel=cancel,
                     block_cache=block_cache,
+                    facts=facts,
                 )
             # The engine's closures refer to each other in cycles:
             # closing it when this Simulator goes frees the arena at
@@ -250,10 +264,14 @@ class Simulator:
         return self.engine.stats.count_for(func_name, label)
 
     def report(self) -> CycleReport:
+        """Price the run so far: each executed block at its static
+        cycles from the facts' table, plus cache-miss penalties."""
+        stats = self.engine.stats
         return cycle_report(
             self.module,
             self.machine,
-            self.engine.stats,
+            stats,
             icache=self.engine.icache,
             dcache=self.engine.dcache,
+            block_cycle_table=self.facts.block_costs(stats.block_counts),
         )

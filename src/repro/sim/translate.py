@@ -22,7 +22,12 @@ for it until then.  A closure is keyed, fetched from the cache (or, on
 a miss, emitted and compiled) and bound only when control first enters
 it (or :meth:`CompiledEngine.block_source` asks for it), and is then
 rebound wherever its stand-in was referenced, so loop versions, checks
-and epilogues a run never enters cost nothing.
+and epilogues a run never enters cost nothing.  What registration and
+keying derive from the module (mixes, line counts, loop chains,
+register counts, closure keys) is kept in the
+:class:`~repro.sim.facts.ModuleFacts` the engine is built on, so every
+engine of one compiled program after the first derives none of it; a
+closure is still keyed only once some engine enters it.
 
 Structural key: a closure's :class:`~repro.sim.cache.BlockCache` key is
 built from exactly what :class:`_BlockTranslator` reads (see
@@ -59,7 +64,7 @@ from __future__ import annotations
 
 import struct
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import AlignmentTrap, SimulationError, SimulationTimeout
 from repro.ir.function import Function, Module
@@ -83,7 +88,8 @@ from repro.ir.rtl import (
 )
 from repro.machine.machine import MachineDescription
 from repro.sim.cache import BlockCache, CellCountedCache, shared_block_cache
-from repro.sim.interp import RunStats, field_parameters, layout_code
+from repro.sim.facts import ModuleFacts
+from repro.sim.interp import RunStats, field_parameters
 from repro.sim.memory import GUARD_BYTES, SimMemory
 from repro.timing import span
 
@@ -194,7 +200,8 @@ class _KeyBuilder:
 
     Per instruction: its class and fields, with registers by index,
     constants by their word-masked value (the text the translator
-    emits), branch targets and global names by their number in
+    emits; complemented, so never equal to a register index), branch
+    targets and global names by their number in
     :attr:`labels`/:attr:`names` (numbered on first reference, the
     members' own labels first), frame slots by index and call targets by
     name.  A memory access also records whether its width has a
@@ -213,10 +220,10 @@ class _KeyBuilder:
         self.names: Dict[str, int] = {}
         self.word = self.endian = self.memory = False
 
-    def operand(self, op: Operand):
-        """A register as its index, a constant as a 1-tuple of its
-        word-masked value."""
-        return op.index if type(op) is Reg else (op.value & self.mask,)
+    def operand(self, op: Operand) -> int:
+        """A register as its index, a constant as the complement of its
+        word-masked value (negative, so never a register index)."""
+        return op.index if type(op) is Reg else ~(op.value & self.mask)
 
     def label(self, label: str) -> int:
         labels = self.labels
@@ -349,6 +356,44 @@ def loop_chains(func: Function) -> Dict[str, List]:
         if chain:
             chains[header] = chain[::-1]
     return chains
+
+
+class _Registration(NamedTuple):
+    """What building a compiled engine registers, for every engine built
+    on one :class:`~repro.sim.facts.ModuleFacts`: each block's static
+    mix and I-cache line count, in the layout's block order, and per
+    function its closures (head block, loop chain or None) and register
+    count."""
+
+    mixes: Tuple[Tuple[int, int, int, int], ...]
+    line_counts: Tuple[int, ...]
+    functions: Tuple[Tuple[Function, tuple, int], ...]
+
+
+def _registration(facts: ModuleFacts) -> _Registration:
+    """``facts``' registration, built on the first engine's ask."""
+    registration = facts.registration
+    if registration is not None:
+        return registration
+    mixes, line_counts, functions = [], [], []
+    lines = facts.lines
+    for func in facts.module:
+        for block in func.blocks:
+            mixes.append(_static_block_mix(block))
+            line_counts.append(len(lines[func.name, block.label]))
+        chains = loop_chains(func)
+        interior = {
+            block.label for chain in chains.values() for block in chain[1:]
+        }
+        closures = tuple(
+            (block, chains.get(block.label)) for block in func.blocks
+            if block.label not in interior  # runs inside its chain's closure
+        )
+        functions.append((func, closures, facts.frame(func.name)[0]))
+    registration = facts.registration = _Registration(
+        tuple(mixes), tuple(line_counts), tuple(functions)
+    )
+    return registration
 
 
 class _BlockTranslator:
@@ -1001,9 +1046,11 @@ class CompiledEngine:
         max_steps: int = 200_000_000,
         cancel=None,
         block_cache: Optional[BlockCache] = None,
+        facts: Optional[ModuleFacts] = None,
     ):
         self.module = module
         self.machine = machine
+        facts = facts or ModuleFacts(module, machine)
         self.memory = memory or SimMemory(endian=machine.endian)
         if self.memory.endian != machine.endian:
             raise SimulationError(
@@ -1039,13 +1086,23 @@ class CompiledEngine:
             for width, code in ((2, "H"), (4, "I"), (8, "Q")):
                 if self.memory.size % width == 0:
                     self._mviews[width] = flat.cast(code)
-        self._lines = layout_code(module, machine)
+        self._lines = facts.lines
         self._steps = [0]
-        self._block_mix: List[Tuple[int, int, int, int]] = []
-        self._block_line_counts: List[int] = []
+        registration = _registration(facts)
+        self._block_mix = registration.mixes
+        self._block_line_counts = registration.line_counts
         #: (function, label) -> the block's execution-counter cell, in
-        #: registration order (parallel to the mix and line counts)
-        self._cells: Dict[Tuple[str, str], List[int]] = {}
+        #: the layout's order (parallel to the mix and line counts)
+        self._cells: Dict[Tuple[str, str], List[int]] = {
+            key: [0] for key in self._lines
+        }
+        #: closure (function, head label) -> its (key, labels, names),
+        #: shared by every engine of the facts that keys alike
+        self._keys = facts.closure_keys.setdefault(
+            (self.icache is not None, cancel is not None,
+             tuple(self._mviews)),
+            {},
+        )
         #: (function, label) -> the closure that runs the block
         self._closures: Dict[Tuple[str, str], _Closure] = {}
         self._drivers: Dict[str, object] = {}
@@ -1056,8 +1113,14 @@ class CompiledEngine:
         self.blocks_translated = 0
         self.block_cache_hits = 0
         self._environment = self._shared_environment()
-        for func in module:
-            self._register_function(func)
+        for func, closures, nregs in registration.functions:
+            table: Dict[str, object] = {}
+            for head, chain in closures:
+                closure = _Closure(self, func, head, chain, table)
+                for member in chain or (head,):
+                    self._closures[(func.name, member.label)] = closure
+                table[head.label] = closure
+            self._drivers[func.name] = self._make_driver(func, table, nregs)
         if self.icache is not None:
             # Closures over the tables, not bound methods: the caches
             # must not refer back to the engine.
@@ -1073,7 +1136,7 @@ class CompiledEngine:
             )
 
     # -- layout & registration ----------------------------------------------
-    def block_lines(self, func_name: str, label: str) -> List[int]:
+    def block_lines(self, func_name: str, label: str) -> range:
         return self._lines[(func_name, label)]
 
     def _check_open(self) -> None:
@@ -1101,9 +1164,7 @@ class CompiledEngine:
     def block_key(self, func_name: str, label: str) -> tuple:
         """The :class:`~repro.sim.cache.BlockCache` key of the closure
         that runs one block (see :meth:`_closure_key`)."""
-        closure = self._closure_of(func_name, label)
-        return self._closure_key(closure.func, closure.members,
-                                 closure.chain is not None)[0]
+        return self._keyed(self._closure_of(func_name, label))[0]
 
     def mem_view(self, width: int):
         """Host-endian memoryview cast for ``width``, or None."""
@@ -1128,34 +1189,6 @@ class CompiledEngine:
             lines.update(self._lines[(func_name, block.label)])
         slots = {line // icache.line_bytes % icache.lines for line in lines}
         return len(slots) == len(lines)
-
-    def _register_block(self, func_name: str, block) -> None:
-        key = (func_name, block.label)
-        self._cells[key] = [0]
-        self._block_mix.append(_static_block_mix(block))
-        self._block_line_counts.append(len(self._lines[key]))
-
-    def _register_function(self, func: Function) -> None:
-        """Register every block of ``func`` and each of its closures, to
-        be translated on first entry; build the driver."""
-        for block in func.blocks:
-            self._register_block(func.name, block)
-        chains = loop_chains(func)
-        interior = {
-            block.label for chain in chains.values() for block in chain[1:]
-        }
-        table: Dict[str, object] = {}
-        for block in func.blocks:
-            if block.label in interior:
-                continue  # runs inside its chain's closure
-            chain = chains.get(block.label)
-            closure = _Closure(self, func, block, chain, table)
-            for member in chain or (block,):
-                self._closures[(func.name, member.label)] = closure
-            table[block.label] = closure
-        self._drivers[func.name] = self._make_driver(
-            func, table, func.max_reg_index() + 1
-        )
 
     # -- compilation ---------------------------------------------------------
     def _shared_environment(self) -> Dict[str, object]:
@@ -1235,6 +1268,17 @@ class CompiledEngine:
         )
         return tuple(parts), builder.labels, builder.names
 
+    def _keyed(self, closure: _Closure) -> tuple:
+        """``closure``'s :meth:`_closure_key`, computed by the first
+        engine of the facts that enters it."""
+        name = (closure.func.name, closure.head.label)
+        keyed = self._keys.get(name)
+        if keyed is None:
+            keyed = self._keys[name] = self._closure_key(
+                closure.func, closure.members, closure.chain is not None
+            )
+        return keyed
+
     def _translate(self, closure: _Closure):
         """Key ``closure``, fetch its code from the BlockCache (emitting
         and compiling it on a miss), bind it once, then rebind it
@@ -1245,7 +1289,7 @@ class CompiledEngine:
         with span("sim.translate"):
             func, members = closure.func, closure.members
             loop = closure.chain is not None
-            key, labels, names = self._closure_key(func, members, loop)
+            key, labels, names = self._keyed(closure)
             entry = self.block_cache.get(key)
             if entry is None:
                 translator = _BlockTranslator(members, func, self, loop=loop)

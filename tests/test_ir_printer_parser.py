@@ -87,6 +87,24 @@ class TestRoundTrip:
         fresh = func.new_reg()
         assert fresh.index > func.max_reg_index() - 1
 
+    def test_each_operand_mnemonic_and_label_is_held_once(self):
+        # The compile cache keeps revived programs for the process's
+        # lifetime: one object per register index, constant value,
+        # mnemonic and label, however often the text mentions it.
+        module = parse_module(
+            "func f(r0) {\ntop:\n    r1 = add r0, 8\n    r2 = add r1, 8\n"
+            "    br lt r2, 8, top, done\ndone:\n    ret r2\n}\n"
+        )
+        func = module.function("f")
+        top, done = func.blocks
+        first, second, branch = top.instrs
+        assert func.params[0] is first.a
+        assert first.dst is second.a
+        assert second.dst is branch.a is done.instrs[0].value
+        assert first.b is second.b is branch.b
+        assert first.op is second.op
+        assert branch.iftrue is top.label and branch.iffalse is done.label
+
 
 INSTR_CASES = [
     Mov(Reg(1), Const(-7)),

@@ -861,7 +861,21 @@ class TestDeadlines:
          "args": [1, 2]},
         {"op": "bench", "program": "dotproduct", "size": 4},
     ], ids=["compile", "simulate", "bench"])
-    def test_deadline_covers_queue_wait(self, service, request_fields):
+    def test_deadline_covers_queue_wait(
+        self, service, request_fields, monkeypatch
+    ):
+        from repro.bench import workloads
+
+        # A spent budget answers before any work, so a bench builds no
+        # inputs (input generation alone can outlast a small budget).
+        made = []
+        make_plan = workloads.make_plan
+
+        def counted(*args):
+            made.append(args)
+            return make_plan(*args)
+
+        monkeypatch.setattr(workloads, "make_plan", counted)
         server = service(workers=1)
         blocker = threading.Thread(
             target=lambda: client_for(server, retries=0)._attempt({
@@ -877,6 +891,7 @@ class TestDeadlines:
             "id": 2, "deadline": 0.2, **request_fields,
         })
         assert response["status"] == "timeout", response
+        assert made == []
         blocker.join(timeout=15)
 
     def test_default_deadline_applies_when_request_sets_none(self, service):
@@ -1201,7 +1216,10 @@ class TestServiceCLI:
         assert status["single_flight_shared"] == 0
         assert status["server"]["rejected"] == 0
         assert status["server"]["completed"] == 2
-        assert set(status["cache"]) == self.STATS_KEYS
+        assert set(status["cache"]) == self.STATS_KEYS | {"revive_memo"}
+        assert set(status["cache"]["revive_memo"]) == {
+            "entries", "capacity", "hits", "misses", "invalidations",
+        }
         assert status["cache"]["publishes"] == 1
         assert (status["cache"]["hits"], status["cache"]["misses"]) == (1, 1)
 

@@ -7,8 +7,9 @@ Five concerns:
   source, over the whole quick matrix) and first-entry translation (a
   closure control never enters is never emitted or compiled);
 * an engine's lifetime (dropping its Simulator frees the arena without
-  the cyclic GC) and the cycle report, which prices only the blocks
-  that executed;
+  the cyclic GC), the cycle report, which prices only the blocks that
+  executed, each once per program, and engines built on one program's
+  shared facts, which run exactly as engines that derive their own;
 * the runner's fallback policy — hooks and ``REPRO_FAULTS`` silently
   route a ``compiled`` request to the interpreter, recorded in
   ``backend_requested``/``backend``/``fallback_reason``;
@@ -21,6 +22,8 @@ Five concerns:
   cells on all three machines, plus the bench-runner helpers
   (``diff_runs``/``check_sim_rate``) that gate it in CI.
 """
+
+from dataclasses import replace
 
 import pytest
 
@@ -188,16 +191,23 @@ class TestTranslationCache:
 
 class TestFirstEntryTranslation:
     def test_unentered_closure_is_never_compiled(self):
+        from repro.sim.facts import ModuleFacts
+
         cache = BlockCache()
-        engine = _compiled_engine(FIB_TEXT, block_cache=cache)
+        module, machine = parse_module(FIB_TEXT), get_machine("alpha")
+        facts = ModuleFacts(module, machine)
+        engine = CompiledEngine(module, machine, block_cache=cache,
+                                facts=facts)
         assert engine.translation_stats() == {
             "blocks": 3, "translated": 0, "cache_hits": 0,
         }
         assert len(cache) == 0
-        # fib(1) runs entry and base; rec is never entered.
+        # fib(1) runs entry and base; rec is never entered, nor keyed.
         assert engine.call("fib", 1) == 1
         assert engine.translation_stats()["translated"] == 2
         assert (len(cache), cache.misses) == (2, 2)
+        assert [set(keys) for keys in facts.closure_keys.values()] == [
+            {("fib", "entry"), ("fib", "base")}]
         # Asking for its source translates it through the same path.
         assert "def _blk(" in engine.block_source("fib", "rec")
         assert engine.translation_stats()["translated"] == 3
@@ -329,11 +339,14 @@ class TestEngineLifetime:
 class TestExecutedBlockReport:
     @pytest.mark.parametrize("backend", ["interp", "compiled"])
     def test_equals_the_full_table_report(self, backend):
+        from repro.pipeline import CompiledProgram, get_config
         from repro.sched.block_cost import module_block_cycles
         from repro.sim.costs import cycle_report
 
+        machines = set()
         for cell, program, machine, module in _quick_matrix():
-            sim = Simulator(module, machine, backend=backend)
+            compiled = CompiledProgram(module, machine, get_config("vpo"))
+            sim = compiled.simulator(backend=backend)
             plan = make_plan(program, 16, 16)
             run_plan(sim, plan)
             engine = sim.engine
@@ -343,6 +356,84 @@ class TestExecutedBlockReport:
                 block_cycle_table=module_block_cycles(module, machine),
             )
             assert sim.report() == full, cell
+            # The program's table priced exactly the executed blocks.
+            assert compiled.facts.block_costs(()) == module_block_cycles(
+                module, machine, engine.stats.block_counts), cell
+            machines.add(machine.name)
+        assert machines == {"alpha", "m88100", "m68030"}
+
+    def test_a_second_measure_prices_nothing(self, monkeypatch):
+        from repro.sched import block_cost
+
+        program = compile_minic(get_benchmark("convolution").source,
+                                "m88100", "coalesce-all")
+        plan = make_plan("convolution", 16, 16)
+        priced = []
+        block_cycles = block_cost.block_cycles
+
+        def counted(block, machine):
+            priced.append(block.label)
+            return block_cycles(block, machine)
+
+        monkeypatch.setattr(block_cost, "block_cycles", counted)
+        first = program.measure(plan, backend="compiled")
+        assert first.output_ok and priced
+        priced.clear()
+        assert program.measure(plan, backend="interp") == replace(
+            first, sim_backend="interp")
+        assert priced == []
+
+
+class TestSharedFacts:
+    """Engines built on one program's facts (:mod:`repro.sim.facts`)
+    run exactly as engines that derive their own."""
+
+    def test_shared_and_fresh_facts_agree_over_the_quick_matrix(self):
+        from repro.sim.facts import ModuleFacts
+
+        def observed(sim, plan):
+            result = run_plan(sim, plan)
+            engine = sim.engine
+            stats = engine.stats
+            return (
+                result, stats.block_counts, stats.instr_count,
+                stats.load_count, stats.store_count, stats.call_count,
+                engine.icache and (engine.icache.misses,
+                                   engine.dcache.misses),
+                engine.translation_stats(),
+                [engine.block_key(func.name, block.label)
+                 for func in sim.module for block in func.blocks],
+            )
+
+        cells = 0
+        for cell, program, machine, module in _quick_matrix():
+            if machine.name != "alpha":
+                continue
+            cells += 1
+            plan = make_plan(program, 16, 16)
+            facts = ModuleFacts(module, machine)
+            for caches in (True, False):
+                for cancel in (None, lambda: None):
+                    # A fresh set of facts, then the shared one twice:
+                    # the second of those keys nothing it entered.
+                    runs = [observed(Simulator(
+                        module, machine, backend="compiled",
+                        simulate_caches=caches, cancel=cancel,
+                        block_cache=BlockCache(), facts=shared,
+                    ), plan) for shared in (None, facts, facts)]
+                    assert runs[0] == runs[1] == runs[2], (
+                        cell, caches, cancel)
+        assert cells == 52
+
+    def test_facts_of_another_module_or_machine_are_refused(self):
+        from repro.sim.facts import ModuleFacts
+
+        module, machine = parse_module(LOOP_TEXT), get_machine("alpha")
+        facts = ModuleFacts(module, machine)
+        for other in ((parse_module(LOOP_TEXT), machine),
+                      (module, get_machine("alpha"))):
+            with pytest.raises(SimulationError, match="another module"):
+                Simulator(*other, facts=facts)
 
 
 class TestBackendFallback:
